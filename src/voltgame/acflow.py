@@ -12,6 +12,11 @@ with p, q the net bus injections (generation minus consumption).  The sweep
 accumulates flows leaf-to-root with the previous iterate's currents, then
 propagates voltages root-to-leaf and refreshes the currents, until every
 equation residual is below tolerance.
+
+:func:`closed_loop_ac` runs the local laws against this solver: its stepper
+solves the AC flow and applies :func:`voltgame.dynamics.law_update`, and
+:func:`voltgame.dynamics.run` drives the loop, as it does for the linear
+model.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ControlSpec
-from .dynamics import SimulationTrace
+from .dynamics import SimulationTrace, law_update, run
 from .sensitivity import SensitivitySet
 from .topology import RadialNetwork, validate_tree
+
+SWEEP_TOL = 1e-10  # AC solve tolerance at every step of closed_loop_ac
 
 
 class NoConvergenceError(RuntimeError):
@@ -140,16 +147,18 @@ def sweep_solve(net: RadialNetwork, p_inj, q_inj, tol: float = 1e-8,
 
 
 def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
-                   stepper: str, q0=None, tol: float = 1e-8, max_iter: int = 300,
-                   sweep_tol: float = 1e-10, divergence_bound: float = 1e6,
-                   v_nom=None) -> SimulationTrace:
+                   stepper: str, tol: float = 1e-8, max_iter: int = 300) -> SimulationTrace:
     """Run a control law against the AC model instead of its linearization.
 
-    The feeder's fixed loads/generation enter every sweep; the actuators'
-    reactive injections are the iterated variable.  The anticipating law
-    keeps using the linearized self-sensitivities internally (the
-    controller's model of the grid), fed by AC voltage measurements.
-    ``S`` must be the sensitivity set restricted to the actuator buses.
+    Each step of :func:`voltgame.dynamics.run` solves the AC flow from the
+    current actuator injections (the feeder's fixed loads/generation enter
+    every sweep, from zero injections at the first step) and applies
+    :func:`voltgame.dynamics.law_update` to the measured deviation from each
+    bus's v_nom.  The anticipating law keeps using the linearized
+    self-sensitivities internally (the controller's model of the grid), fed
+    by AC voltage measurements.  ``S`` must be the sensitivity set
+    restricted to the actuator buses.  The trace's v_hist holds each step's
+    AC voltages at every bus, one row per step.
     """
     if stepper not in ("taking", "anticipating"):
         raise ValueError("stepper must be 'taking' or 'anticipating'")
@@ -159,43 +168,17 @@ def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
 
     p_fixed = np.array([b.p_g - b.p_c for b in net.buses])
     q_fixed = np.array([-b.q_c for b in net.buses])
-    if v_nom is None:
-        v_nom = np.array([b.v_nom for b in net.buses])[act]
+    v_nom = np.array([b.v_nom for b in net.buses])[act]
     xii = np.diag(S.X)
-
-    q = np.zeros(act.size) if q0 is None else np.asarray(q0, dtype=float).copy()
-    hist = [q.copy()]
-    res_hist = []
     v_hist = []
-    status = "max_iter"
-    it = 0
-    residual = float("nan")
-    for it in range(1, max_iter + 1):
+
+    def step(q):
         q_inj = q_fixed.copy()
         q_inj[act] += q
-        flow = sweep_solve(net, p_fixed, q_inj, tol=sweep_tol)
-        v_act = flow.v[act]
-        v_hist.append(flow.v)
-        if stepper == "taking":
-            q_next = ctrl.project(ctrl.eval_droop(v_act - v_nom))
-        else:
-            c = v_act - v_nom - xii * q
-            q_next = ctrl.project(ctrl.eval_anticipating(xii, c))
-        residual = float(np.max(np.abs(q_next - q)))
-        q = q_next
-        hist.append(q.copy())
-        res_hist.append(residual)
-        if np.max(np.abs(q)) > divergence_bound:
-            status = "diverged"
-            break
-        if residual < tol:
-            status = "converged"
-            break
-    return SimulationTrace(
-        q_hist=np.array(hist),
-        residuals=np.array(res_hist),
-        status=status,
-        iterations=it,
-        v_hist=np.array(v_hist) if v_hist else None,
-        final_residual=residual,
-    )
+        v = sweep_solve(net, p_fixed, q_inj, tol=SWEEP_TOL).v
+        v_hist.append(v)
+        return law_update(stepper, ctrl, xii, v[act] - v_nom, q)
+
+    trace = run(step, np.zeros(act.size), tol=tol, max_iter=max_iter)
+    trace.v_hist = np.array(v_hist) if v_hist else None
+    return trace

@@ -23,43 +23,6 @@ class EmptyBoxError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DroopParams:
-    alpha: float
-    delta: float = 0.0
-    q_min: float = -math.inf
-    q_max: float = math.inf
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("droop slope must be >= 0")
-        if self.delta < 0:
-            raise ValueError("deadband width must be >= 0")
-        if self.q_min > self.q_max:
-            raise EmptyBoxError(f"empty box [{self.q_min},{self.q_max}]")
-
-    @property
-    def y(self) -> float:
-        """Quadratic cost coefficient 1/alpha."""
-        if self.alpha == 0:
-            raise ZeroSlopeError("alpha=0 bus has no controller; cost undefined")
-        return 1.0 / self.alpha
-
-
-@dataclass(frozen=True)
-class QuadraticCost:
-    """Pure quadratic provisioning cost y/2 * q^2 (droop with no deadband)."""
-
-    y: float
-
-    def __post_init__(self):
-        if self.y <= 0:
-            raise ValueError("cost coefficient must be positive")
-
-    def as_droop(self, q_min: float = -math.inf, q_max: float = math.inf) -> DroopParams:
-        return DroopParams(alpha=1.0 / self.y, delta=0.0, q_min=q_min, q_max=q_max)
-
-
 def beta(alpha, xii):
     """Anticipating slope 1/(1/alpha + 2*Xii); strictly below alpha when Xii > 0."""
     alpha = np.asarray(alpha, dtype=float)
@@ -73,103 +36,6 @@ def _piecewise(slope, delta, u):
     up = np.maximum(u - delta / 2.0, 0.0)
     un = np.maximum(-u - delta / 2.0, 0.0)
     return -slope * up + slope * un
-
-
-def droop_eval(p: DroopParams, u):
-    """Reactive setpoint for voltage deviation u, before box projection."""
-    return _piecewise(p.alpha, p.delta, np.asarray(u, dtype=float))
-
-
-def droop_cost(p: DroopParams, q):
-    """Provisioning cost of the droop curve: y/2 * q^2 + delta/2 * |q|.
-
-    Convex, zero at q=0, even; its slope away from zero recovers the
-    inverted droop curve extended by the deadband half-width.
-    """
-    if p.alpha == 0:
-        raise ZeroSlopeError("alpha=0 bus has no controller; cost undefined")
-    q = np.asarray(q, dtype=float)
-    return 0.5 * p.y * q * q + 0.5 * p.delta * np.abs(q)
-
-
-def project_box(q, lo, hi):
-    """Clamp q into [lo, hi] elementwise."""
-    if np.any(np.asarray(lo) > np.asarray(hi)):
-        raise EmptyBoxError(f"empty box [{lo},{hi}]")
-    return np.minimum(hi, np.maximum(lo, q))
-
-
-def anticipating_response(p: DroopParams, xii: float, c):
-    """Box-projected solution of q = f(2*Xii*q + c) for a droop controller.
-
-    c aggregates the neighbours' influence plus the constant voltage offset;
-    inside the deadband the response stays exactly zero.
-    """
-    b = beta(p.alpha, xii)
-    q = _piecewise(b, p.delta, np.asarray(c, dtype=float))
-    return project_box(q, p.q_min, p.q_max)
-
-
-def solve_response_fixed_point(f, two_xii: float, c: float, tol: float = 1e-12,
-                               max_iter: int = 200) -> float:
-    """Bisection solve of q = f(two_xii*q + c) for any nonincreasing f.
-
-    Supports tabulated or otherwise non-droop monotone controllers; also the
-    independent check for the closed-form droop response.  phi(q) = q -
-    f(two_xii*q + c) is strictly increasing, so a sign-bracketing bisection
-    converges unconditionally.
-    """
-    def phi(q):
-        return q - float(f(two_xii * q + c))
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if phi(lo) <= 0:
-            break
-        lo *= 2.0
-    for _ in range(200):
-        if phi(hi) >= 0:
-            break
-        hi *= 2.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
-
-
-class TabulatedControl:
-    """Monotone control curve given by sample points, evaluated by interpolation.
-
-    Points must be nonincreasing in the response; outside the sampled range
-    the curve extends with the boundary slope held constant at zero slope
-    (saturation).  The anticipating response for such a curve is computed by
-    bisection rather than a closed form.
-    """
-
-    def __init__(self, u_points, q_points):
-        u = np.asarray(u_points, dtype=float)
-        q = np.asarray(q_points, dtype=float)
-        if u.ndim != 1 or u.shape != q.shape or u.size < 2:
-            raise ValueError("need matching 1-d sample arrays with >= 2 points")
-        if np.any(np.diff(u) <= 0):
-            raise ValueError("u samples must be strictly increasing")
-        if np.any(np.diff(q) > 0):
-            raise ValueError("control curve must be nonincreasing")
-        self.u = u
-        self.q = q
-
-    def __call__(self, u):
-        return np.interp(u, self.u, self.q)
-
-    def anticipating_response(self, xii: float, c: float, q_min: float = -math.inf,
-                              q_max: float = math.inf, tol: float = 1e-12) -> float:
-        q = solve_response_fixed_point(self, 2.0 * xii, c, tol=tol)
-        return float(project_box(q, q_min, q_max))
 
 
 @dataclass(frozen=True)
@@ -214,14 +80,6 @@ class ControlSpec:
             bool(np.all(self.delta == 0))
             and bool(np.all(np.isneginf(self.q_min)))
             and bool(np.all(np.isposinf(self.q_max)))
-        )
-
-    def params(self, k: int) -> DroopParams:
-        return DroopParams(
-            alpha=float(self.alpha[k]),
-            delta=float(self.delta[k]),
-            q_min=float(self.q_min[k]),
-            q_max=float(self.q_max[k]),
         )
 
     @classmethod

@@ -1,12 +1,16 @@
-"""Closed-loop iteration of the two local Volt/Var laws on the linear model.
+"""Closed-loop iteration of the two local Volt/Var laws.
 
 Signal-taking: each bus reacts to its measured voltage deviation.
 Signal-anticipating: each bus additionally accounts for its own injection's
 effect through its self-sensitivity, i.e. it applies the tempered response
 to the aggregate signal from everyone else.
 
-Both laws update all buses synchronously.  Spectral convergence certificates
-for each law live in :func:`condition_report`.
+:func:`law_update` is the one update rule for both laws; it reads only the
+measured deviation and the bus's own injection, so the linear steppers here
+and the AC loop in :mod:`voltgame.acflow` share it, and :func:`run` is the
+one closed-loop driver for both models.  Both laws update all buses
+synchronously.  Spectral convergence certificates for each law live in
+:func:`condition_report`.
 """
 
 from __future__ import annotations
@@ -64,33 +68,20 @@ def voltage_from_q(S: SensitivitySet, q: np.ndarray, vt: OperatingConstants) -> 
     return S.X @ q + vt.v_tilde
 
 
-def signal_taking_step(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants,
-                       q: np.ndarray) -> np.ndarray:
-    """One synchronous update of the signal-taking law."""
-    u = S.X @ np.asarray(q, dtype=float) + vt.delta_v_tilde
-    return ctrl.project(ctrl.eval_droop(u))
+def law_update(law: str, ctrl: ControlSpec, xii: np.ndarray, v_dev: np.ndarray,
+               q: np.ndarray) -> np.ndarray:
+    """One synchronous update of a local law from measured quantities.
 
-
-def signal_anticipating_step(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants,
-                             q: np.ndarray) -> np.ndarray:
-    """One synchronous update of the signal-anticipating law (best response)."""
-    c = S.Xbar @ np.asarray(q, dtype=float) + vt.delta_v_tilde
-    return ctrl.project(ctrl.eval_anticipating(np.diag(S.X), c))
-
-
-def signal_anticipating_step_local(S: SensitivitySet, ctrl: ControlSpec,
-                                   vt: OperatingConstants, q: np.ndarray) -> np.ndarray:
-    """Anticipating update from locally measurable quantities only.
-
-    Recovers the aggregate signal as v_i - v_nom_i - Xii q_i from the current
-    voltage and own injection; identical to the aggregate form on the linear
-    model and usable verbatim against an AC solver.
+    v_dev is the measured deviation v - v_nom at the actuators and q their
+    current injections.  The taking law applies the droop curve to v_dev; the
+    anticipating law removes its own effect xii * q from the signal and
+    applies the tempered response.  Both project onto the reactive box.
     """
-    q = np.asarray(q, dtype=float)
-    xii = np.diag(S.X)
-    v_dev = S.X @ q + vt.delta_v_tilde
-    c = v_dev - xii * q
-    return ctrl.project(ctrl.eval_anticipating(xii, c))
+    if law == "taking":
+        return ctrl.project(ctrl.eval_droop(v_dev))
+    if law == "anticipating":
+        return ctrl.project(ctrl.eval_anticipating(xii, v_dev - xii * q))
+    raise ValueError("law must be 'taking' or 'anticipating'")
 
 
 @dataclass
@@ -100,7 +91,8 @@ class SimulationTrace:
     status is one of "converged", "max_iter", "diverged"; iterations counts
     completed steps.  q_hist has one row per stored iterate (t = 0..T);
     v_hist, when present, satisfies v = X q + v_tilde row by row for
-    linear-model runs.
+    linear-model runs; for AC runs it has one row per step, the AC voltages
+    at every bus measured from q_hist[t].
     """
 
     q_hist: np.ndarray
@@ -214,12 +206,19 @@ def condition_report(S: SensitivitySet, ctrl: ControlSpec) -> ConditionReport:
     )
 
 
+def _linear_stepper(law: str, S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants):
+    xii = np.diag(S.X)
+    return lambda q: law_update(law, ctrl, xii, S.X @ q + vt.delta_v_tilde, q)
+
+
 def taking_stepper(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants):
-    return lambda q: signal_taking_step(S, ctrl, vt, q)
+    """q -> one signal-taking update on the linear model v = X q + v_tilde."""
+    return _linear_stepper("taking", S, ctrl, vt)
 
 
 def anticipating_stepper(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants):
-    return lambda q: signal_anticipating_step(S, ctrl, vt, q)
+    """q -> one signal-anticipating update (best response) on the linear model."""
+    return _linear_stepper("anticipating", S, ctrl, vt)
 
 
 def search_alpha_window(S: SensitivitySet, margin: float = 0.05,

@@ -152,8 +152,8 @@ def validate_tree(net: RadialNetwork) -> None:
     """Check that ``net`` is a valid rooted radial feeder.
 
     Raises a :class:`TopologyError` subclass naming the offending node or
-    line: NonpositiveReactanceError (x <= 0 or r < 0), MultiRootChildError
-    (root degree != 1), CycleError, DisconnectedError.
+    line: NonpositiveReactanceError (x <= 0, r < 0, or either non-finite),
+    MultiRootChildError (root degree != 1), CycleError, DisconnectedError.
     """
     n = net.n
     if len(net.buses) != n:
@@ -162,6 +162,10 @@ def validate_tree(net: RadialNetwork) -> None:
         raise DisconnectedError(f"expected {n} lines for {n} non-root nodes, got {len(net.lines)}")
 
     for ln in net.lines:
+        if not (math.isfinite(ln.x) and math.isfinite(ln.r)):
+            raise NonpositiveReactanceError(
+                f"line ({ln.from_node},{ln.to_node}) has non-finite r={ln.r} or x={ln.x}"
+            )
         if ln.x <= 0:
             raise NonpositiveReactanceError(f"line ({ln.from_node},{ln.to_node}) has x={ln.x}")
         if ln.r < 0:

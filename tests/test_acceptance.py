@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from voltgame.acflow import equation_residuals, sweep_solve
-from voltgame.controls import ControlSpec, DroopParams, anticipating_response
+from voltgame.controls import ControlSpec
 from voltgame.dynamics import (
     OperatingConstants,
     anticipating_stepper,
@@ -321,7 +321,8 @@ def test_criterion_10_droop_response_consistency():
         delta = float(rng.uniform(0.0, 0.2))
         xii = float(rng.uniform(0.0, 5.0))
         c = float(rng.uniform(-5.0, 5.0))
-        q = anticipating_response(DroopParams(alpha=alpha, delta=delta), xii, c)
+        spec = ControlSpec.uniform(1, alpha=alpha, delta=delta)
+        q = float(spec.project(spec.eval_anticipating(xii, c))[0])
         err = abs(q - droop_scalar(alpha, delta, 2 * xii * q + c))
         worst = max(worst, err)
         assert err <= 1e-12

@@ -134,3 +134,17 @@ class TestClosedLoop:
         S = build_sensitivity(net)  # full-size, not restricted
         with pytest.raises(ValueError):
             closed_loop_ac(net, S, ctrl, "taking")
+
+    @pytest.mark.parametrize("law", ["taking", "anticipating"])
+    def test_trace_contract(self, law):
+        # v_hist[t] is the AC flow at q_hist[t], the measurement that fed step t
+        net, ctrl = sce_like_chain()
+        S_act, _, _ = restricted_model(net)
+        trace = closed_loop_ac(net, S_act, ctrl, law)
+        assert trace.q_hist.shape[0] == trace.iterations + 1
+        assert trace.v_hist.shape[0] == trace.iterations
+        p = np.array([b.p_g - b.p_c for b in net.buses])
+        for q_row, v_row in zip(trace.q_hist, trace.v_hist):
+            q_inj = np.array([-b.q_c for b in net.buses])
+            q_inj[net.actuator_indices()] += q_row
+            np.testing.assert_array_equal(v_row, sweep_solve(net, p, q_inj, tol=1e-10).v)

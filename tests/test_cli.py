@@ -28,6 +28,15 @@ def test_validate_bad_file(tmp_path):
     assert main(["validate", str(p)]) == 2
 
 
+@pytest.mark.parametrize("bad_x", ["NaN", "Infinity"])
+def test_validate_rejects_nonfinite_reactance(tmp_path, bad_x):
+    p = tmp_path / "bad.json"
+    p.write_text('{"buses": [{"id":0},{"id":1},{"id":2}], "lines": ['
+                 '{"from":0,"to":1,"r":0.01,"x":0.02},'
+                 '{"from":1,"to":2,"r":0.01,"x":%s}]}' % bad_x)
+    assert main(["validate", str(p)]) == 2
+
+
 def test_matrices_roundtrip(net_file, tmp_path):
     out = tmp_path / "X.csv"
     assert main(["matrices", net_file, "--kind", "X", "--out", str(out)]) == 0

@@ -9,9 +9,6 @@ from voltgame.dynamics import (
     operating_constants,
     run,
     search_alpha_window,
-    signal_anticipating_step,
-    signal_anticipating_step_local,
-    signal_taking_step,
     taking_stepper,
     voltage_from_q,
     OperatingConstants,
@@ -84,13 +81,13 @@ class TestSteppers:
     def test_equilibrium_is_fixed_point(self):
         _, S, spec, vt = make_instance(1)
         eq = solve_quadratic(S, spec.y, vt, "equilibrium")
-        q1 = signal_taking_step(S, spec, vt, eq.q_star)
+        q1 = taking_stepper(S, spec, vt)(eq.q_star)
         assert np.max(np.abs(q1 - eq.q_star)) < 1e-12
 
     def test_nash_is_fixed_point(self):
         _, S, spec, vt = make_instance(2)
         na = solve_quadratic(S, spec.y, vt, "nash")
-        q1 = signal_anticipating_step(S, spec, vt, na.q_a)
+        q1 = anticipating_stepper(S, spec, vt)(na.q_a)
         assert np.max(np.abs(q1 - na.q_a)) < 1e-12
 
     def test_deadband_absorbs_offsets(self):
@@ -98,8 +95,8 @@ class TestSteppers:
         S = build_sensitivity(net)
         spec = ControlSpec.uniform(2, alpha=2.0, delta=0.1)
         vt = OperatingConstants(np.full(2, 1.01), np.full(2, 0.01))
-        np.testing.assert_array_equal(signal_taking_step(S, spec, vt, np.zeros(2)), 0.0)
-        np.testing.assert_array_equal(signal_anticipating_step(S, spec, vt, np.zeros(2)), 0.0)
+        np.testing.assert_array_equal(taking_stepper(S, spec, vt)(np.zeros(2)), 0.0)
+        np.testing.assert_array_equal(anticipating_stepper(S, spec, vt)(np.zeros(2)), 0.0)
 
     def test_scalar_taking_recursion(self):
         # n=1 quadratic: q' = -alpha (x q + dv)
@@ -108,9 +105,10 @@ class TestSteppers:
         spec = ControlSpec.uniform(1, alpha=0.9)
         vt = OperatingConstants(np.array([1.02]), np.array([0.02]))
         q = np.array([0.3])
+        step = taking_stepper(S, spec, vt)
         for _ in range(5):
             expected = -0.9 * (0.7 * q[0] + 0.02)
-            q = signal_taking_step(S, spec, vt, q)
+            q = step(q)
             assert q[0] == pytest.approx(expected, rel=1e-14)
 
     def test_scalar_anticipating_one_step(self):
@@ -120,18 +118,21 @@ class TestSteppers:
         S = build_sensitivity(net)
         spec = ControlSpec.quadratic([y])
         vt = OperatingConstants(np.array([1 + dv]), np.array([dv]))
-        q1 = signal_anticipating_step(S, spec, vt, np.array([17.0]))
+        step = anticipating_stepper(S, spec, vt)
+        q1 = step(np.array([17.0]))
         assert q1[0] == pytest.approx(-dv / (y + 2 * x), rel=1e-12)
-        q2 = signal_anticipating_step(S, spec, vt, q1)
+        q2 = step(q1)
         np.testing.assert_allclose(q2, q1, atol=1e-15)
 
     def test_local_measurement_form_agrees(self):
+        # the local form v_i - v_nom_i - Xii q_i equals the aggregate signal Xbar q + dv
         _, S, spec, vt = make_instance(4, delta=0.02)
+        step = anticipating_stepper(S, spec, vt)
         rng = np.random.default_rng(5)
         for _ in range(20):
             q = rng.uniform(-0.5, 0.5, S.n)
-            a = signal_anticipating_step(S, spec, vt, q)
-            b = signal_anticipating_step_local(S, spec, vt, q)
+            a = spec.project(spec.eval_anticipating(np.diag(S.X), S.Xbar @ q + vt.delta_v_tilde))
+            b = step(q)
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_taking_step_solves_per_node_problem(self):
@@ -140,7 +141,7 @@ class TestSteppers:
         rng = np.random.default_rng(6)
         q = rng.uniform(-0.3, 0.3, S.n)
         u = S.X @ q + vt.delta_v_tilde
-        q_next = signal_taking_step(S, spec, vt, q)
+        q_next = taking_stepper(S, spec, vt)(q)
         grid = np.linspace(-3, 3, 20001)
         for i in range(S.n):
             vals = cost_scalar(spec.y[i], spec.delta[i], grid) + grid * u[i]
