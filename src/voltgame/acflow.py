@@ -13,6 +13,13 @@ accumulates flows leaf-to-root with the previous iterate's currents, then
 propagates voltages root-to-leaf and refreshes the currents, until every
 equation residual is below tolerance.
 
+Both passes walk the depth levels of the network's cached
+:attr:`~voltgame.topology.RadialNetwork.traversal`, one set of numpy calls
+per level, so a pass costs O(depth) numpy calls rather than one Python step
+per bus.  Child sums are added in the same order as a bus-by-bus sweep would
+add them, so the results are bit-identical to it.  The network is validated
+once, on first use of the traversal, not on every solve.
+
 :func:`closed_loop_ac` runs the local laws against this solver: its stepper
 solves the AC flow and applies :func:`voltgame.dynamics.law_update`, and
 :func:`voltgame.dynamics.run` drives the loop, as it does for the linear
@@ -28,7 +35,7 @@ import numpy as np
 from .controls import ControlSpec
 from .dynamics import SimulationTrace, law_update, run
 from .sensitivity import SensitivitySet
-from .topology import RadialNetwork, validate_tree
+from .topology import RadialNetwork
 
 SWEEP_TOL = 1e-10  # AC solve tolerance at every step of closed_loop_ac
 
@@ -65,85 +72,104 @@ class BranchFlowState:
         return np.sqrt(self.v_sq[1:])
 
 
-def _sweep_order(net: RadialNetwork) -> list[int]:
-    """Nodes ordered root-outward (parents come before children)."""
-    children = net.children()
-    order = []
-    stack = list(children[0])
-    while stack:
-        k = stack.pop()
-        order.append(k)
-        stack.extend(children[k])
-    return order
+def _layout(net: RadialNetwork, p_inj, q_inj):
+    """Per-line arrays in traversal order, so that every depth level is a slice."""
+    t = net.traversal
+    idx = t.order - 1
+    r = t.r[idx]
+    x = t.x[idx]
+    # float_power squares as the scalar ``r ** 2`` does (libm pow); the array
+    # ``r ** 2`` is r * r, which differs from it in the last bit on some inputs.
+    z2 = np.float_power(r, 2) + np.float_power(x, 2)
+    return t, idx, p_inj[idx], q_inj[idx], r, x, z2
+
+
+def _residual(t, p, q, r, x, z2, P, Q, ell, v) -> float:
+    """Max absolute equation violation; arrays in traversal order, root voltage last."""
+    n = P.size
+    # bincount adds each bus's children in sibling order, from 0.0, as the
+    # scalar sum over children() does, so sums are bit-identical to it.
+    sum_P = np.bincount(t.up, P, n + 1)[:n]
+    sum_Q = np.bincount(t.up, Q, n + 1)[:n]
+    vi = v[t.up]
+    violations = np.abs([
+        P - (-p + sum_P + r * ell),
+        Q - (-q + sum_Q + x * ell),
+        v[:n] - (vi - 2.0 * (r * P + x * Q) + z2 * ell),
+        ell * vi - (np.float_power(P, 2) + np.float_power(Q, 2)),
+    ])
+    return float(violations.max(initial=0.0))
+
+
+def _to_state(idx, P, Q, ell, v, residual, iterations) -> BranchFlowState:
+    """Scatter traversal-ordered arrays back to child-node order."""
+    n = idx.size
+    out = np.empty((3, n))
+    out[:, idx] = P, Q, ell
+    v_sq = np.empty(n + 1)
+    v_sq[0] = v[n]
+    v_sq[idx + 1] = v[:n]
+    return BranchFlowState(out[0], out[1], out[2], v_sq, residual, iterations)
 
 
 def equation_residuals(net: RadialNetwork, p_inj, q_inj, state: BranchFlowState) -> float:
     """Max absolute violation over all four equation families."""
-    children = net.children()
-    r = net.resistances()
-    x = net.reactances()
-    P, Q, ell, v_sq = state.P, state.Q, state.ell, state.v_sq
-    res = 0.0
-    for j in range(1, net.n + 1):
-        i = net.parent[j - 1]
-        e = j - 1
-        sum_P = sum(P[k - 1] for k in children[j])
-        sum_Q = sum(Q[k - 1] for k in children[j])
-        res = max(res, abs(P[e] - (-p_inj[e] + sum_P + r[e] * ell[e])))
-        res = max(res, abs(Q[e] - (-q_inj[e] + sum_Q + x[e] * ell[e])))
-        res = max(res, abs(v_sq[j] - (v_sq[i] - 2.0 * (r[e] * P[e] + x[e] * Q[e])
-                                      + (r[e] ** 2 + x[e] ** 2) * ell[e])))
-        res = max(res, abs(ell[e] * v_sq[i] - (P[e] ** 2 + Q[e] ** 2)))
-    return res
+    t, idx, p, q, r, x, z2 = _layout(net, np.asarray(p_inj, dtype=float),
+                                     np.asarray(q_inj, dtype=float))
+    v = np.append(state.v_sq[idx + 1], state.v_sq[0])
+    return _residual(t, p, q, r, x, z2, state.P[idx], state.Q[idx], state.ell[idx], v)
 
 
 def sweep_solve(net: RadialNetwork, p_inj, q_inj, tol: float = 1e-8,
                 max_iter: int = 200) -> BranchFlowState:
     """Backward/forward sweep from a flat start (v_sq = v0^2, ell = 0).
 
-    Raises NoConvergenceError with the last residual if max_iter sweeps do
-    not reach tol, and VoltageCollapseError if a squared voltage is driven
-    nonpositive.
+    Each pass makes one set of numpy calls per depth level of the feeder's
+    cached traversal.  Raises ValueError for injections of the wrong shape
+    or with a non-finite entry, NoConvergenceError with the last residual if
+    max_iter sweeps do not reach tol, and VoltageCollapseError if a squared
+    voltage is driven nonpositive.
     """
-    validate_tree(net)
     n = net.n
     p_inj = np.asarray(p_inj, dtype=float)
     q_inj = np.asarray(q_inj, dtype=float)
     if p_inj.shape != (n,) or q_inj.shape != (n,):
         raise ValueError(f"injection vectors must have shape ({n},)")
+    finite = np.isfinite(p_inj) & np.isfinite(q_inj)
+    if not finite.all():
+        raise ValueError(f"non-finite injection at bus {int(np.argmin(finite)) + 1}")
 
-    children = net.children()
-    parent = net.parent
-    r = net.resistances()
-    x = net.reactances()
-    order = _sweep_order(net)
+    t, idx, p, q, r, x, z2 = _layout(net, p_inj, q_inj)
+    below = t.levels[1:] + (slice(n, n),)  # each level's children; none under the deepest
 
     P = np.zeros(n)
     Q = np.zeros(n)
     ell = np.zeros(n)
-    v_sq = np.full(n + 1, net.v0 ** 2)
+    v = np.full(n + 1, net.v0 ** 2)  # v[k] belongs to order[k]; v[n] is the root's
 
-    state = BranchFlowState(P, Q, ell, v_sq, residual=np.inf, iterations=0)
+    residual = np.inf
     for it in range(1, max_iter + 1):
         # backward: accumulate flows leaf-to-root with frozen currents
-        for j in reversed(order):
-            e = j - 1
-            P[e] = -p_inj[e] + sum(P[k - 1] for k in children[j]) + r[e] * ell[e]
-            Q[e] = -q_inj[e] + sum(Q[k - 1] for k in children[j]) + x[e] * ell[e]
-        # forward: propagate voltages root-to-leaf, refresh currents
-        for j in order:
-            e = j - 1
-            i = parent[e]
-            v_sq[j] = v_sq[i] - 2.0 * (r[e] * P[e] + x[e] * Q[e]) + (r[e] ** 2 + x[e] ** 2) * ell[e]
-            if v_sq[j] <= 0:
-                raise VoltageCollapseError(f"squared voltage {v_sq[j]:.3e} at bus {j}")
-            ell[e] = (P[e] ** 2 + Q[e] ** 2) / v_sq[i]
+        r_ell = r * ell
+        x_ell = x * ell
+        for s, c in zip(reversed(t.levels), reversed(below)):
+            P[s] = -p[s] + np.bincount(t.up[c], P[c], s.stop)[s] + r_ell[s]
+            Q[s] = -q[s] + np.bincount(t.up[c], Q[c], s.stop)[s] + x_ell[s]
+        # forward: propagate voltages root-to-leaf, then refresh the currents
+        drop = 2.0 * (r * P + x * Q)
+        rise = z2 * ell
+        for s in t.levels:
+            v[s] = v[t.up[s]] - drop[s] + rise[s]
+        collapsed = v[:n] <= 0
+        if collapsed.any():
+            k = int(np.argmax(collapsed))  # the shallowest, so its parent's voltage is sound
+            raise VoltageCollapseError(f"squared voltage {v[k]:.3e} at bus {t.order[k]}")
+        ell = (np.float_power(P, 2) + np.float_power(Q, 2)) / v[t.up]
 
-        state = BranchFlowState(P, Q, ell, v_sq, residual=np.inf, iterations=it)
-        state.residual = equation_residuals(net, p_inj, q_inj, state)
-        if state.residual < tol:
-            return state
-    raise NoConvergenceError(state.residual, max_iter)
+        residual = _residual(t, p, q, r, x, z2, P, Q, ell, v)
+        if residual < tol:
+            return _to_state(idx, P, Q, ell, v, residual, it)
+    raise NoConvergenceError(residual, max_iter)
 
 
 def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,

@@ -68,13 +68,14 @@ def cmd_simulate(args) -> int:
     S = build_sensitivity(net)
     S_act, vt_act, _ = experiments.restricted_model(net, S)
     ctrl = _ctrl_from_args(net, ctrl0, args)
+    # without --max-iter each model keeps its own default step budget
+    budget = {} if args.max_iter is None else {"max_iter": args.max_iter}
     if args.ac:
-        trace = acflow.closed_loop_ac(net, S_act, ctrl, args.law,
-                                      tol=args.tol, max_iter=args.max_iter)
+        trace = acflow.closed_loop_ac(net, S_act, ctrl, args.law, tol=args.tol, **budget)
     else:
         step = (dynamics.taking_stepper if args.law == "taking"
                 else dynamics.anticipating_stepper)(S_act, ctrl, vt_act)
-        trace = dynamics.run(step, np.zeros(S_act.n), tol=args.tol, max_iter=args.max_iter,
+        trace = dynamics.run(step, np.zeros(S_act.n), tol=args.tol, **budget,
                              voltage_fn=(lambda q: dynamics.voltage_from_q(S_act, q, vt_act))
                              if args.voltages else None)
     _emit(netio.dump_trace_csv(trace, with_voltages=args.voltages), args.out)
@@ -181,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ac", action="store_true", help="use the AC sweep instead of the linear model")
     sp.add_argument("--voltages", action="store_true", help="include voltage columns")
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=100_000)
+    sp.add_argument("--max-iter", type=int,
+                    help="step budget (default: 100000 for the linear model, 300 with --ac)")
 
     sp = add("equilibrium", cmd_equilibrium, help="solve for an equilibrium directly")
     sp.add_argument("net")

@@ -57,23 +57,14 @@ def _path_incidence(net: RadialNetwork) -> np.ndarray:
     n = net.n
     A = np.zeros((n, n))
     parent = net.parent
-    # Parents precede children in a top-down order, so each column copies its
-    # parent column plus its own line.
-    order = sorted(range(1, n + 1), key=lambda k: _depth_fast(parent, k))
-    for k in order:
+    # Parents precede children in the traversal order, so each column copies
+    # its parent column plus its own line.
+    for k in net.traversal.order.tolist():
         p = parent[k - 1]
         if p != 0:
             A[:, k - 1] = A[:, p - 1]
         A[k - 1, k - 1] = 1.0
     return A
-
-
-def _depth_fast(parent, k: int) -> int:
-    d = 0
-    while k != 0:
-        k = parent[k - 1]
-        d += 1
-    return d
 
 
 def build_sensitivity(net: RadialNetwork) -> SensitivitySet:

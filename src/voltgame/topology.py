@@ -69,13 +69,69 @@ class BusData:
 
 
 @dataclass(frozen=True)
+class Traversal:
+    """Root-outward structure of a validated feeder, built once per network.
+
+    ``order`` lists the non-root nodes level by level from the root, the
+    children of each node in :meth:`RadialNetwork.children` order, so the
+    nodes d+1 lines below the root are the contiguous run ``order[levels[d]]``.
+    ``up[k]`` is the position in ``order`` of the parent of ``order[k]``, and
+    n when that parent is the root.  ``parent``, ``r``, ``x`` and ``lines``
+    are indexed by child node: entry i-1 belongs to node i and the line into
+    it.  The arrays are read-only.
+    """
+
+    parent: np.ndarray
+    order: np.ndarray
+    up: np.ndarray
+    levels: tuple[slice, ...]
+    r: np.ndarray
+    x: np.ndarray
+    lines: tuple[Line, ...]
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def _build_traversal(net: RadialNetwork) -> Traversal:
+    n = net.n
+    lines = [None] * n
+    for ln in net.lines:
+        lines[ln.to_node - 1] = ln
+    children = net.children()
+    pos = [n] * (n + 1)  # pos[k]: position of node k in the order; the root maps to n
+    order: list[int] = []
+    levels = []
+    level = children[0]
+    while level:
+        start = len(order)
+        for k in level:
+            pos[k] = len(order)
+            order.append(k)
+        levels.append(slice(start, len(order)))
+        level = [c for j in level for c in children[j]]
+    return Traversal(
+        parent=_read_only([ln.from_node for ln in lines], int),
+        order=_read_only(order, int),
+        up=_read_only([pos[lines[k - 1].from_node] for k in order], int),
+        levels=tuple(levels),
+        r=_read_only([ln.r for ln in lines], float),
+        x=_read_only([ln.x for ln in lines], float),
+        lines=tuple(lines),
+    )
+
+
+@dataclass(frozen=True)
 class RadialNetwork:
     """A rooted radial feeder with n non-root buses.
 
     ``lines`` must form a spanning tree over nodes {0..n} rooted at 0;
-    ``buses[i]`` describes node i+1.  Instances are immutable; call
-    :func:`validate_tree` (or build through the provided constructors)
-    before trusting derived quantities.
+    ``buses[i]`` describes node i+1.  Instances are immutable; parents,
+    line arrays and root paths come from :attr:`traversal`, which validates
+    the network on first use.
     """
 
     n: int
@@ -83,33 +139,32 @@ class RadialNetwork:
     buses: tuple[BusData, ...]
     v0: float = 1.0
 
-    # -- derived structure, filled on first use -------------------------------
-    _parent: tuple[int, ...] = field(default=None, repr=False, compare=False)
+    # -- derived state, filled on first use -----------------------------------
+    _validated: bool = field(default=False, repr=False, compare=False)
+    _traversal: Traversal | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_parent", None)
+        object.__setattr__(self, "_validated", False)
+        object.__setattr__(self, "_traversal", None)
 
     @property
-    def parent(self) -> tuple[int, ...]:
+    def traversal(self) -> Traversal:
+        """The cached :class:`Traversal`; validates the network first."""
+        if self._traversal is None:
+            validate_tree(self)
+            object.__setattr__(self, "_traversal", _build_traversal(self))
+        return self._traversal
+
+    @property
+    def parent(self) -> np.ndarray:
         """parent[i] is the parent node of node i+1 (0 means the root)."""
-        if self._parent is None:
-            par = [-1] * self.n
-            for ln in self.lines:
-                if 1 <= ln.to_node <= self.n:
-                    par[ln.to_node - 1] = ln.from_node
-            object.__setattr__(self, "_parent", tuple(par))
-        return self._parent
+        return self.traversal.parent
 
     def line_to(self, i: int) -> Line:
         """The unique line whose child end is node i."""
         if not 1 <= i <= self.n:
             raise UnknownNodeError(f"node {i} not in 1..{self.n}")
-        return self._line_by_child()[i]
-
-    def _line_by_child(self) -> dict[int, Line]:
-        if not hasattr(self, "_by_child"):
-            object.__setattr__(self, "_by_child", {ln.to_node: ln for ln in self.lines})
-        return self._by_child
+        return self.traversal.lines[i - 1]
 
     def children(self) -> list[list[int]]:
         """children[k] lists direct children of node k (k = 0..n)."""
@@ -123,12 +178,10 @@ class RadialNetwork:
 
     def reactances(self) -> np.ndarray:
         """Per-line x ordered by child node (entry i-1 is the line into node i)."""
-        by_child = self._line_by_child()
-        return np.array([by_child[i].x for i in range(1, self.n + 1)])
+        return self.traversal.x.copy()
 
     def resistances(self) -> np.ndarray:
-        by_child = self._line_by_child()
-        return np.array([by_child[i].r for i in range(1, self.n + 1)])
+        return self.traversal.r.copy()
 
     def actuator_indices(self) -> np.ndarray:
         """Matrix indices (0-based, node k -> k-1) of the actuator buses."""
@@ -154,7 +207,11 @@ def validate_tree(net: RadialNetwork) -> None:
     Raises a :class:`TopologyError` subclass naming the offending node or
     line: NonpositiveReactanceError (x <= 0, r < 0, or either non-finite),
     MultiRootChildError (root degree != 1), CycleError, DisconnectedError.
+    Success is recorded on the network, so a repeat call returns at once;
+    a failure is not, so an invalid network raises on every call.
     """
+    if net._validated:
+        return
     n = net.n
     if len(net.buses) != n:
         raise DisconnectedError(f"expected {n} bus records, got {len(net.buses)}")
@@ -206,17 +263,18 @@ def validate_tree(net: RadialNetwork) -> None:
             raise TopologyError(
                 f"actuator box [{b.q_min},{b.q_max}] must contain 0 (zero injection always feasible)"
             )
+    object.__setattr__(net, "_validated", True)
 
 
 def path_to_root(net: RadialNetwork, i: int) -> list[Line]:
     """Lines on the unique path from the root to node i, root end first."""
     if not 1 <= i <= net.n:
         raise UnknownNodeError(f"node {i} not in 1..{net.n}")
-    by_child = net._line_by_child()
+    lines = net.traversal.lines
     path = []
     k = i
     while k != 0:
-        ln = by_child[k]
+        ln = lines[k - 1]
         path.append(ln)
         k = ln.from_node
     path.reverse()

@@ -136,3 +136,82 @@ def chain_network_for_tests(xs):
     from voltgame.topology import chain_network
 
     return chain_network(xs)
+
+
+def _line_arrays(net):
+    """children lists, parent tuple and r/x arrays read straight off net.lines."""
+    by_child = {ln.to_node: ln for ln in net.lines}
+    children = [[] for _ in range(net.n + 1)]
+    for ln in net.lines:
+        children[ln.from_node].append(ln.to_node)
+    parent = tuple(by_child[i].from_node for i in range(1, net.n + 1))
+    r = np.array([by_child[i].r for i in range(1, net.n + 1)])
+    x = np.array([by_child[i].x for i in range(1, net.n + 1)])
+    return children, parent, r, x
+
+
+def _sweep_order(children):
+    """Nodes ordered root-outward (parents come before children)."""
+    order = []
+    stack = list(children[0])
+    while stack:
+        k = stack.pop()
+        order.append(k)
+        stack.extend(children[k])
+    return order
+
+
+def equation_residuals_by_bus(net, p_inj, q_inj, state):
+    """Max absolute branch-flow equation violation, one bus at a time."""
+    children, parent, r, x = _line_arrays(net)
+    P, Q, ell, v_sq = state.P, state.Q, state.ell, state.v_sq
+    res = 0.0
+    for j in range(1, net.n + 1):
+        i = parent[j - 1]
+        e = j - 1
+        sum_P = sum(P[k - 1] for k in children[j])
+        sum_Q = sum(Q[k - 1] for k in children[j])
+        res = max(res, abs(P[e] - (-p_inj[e] + sum_P + r[e] * ell[e])))
+        res = max(res, abs(Q[e] - (-q_inj[e] + sum_Q + x[e] * ell[e])))
+        res = max(res, abs(v_sq[j] - (v_sq[i] - 2.0 * (r[e] * P[e] + x[e] * Q[e])
+                                      + (r[e] ** 2 + x[e] ** 2) * ell[e])))
+        res = max(res, abs(ell[e] * v_sq[i] - (P[e] ** 2 + Q[e] ** 2)))
+    return res
+
+
+def sweep_solve_by_bus(net, p_inj, q_inj, tol=1e-8, max_iter=200):
+    """Backward/forward sweep walking the buses one at a time in depth-first order."""
+    from voltgame.acflow import BranchFlowState, NoConvergenceError, VoltageCollapseError
+
+    n = net.n
+    p_inj = np.asarray(p_inj, dtype=float)
+    q_inj = np.asarray(q_inj, dtype=float)
+    children, parent, r, x = _line_arrays(net)
+    order = _sweep_order(children)
+
+    P = np.zeros(n)
+    Q = np.zeros(n)
+    ell = np.zeros(n)
+    v_sq = np.full(n + 1, net.v0 ** 2)
+
+    state = BranchFlowState(P, Q, ell, v_sq, residual=np.inf, iterations=0)
+    for it in range(1, max_iter + 1):
+        # backward: accumulate flows leaf-to-root with frozen currents
+        for j in reversed(order):
+            e = j - 1
+            P[e] = -p_inj[e] + sum(P[k - 1] for k in children[j]) + r[e] * ell[e]
+            Q[e] = -q_inj[e] + sum(Q[k - 1] for k in children[j]) + x[e] * ell[e]
+        # forward: propagate voltages root-to-leaf, refresh currents
+        for j in order:
+            e = j - 1
+            i = parent[e]
+            v_sq[j] = v_sq[i] - 2.0 * (r[e] * P[e] + x[e] * Q[e]) + (r[e] ** 2 + x[e] ** 2) * ell[e]
+            if v_sq[j] <= 0:
+                raise VoltageCollapseError(f"squared voltage {v_sq[j]:.3e} at bus {j}")
+            ell[e] = (P[e] ** 2 + Q[e] ** 2) / v_sq[i]
+
+        state = BranchFlowState(P, Q, ell, v_sq, residual=np.inf, iterations=it)
+        state.residual = equation_residuals_by_bus(net, p_inj, q_inj, state)
+        if state.residual < tol:
+            return state
+    raise NoConvergenceError(state.residual, max_iter)

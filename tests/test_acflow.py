@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import equation_residuals_by_bus, sweep_solve_by_bus
 from voltgame.acflow import (
     NoConvergenceError,
     VoltageCollapseError,
@@ -10,9 +13,16 @@ from voltgame.acflow import (
 )
 from voltgame.controls import ControlSpec
 from voltgame.equilibrium import solve_iterative
-from voltgame.experiments import restricted_model
+from voltgame.experiments import load_sce42, restricted_model
 from voltgame.sensitivity import build_sensitivity
-from voltgame.topology import BusData, DegreeDistribution, chain_network, random_tree
+from voltgame.topology import (
+    BusData,
+    DegreeDistribution,
+    Line,
+    RadialNetwork,
+    chain_network,
+    random_tree,
+)
 
 
 def two_bus_closed_form(r, x, p, q, v0=1.0):
@@ -85,6 +95,73 @@ class TestSweep:
         net = chain_network([0.5], rs=[0.5])
         with pytest.raises((VoltageCollapseError, NoConvergenceError)):
             sweep_solve(net, np.array([-2.0]), np.array([-2.0]))
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_injection_rejected(self, bad):
+        # max() drops a NaN residual, so a NaN injection once "converged" in one sweep
+        net = chain_network([0.02] * 3, rs=[0.01] * 3)
+        p = np.array([-0.1, bad, -0.1])
+        with pytest.raises(ValueError, match="bus 2"):
+            sweep_solve(net, p, np.zeros(3))
+        with pytest.raises(ValueError, match="bus 3"):
+            sweep_solve(net, np.zeros(3), np.array([0.0, 0.0, bad]))
+
+
+@st.composite
+def loaded_feeders(draw, max_depth=6, max_children=4, max_buses=60):
+    """Random radial feeder with lines in shuffled order and shuffled node labels,
+    plus light random injections."""
+    edges = [(0, 1)]
+    frontier = [(1, 1)]
+    while frontier and len(edges) < max_buses:
+        node, depth = frontier.pop(0)
+        if depth == max_depth:
+            continue
+        for _ in range(draw(st.integers(0, max_children))):
+            if len(edges) == max_buses:
+                break
+            edges.append((node, len(edges) + 1))
+            frontier.append((len(edges), depth + 1))
+    n = len(edges)
+    label = [0] + draw(st.permutations(range(1, n + 1)))
+    impedance = st.floats(1e-3, 0.05)
+    lines = tuple(Line(label[a], label[b], draw(impedance), draw(impedance))
+                  for a, b in draw(st.permutations(edges)))
+    net = RadialNetwork(n=n, lines=lines, buses=tuple(BusData() for _ in range(n)))
+    p = np.array(draw(st.lists(st.floats(-5e-3, 2e-3), min_size=n, max_size=n)))
+    q = np.array(draw(st.lists(st.floats(-3e-3, 1e-3), min_size=n, max_size=n)))
+    return net, p, q
+
+
+def assert_same_bits(net, p, q, tol=1e-10):
+    got = sweep_solve(net, p, q, tol=tol)
+    want = sweep_solve_by_bus(net, p, q, tol=tol)
+    for name in ("P", "Q", "ell", "v_sq"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.residual == want.residual
+    assert got.iterations == want.iterations
+    assert equation_residuals(net, p, q, got) == equation_residuals_by_bus(net, p, q, want)
+
+
+class TestMatchesPerBusSweep:
+    # the level-ordered sweep adds every sum in the per-bus sweep's order,
+    # so its results agree bit for bit, not just within a tolerance
+    @settings(max_examples=60, deadline=None)
+    @given(loaded_feeders())
+    def test_random_feeders(self, case):
+        assert_same_bits(*case)
+
+    def test_sce42(self):
+        net = load_sce42().net
+        p = np.array([b.p_g - b.p_c for b in net.buses])
+        q = np.array([-b.q_c for b in net.buses])
+        assert_same_bits(net, p, q)
+
+    def test_chain_30(self):
+        rng = np.random.default_rng(3)
+        net = chain_network(rng.uniform(0.002, 0.01, 30), rs=rng.uniform(0.001, 0.008, 30))
+        assert_same_bits(net, rng.uniform(-0.02, 0.0, 30), rng.uniform(-0.01, 0.0, 30))
 
 
 def sce_like_chain(alpha=9.0, delta=0.0, depth=6):

@@ -61,6 +61,14 @@ def test_simulate_anticipating_ac(net_file, tmp_path):
     assert code == 0
 
 
+def test_simulate_ac_uses_its_own_step_budget(capsys):
+    # the taking law cycles at alpha 30; without --max-iter --ac stops at 300 steps
+    code = main(["simulate", "sce42", "--law", "taking", "--alpha", "30", "--delta", "0.02",
+                 "--ac"])
+    assert code == 3
+    assert "max_iter after 300 steps" in capsys.readouterr().err
+
+
 def test_equilibrium_json(net_file, capsys):
     assert main(["equilibrium", net_file, "--law", "taking", "--alpha", "3.0"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from voltgame.acflow import sweep_solve
+from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import (
     BusData,
     CycleError,
@@ -64,6 +68,61 @@ class TestValidate:
                             buses=(BusData(q_min=0.5, q_max=1.0),))
         with pytest.raises(Exception):
             validate_tree(net)
+
+
+class TestValidateOnce:
+    # success is cached on the network; failure is not
+    @pytest.mark.parametrize("lines, error", [
+        ((Line(0, 1, 0, 1.0), Line(2, 3, 0, 1.0), Line(3, 2, 0, 1.0)), CycleError),
+        ((Line(0, 1, 0, 1.0), Line(0, 2, 0, 1.0), Line(1, 3, 0, 1.0)), MultiRootChildError),
+    ])
+    def test_invalid_network_raises_every_time(self, lines, error):
+        net = RadialNetwork(n=3, lines=lines, buses=(BusData(),) * 3)
+        for _ in range(2):
+            with pytest.raises(error):
+                validate_tree(net)
+            with pytest.raises(error):
+                sweep_solve(net, np.zeros(3), np.zeros(3))
+            with pytest.raises(error):
+                build_sensitivity(net)
+
+    def test_success_is_recorded(self):
+        net = fig_tree()
+        assert not net._validated
+        validate_tree(net)
+        assert net._validated
+
+    def test_replace_starts_unvalidated(self):
+        net = fig_tree()
+        validate_tree(net)
+        assert not dataclasses.replace(net)._validated
+        bad = dataclasses.replace(net, lines=net.lines[:3] + (Line(0, 4, 0.0, 7.0),))
+        with pytest.raises(MultiRootChildError):
+            validate_tree(bad)
+        assert dataclasses.replace(net) == net
+
+
+class TestTraversal:
+    def test_levels_in_sibling_order(self):
+        # lines listed out of order: node 1's children come 4 then 2
+        lines = (Line(1, 4, 0.0, 7.0), Line(2, 3, 0.0, 5.0), Line(0, 1, 0.0, 2.0),
+                 Line(1, 2, 0.0, 3.0))
+        net = RadialNetwork(n=4, lines=lines, buses=tuple(BusData() for _ in range(4)))
+        t = net.traversal
+        assert [t.order[s].tolist() for s in t.levels] == [[1], [4, 2], [3]]
+        assert t.up.tolist() == [4, 0, 0, 2]
+        assert t.parent.tolist() == [0, 1, 2, 1]
+        np.testing.assert_array_equal(t.x, [2.0, 3.0, 5.0, 7.0])
+        assert [ln.to_node for ln in t.lines] == [1, 2, 3, 4]
+
+    def test_cached_and_read_only(self):
+        net = fig_tree()
+        assert net.traversal is net.traversal
+        with pytest.raises(ValueError):
+            net.traversal.x[0] = 1.0
+        xs = net.reactances()
+        xs[0] = 1.0  # a copy: the cache is unchanged
+        assert net.traversal.x[0] == 2.0
 
 
 class TestPaths:
