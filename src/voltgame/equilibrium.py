@@ -14,6 +14,12 @@ quadratic costs and no boxes it equals a quadratic form in dv whose kernel
 matrix has closed-form spectral bounds.  All bound fields reported here
 carry the 1/2 factor of the worst-case metric so every number in a report
 is directly comparable.
+
+Two functions report the bounds.  :func:`posa_report` works on the dense
+sensitivity matrices of any instance, including one restricted to its
+actuators, and can add the realized gap and the worst direction.
+:func:`tree_posa_report` works on a whole feeder through the sparse inverse
+X^{-1} = tree_laplacian(net) alone, in O(n) memory.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .controls import ControlSpec
 from .dynamics import OperatingConstants
 from .sensitivity import SensitivitySet, chain_eigen_bounds
+from .topology import RadialNetwork, tree_laplacian
 
 
 class NotUnconstrainedError(ValueError):
@@ -39,6 +46,26 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 class MaxIterError(RuntimeError):
     pass
+
+
+class BoundOrderingError(RuntimeError):
+    """The PoSA bounds came out of order by more than ordering_ok's tolerance.
+
+    Carries the offending report and the smallest eigenvalues of M = X+Y and
+    N = X+D+Y its bounds were computed from; a tiny one marks an
+    ill-conditioned instance.
+    """
+
+    def __init__(self, report: "PosaReport", lam_min_M: float, lam_min_N: float):
+        self.report = report
+        self.lam_min_M = lam_min_M
+        self.lam_min_N = lam_min_N
+        super().__init__(
+            f"bound ordering violated: lower={report.lower:.3e} "
+            f"posa_max={report.posa_max:.3e} refined={report.refined_upper:.3e} "
+            f"upper={report.upper:.3e} gap={report.gap_bound:.3e} "
+            f"(lambda_min(M)={lam_min_M:.3e}, lambda_min(N)={lam_min_N:.3e})"
+        )
 
 
 def objective_F(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants,
@@ -240,14 +267,37 @@ class PosaReport:
         )
 
 
+def _bounds_report(lam_pi: float, lam_min_M: float, lam_min_N: float, lam_min_X: float,
+                   lam_lower: float, d: float, y: float, posa: float | None = None,
+                   direction: np.ndarray | None = None) -> PosaReport:
+    """The report's bounds from the spectral quantities, ordering checked.
+
+    lam_pi is the largest eigenvalue of the PoSA kernel and lam_lower the
+    largest of M^{-1} - 2 N^{-1}.  Raises BoundOrderingError if the bounds
+    are out of order.
+    """
+    upper = 0.5 / lam_min_M
+    factor = d * d / (lam_min_X + d + y) ** 2
+    lower = 0.5 * lam_lower
+    report = PosaReport(
+        posa_max=0.5 * lam_pi, upper=upper, refined_upper=factor * upper, lower=lower,
+        lower_clamped=max(0.0, lower), gap_bound=1.0 / lam_min_N, d=d, y=y, posa=posa,
+        worst_direction=direction,
+    )
+    if not report.ordering_ok():
+        raise BoundOrderingError(report, lam_min_M, lam_min_N)
+    return report
+
+
 def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
                 want_direction: bool = True) -> PosaReport:
-    """All PoSA bounds for a quadratic unconstrained instance.
+    """All PoSA bounds for a quadratic unconstrained instance, from dense matrices.
 
     Ordering invariants (lower <= posa_max <= refined_upper <= upper and
-    upper - lower <= gap bound) are asserted before returning.  When
-    operating constants are given, the realized gap F(q_nash) - F(q_star)
-    is computed from the closed-form solves as well.
+    upper - lower <= gap bound) are checked before returning; a violation
+    raises BoundOrderingError.  When operating constants are given, the
+    realized gap F(q_nash) - F(q_star) is computed from the closed-form
+    solves as well.
     """
     Y = np.asarray(Y, dtype=float)
     Yd = np.diag(Y) if Y.ndim == 2 else Y
@@ -267,19 +317,11 @@ def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
     lam_min_M = float(np.linalg.eigvalsh(M)[0])
     lam_min_N = float(np.linalg.eigvalsh(N)[0])
     lam_min_X = float(np.linalg.eigvalsh(S.X)[0])
-    d = float(np.max(d_vec))
-    y = float(np.min(Yd))
 
     Minv = cho_solve(cho_factor(M, lower=True), np.eye(S.n))
     Ninv = cho_solve(cho_factor(N, lower=True), np.eye(S.n))
     lower_mat = 0.5 * ((Minv - 2.0 * Ninv) + (Minv - 2.0 * Ninv).T)
-
-    posa_max = 0.5 * lam_pi
-    upper = 0.5 / lam_min_M
-    factor = d * d / (lam_min_X + d + y) ** 2
-    refined_upper = factor * upper
-    lower = 0.5 * float(np.linalg.eigvalsh(lower_mat)[-1])
-    gap_bound = 1.0 / lam_min_N
+    lam_lower = float(np.linalg.eigvalsh(lower_mat)[-1])
 
     posa = None
     if vt is not None:
@@ -287,17 +329,165 @@ def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
         na = solve_quadratic(S, Yd, vt, "nash")
         posa = na.F_at_qa - eq.F_value
 
-    report = PosaReport(
-        posa_max=posa_max, upper=upper, refined_upper=refined_upper, lower=lower,
-        lower_clamped=max(0.0, lower), gap_bound=gap_bound, d=d, y=y, posa=posa,
-        worst_direction=direction,
-    )
-    if not report.ordering_ok():
-        raise AssertionError(
-            f"bound ordering violated: lower={lower:.3e} posa_max={posa_max:.3e} "
-            f"refined={refined_upper:.3e} upper={upper:.3e} gap={gap_bound:.3e}"
-        )
-    return report
+    return _bounds_report(lam_pi, lam_min_M, lam_min_N, lam_min_X, lam_lower,
+                          d=float(np.max(d_vec)), y=float(np.min(Yd)), posa=posa,
+                          direction=direction)
+
+
+# -- the same bounds on the sparse X^{-1} of a whole feeder ------------------------
+
+_V0_SEED = 0  # seeds ARPACK's start vector, so a report repeats to the bit
+
+
+class _LeafFirst:
+    """X^{-1} + diag(s) of a feeder with the buses in leaf-first order.
+
+    Position k holds matrix index ``perm[k]``; the order is the reverse of the
+    traversal order, so every bus comes after all its children and Gaussian
+    elimination in this order creates no fill.  The pivot of bus i is then
+    a_i + s_i - sum_c w_c^2 / p_c over its children c, where a = diag(X^{-1})
+    and w_c = 1/x_c is the weight of the line into c.
+    """
+
+    def __init__(self, net: RadialNetwork):
+        tr = net.traversal
+        n = net.n
+        self.n = n
+        self.perm = tr.order[::-1] - 1
+        pos = np.empty(n, dtype=int)
+        pos[self.perm] = np.arange(n)
+        L = tree_laplacian(net)
+        self.L = L[self.perm][:, self.perm].tocsc()
+        self.a = L.diagonal()[self.perm]
+        # lambda_max(X^{-1}) lies between its largest diagonal entry and its
+        # largest absolute row sum (Gershgorin); 1/lambda_max(X^{-1}) = lambda_min(X)
+        self.x_bracket = (1.0 / float(np.max(abs(L).sum(axis=1))), 1.0 / float(np.max(self.a)))
+        parent = tr.parent[self.perm] - 1
+        self._up = np.where(parent >= 0, pos[parent], n).tolist()  # n: the root, a dummy slot
+        w2 = (1.0 / tr.x[self.perm]) ** 2
+        self._w2 = w2.tolist()
+        self._pivmin = np.finfo(float).tiny * max(1.0, float(np.max(w2)))
+
+    def count_below(self, g: np.ndarray, sigma: float) -> int:
+        """Number of eigenvalues of X + diag(g) below sigma.
+
+        By Sylvester's law of inertia it is #{g_i < sigma} minus the number of
+        negative eigenvalues of X^{-1} + diag(1/(g - sigma)), which are the
+        negative pivots of its leaf-first elimination.  A pivot smaller in
+        magnitude than the underflow guard counts as negative, as in LAPACK's
+        dlaebz.
+        """
+        h = g - sigma
+        if not h.all():     # sigma is some g_i: count below the next float instead
+            h = g - np.nextafter(sigma, np.inf)
+        piv = (self.a + 1.0 / h[self.perm]).tolist()
+        piv.append(0.0)
+        up, w2, pivmin = self._up, self._w2, self._pivmin
+        neg = 0
+        for k in range(self.n):
+            p = piv[k]
+            if p < pivmin:
+                if p > -pivmin:
+                    p = -pivmin
+                neg += 1
+            piv[up[k]] -= w2[k] / p
+        return int(np.count_nonzero(h < 0.0)) - neg
+
+    def lambda_min(self, g: np.ndarray, lo: float, hi: float) -> float:
+        """Smallest eigenvalue of X + diag(g), given 0 < lo <= it <= hi.
+
+        Bisection on :meth:`count_below` to the last bit, on a log scale
+        while the bracket spans more than a factor of two; returns the lower
+        end of the final bracket.
+        """
+        while True:
+            mid = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return lo
+            if self.count_below(g, mid):
+                hi = mid
+            else:
+                lo = mid
+
+    def inverse(self, g: np.ndarray):
+        """v -> (X + diag(g))^{-1} v, for g > 0, by the Woodbury identity
+
+            (X + G)^{-1} v = G^{-1} v - G^{-1} (X^{-1} + G^{-1})^{-1} G^{-1} v
+
+        with X^{-1} + G^{-1} factored once, leaf first and without pivoting.
+        """
+        from scipy.sparse.linalg import splu
+
+        ginv = 1.0 / g
+        K = self.L.copy()
+        K.setdiag(self.a + ginv[self.perm])
+        lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        perm = self.perm
+
+        def solve(v: np.ndarray) -> np.ndarray:
+            u = ginv * v
+            w = np.empty_like(u)
+            w[perm] = lu.solve(u[perm])
+            return u - ginv * w
+
+        return solve
+
+
+def _top_eigenvalue(matvec, n: int) -> float:
+    """Largest eigenvalue of the symmetric operator v -> matvec(v).
+
+    ARPACK's Lanczos from a seeded start vector, so a rerun gives the same
+    bits.  ARPACK needs n > 1; a 1 x 1 operator is its own eigenvalue.
+    """
+    if n == 1:
+        return float(matvec(np.ones(1))[0])
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    v0 = np.random.default_rng(_V0_SEED).uniform(-1.0, 1.0, n)
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    return float(eigsh(op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0])
+
+
+def tree_posa_report(net: RadialNetwork, y) -> PosaReport:
+    """The bounds of :func:`posa_report` for a whole feeder, from the sparse X^{-1}.
+
+    y holds one positive cost coefficient per bus.  No n x n array is formed:
+    solves with M = X+Y and N = X+D+Y go through the Woodbury identity on
+    X^{-1}, the largest eigenvalues of the PoSA kernel and of M^{-1} - 2 N^{-1}
+    come from Lanczos, and the smallest of X, M and N from bisection on
+    Sylvester inertia.  posa and worst_direction stay None; use posa_report
+    for those and for instances restricted to their actuators, whose X^{-1}
+    is not a tree Laplacian.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (net.n,):
+        raise ValueError(f"need one cost coefficient per bus ({net.n}), got shape {y.shape}")
+    if np.any(y <= 0):
+        raise ValueError("cost coefficients must be positive")
+    tree = _LeafFirst(net)
+    d_vec = net.traversal.d
+    lam_min_X = tree.lambda_min(np.zeros(net.n), *tree.x_bracket)
+
+    def lam_min(g):
+        # Weyl brackets lambda_min(X + G) by lambda_min(X) + min/max g, and
+        # each diagonal entry d_i + g_i bounds it from above
+        return tree.lambda_min(g, lam_min_X + float(np.min(g)),
+                               min(float(np.min(d_vec + g)), lam_min_X + float(np.max(g))))
+
+    g_N = d_vec + y
+    lam_min_M = lam_min(y)
+    lam_min_N = lam_min(g_N)
+    Minv = tree.inverse(y)
+    Ninv = tree.inverse(g_N)
+
+    def pi(v):
+        return Ninv(d_vec * Minv(d_vec * Ninv(v)))
+
+    lam_pi = _top_eigenvalue(pi, net.n)
+    lam_lower = _top_eigenvalue(lambda v: Minv(v) - 2.0 * Ninv(v), net.n)
+    return _bounds_report(lam_pi, lam_min_M, lam_min_N, lam_min_X, lam_lower,
+                          d=float(np.max(d_vec)), y=float(np.min(y)))
 
 
 def posa_constrained(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants,
@@ -342,7 +532,8 @@ def chain_upper_bound_range(n: int, a: float, b: float, d: float, y: float) -> f
 __all__ = [
     "EquilibriumResult", "NashResult", "PosaReport",
     "objective_F", "objective_W", "solve_quadratic", "solve_iterative",
-    "optimality_residual", "pi_matrix", "posa_report", "posa_constrained",
-    "chain_upper_bound_uniform", "chain_upper_bound_range",
-    "NotUnconstrainedError", "SingularSystemError", "MaxIterError",
+    "optimality_residual", "pi_matrix", "posa_report", "tree_posa_report",
+    "posa_constrained", "chain_upper_bound_uniform",
+    "chain_upper_bound_range", "NotUnconstrainedError", "SingularSystemError",
+    "MaxIterError", "BoundOrderingError",
 ]

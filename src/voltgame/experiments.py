@@ -204,8 +204,7 @@ def _threads() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _posa_row(S: SensitivitySet, y_diag, vt=None) -> dict:
-    rep = equilibrium.posa_report(S, y_diag, vt=vt, want_direction=False)
+def _posa_row(rep: equilibrium.PosaReport) -> dict:
     return {
         "posa_max": rep.posa_max, "upper": rep.upper, "refined_upper": rep.refined_upper,
         "lower": rep.lower, "lower_clamped": rep.lower_clamped, "gap_bound": rep.gap_bound,
@@ -224,15 +223,15 @@ def _chain_size_job(spec: SweepSpec, n: int, rep: int, seed: int) -> dict:
         ylo, yhi = spec.y_range if spec.y_range else spec.x_range
         ys = yhi - (yhi - ylo) * rng.random(n)
     net = chain_network(xs)
-    S = build_sensitivity(net)
+    report = equilibrium.tree_posa_report(net, ys)
     row = {"kind": "chain-size", "n": n, "rep": rep, "seed": seed}
-    row.update(_posa_row(S, ys))
+    row.update(_posa_row(report))
     if spec.x_range is None:
         row["chain_bound_uniform"] = equilibrium.chain_upper_bound_uniform(n, spec.x, spec.y)
     else:
         row["chain_bound_range"] = equilibrium.chain_upper_bound_range(
             n, spec.x_range[0] if spec.x_range[0] > 0 else min(xs), spec.x_range[1],
-            d=float(np.max(np.diag(S.X))), y=float(np.min(ys)),
+            d=report.d, y=float(np.min(ys)),
         )
     return row
 
@@ -252,10 +251,9 @@ def _tree_depth_job(spec: SweepSpec, depth: int, rep: int, seed: int) -> dict:
         redraws += 1
         if redraws > 50:
             raise RuntimeError(f"cannot draw a tree under {spec.max_nodes} nodes at depth {depth}")
-    S = build_sensitivity(net)
     row = {"kind": "random-tree-depth", "depth": depth, "rep": rep, "seed": seed,
            "redraws": redraws, "n": net.n, "topology_hash": topology_hash(net)}
-    row.update(_posa_row(S, ys))
+    row.update(_posa_row(equilibrium.tree_posa_report(net, ys)))
     return row
 
 
@@ -263,7 +261,8 @@ def _cost_sweep_job(data: Sce42Dataset, y_value: float, delta: float) -> dict:
     S_act, vt_act, _ = restricted_model(data.net)
     k = S_act.n
     row = {"kind": "cost-coefficient", "y": y_value, "n": k}
-    row.update(_posa_row(S_act, np.full(k, y_value), vt=vt_act))
+    row.update(_posa_row(equilibrium.posa_report(S_act, np.full(k, y_value), vt=vt_act,
+                                                 want_direction=False)))
     ctrl = ControlSpec(
         alpha=np.full(k, 1.0 / y_value), delta=np.full(k, delta),
         q_min=data.ctrl.q_min, q_max=data.ctrl.q_max,

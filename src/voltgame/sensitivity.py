@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import RadialNetwork, inverse_tree_laplacian, validate_tree
+from .topology import RadialNetwork, tree_laplacian, validate_tree
 
 
 class EmptyChainError(ValueError):
@@ -86,17 +86,14 @@ def build_sensitivity(net: RadialNetwork) -> SensitivitySet:
 
 
 def x_inverse_analytic(net: RadialNetwork) -> np.ndarray:
-    """Closed-form inverse of the reactance matrix.
+    """Closed-form inverse of the reactance matrix, dense.
 
     Equals the reciprocal-weight tree Laplacian (root line excluded) plus
     1/x01 added at the entry of the root's child.  Nonzeros only at
-    tree-adjacent pairs and the diagonal.
+    tree-adjacent pairs and the diagonal; :func:`tree_laplacian` gives the
+    same matrix in sparse form.
     """
-    L = inverse_tree_laplacian(net)
-    root_lines = [ln for ln in net.lines if ln.from_node == 0]
-    child = root_lines[0].to_node
-    L[child - 1, child - 1] += 1.0 / root_lines[0].x
-    return L
+    return tree_laplacian(net).toarray()
 
 
 def chain_x_inverse(xs) -> np.ndarray:

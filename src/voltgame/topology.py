@@ -8,6 +8,7 @@ code indexes node k at row/column k-1.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +77,10 @@ class Traversal:
     children of each node in :meth:`RadialNetwork.children` order, so the
     nodes d+1 lines below the root are the contiguous run ``order[levels[d]]``.
     ``up[k]`` is the position in ``order`` of the parent of ``order[k]``, and
-    n when that parent is the root.  ``parent``, ``r``, ``x`` and ``lines``
-    are indexed by child node: entry i-1 belongs to node i and the line into
-    it.  The arrays are read-only.
+    n when that parent is the root.  ``parent``, ``r``, ``x``, ``d`` and
+    ``lines`` are indexed by child node: entry i-1 belongs to node i and the
+    line into it.  ``d`` is the total reactance of the root path of each
+    node, the diagonal of the reactance matrix X.  The arrays are read-only.
     """
 
     parent: np.ndarray
@@ -87,6 +89,7 @@ class Traversal:
     levels: tuple[slice, ...]
     r: np.ndarray
     x: np.ndarray
+    d: np.ndarray
     lines: tuple[Line, ...]
 
 
@@ -113,6 +116,10 @@ def _build_traversal(net: RadialNetwork) -> Traversal:
             order.append(k)
         levels.append(slice(start, len(order)))
         level = [c for j in level for c in children[j]]
+    d = [0.0] * (n + 1)  # d[k]: root-path reactance of node k; the root's is 0
+    for k in order:
+        ln = lines[k - 1]
+        d[k] = d[ln.from_node] + ln.x
     return Traversal(
         parent=_read_only([ln.from_node for ln in lines], int),
         order=_read_only(order, int),
@@ -120,6 +127,7 @@ def _build_traversal(net: RadialNetwork) -> Traversal:
         levels=tuple(levels),
         r=_read_only([ln.r for ln in lines], float),
         x=_read_only([ln.x for ln in lines], float),
+        d=_read_only(d[1:], float),
         lines=tuple(lines),
     )
 
@@ -343,10 +351,10 @@ def random_tree(dist: DegreeDistribution, seed: int) -> RadialNetwork:
 
     lines: list[tuple[int, int]] = [(0, 1)]
     depth_of = {1: 1}
-    frontier = [1]
+    frontier = deque([1])
     next_id = 2
     while frontier:
-        node = frontier.pop(0)
+        node = frontier.popleft()
         if depth_of[node] >= dist.max_depth:
             continue
         k = int(rng.choice(counts, p=probs))
@@ -379,24 +387,36 @@ def random_instance(dist: DegreeDistribution, seed: int) -> tuple[RadialNetwork,
     return net, np.asarray(y)
 
 
-def inverse_tree_laplacian(net: RadialNetwork) -> np.ndarray:
-    """Weighted Laplacian of the feeder with every line weight replaced by 1/x,
-    restricted to the non-root nodes.
+def tree_laplacian(net: RadialNetwork):
+    """The inverse of the reactance matrix X as a sparse matrix.
 
-    The root line contributes nothing here, so every row sums to zero; adding
-    1/x01 to entry (0,0) yields the exact inverse of the reactance matrix
-    (see :func:`voltgame.sensitivity.x_inverse_analytic`).
+    It is the weighted Laplacian of the feeder with every line weight 1/x,
+    restricted to the non-root nodes (row and column k-1 belong to node k),
+    plus 1/x01 of the root line on the diagonal entry of the root's child.
+    Off the diagonal it is nonzero only at tree-adjacent pairs.
     """
-    validate_tree(net)
+    from scipy.sparse import csr_array
+
+    tr = net.traversal
     n = net.n
-    L = np.zeros((n, n))
-    for ln in net.lines:
-        if ln.from_node == 0:
-            continue
-        i, j = ln.from_node - 1, ln.to_node - 1
-        w = 1.0 / ln.x
-        L[i, j] -= w
-        L[j, i] -= w
-        L[i, i] += w
-        L[j, j] += w
+    w = 1.0 / tr.x
+    child = np.arange(n)
+    parent = tr.parent - 1
+    inner = parent >= 0
+    diag = w + np.bincount(parent[inner], weights=w[inner], minlength=n)
+    rows = np.concatenate([child, child[inner], parent[inner]])
+    cols = np.concatenate([child, parent[inner], child[inner]])
+    vals = np.concatenate([diag, -w[inner], -w[inner]])
+    return csr_array((vals, (rows, cols)), shape=(n, n))
+
+
+def inverse_tree_laplacian(net: RadialNetwork) -> np.ndarray:
+    """Dense :func:`tree_laplacian` without the root line: every row sums to zero.
+
+    Adding 1/x01 to the entry of the root's child yields the exact inverse of
+    the reactance matrix (see :func:`voltgame.sensitivity.x_inverse_analytic`).
+    """
+    L = tree_laplacian(net).toarray()
+    k = np.flatnonzero(net.traversal.parent == 0)[0]
+    L[k, k] -= 1.0 / net.traversal.x[k]
     return L

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import equation_residuals_by_bus, sweep_solve_by_bus
+from strategies import feeders
 from voltgame.acflow import (
     NoConvergenceError,
     VoltageCollapseError,
@@ -15,14 +16,7 @@ from voltgame.controls import ControlSpec
 from voltgame.equilibrium import solve_iterative
 from voltgame.experiments import load_sce42, restricted_model
 from voltgame.sensitivity import build_sensitivity
-from voltgame.topology import (
-    BusData,
-    DegreeDistribution,
-    Line,
-    RadialNetwork,
-    chain_network,
-    random_tree,
-)
+from voltgame.topology import BusData, DegreeDistribution, chain_network, random_tree
 
 
 def two_bus_closed_form(r, x, p, q, v0=1.0):
@@ -109,26 +103,11 @@ class TestSweep:
 
 
 @st.composite
-def loaded_feeders(draw, max_depth=6, max_children=4, max_buses=60):
-    """Random radial feeder with lines in shuffled order and shuffled node labels,
-    plus light random injections."""
-    edges = [(0, 1)]
-    frontier = [(1, 1)]
-    while frontier and len(edges) < max_buses:
-        node, depth = frontier.pop(0)
-        if depth == max_depth:
-            continue
-        for _ in range(draw(st.integers(0, max_children))):
-            if len(edges) == max_buses:
-                break
-            edges.append((node, len(edges) + 1))
-            frontier.append((len(edges), depth + 1))
-    n = len(edges)
-    label = [0] + draw(st.permutations(range(1, n + 1)))
+def loaded_feeders(draw):
+    """Random radial feeder (see strategies.feeders) plus light random injections."""
     impedance = st.floats(1e-3, 0.05)
-    lines = tuple(Line(label[a], label[b], draw(impedance), draw(impedance))
-                  for a, b in draw(st.permutations(edges)))
-    net = RadialNetwork(n=n, lines=lines, buses=tuple(BusData() for _ in range(n)))
+    net = draw(feeders(impedance, impedance))
+    n = net.n
     p = np.array(draw(st.lists(st.floats(-5e-3, 2e-3), min_size=n, max_size=n)))
     q = np.array(draw(st.lists(st.floats(-3e-3, 1e-3), min_size=n, max_size=n)))
     return net, p, q

@@ -148,3 +148,31 @@ class TestSweeps:
                          x_range=(0.1, 1.0), y_range=(0.5, 1.5), max_nodes=100)
         with pytest.raises(RuntimeError):
             run_sweep(spec)  # deterministic 2^8 tree can never fit under 100 nodes
+
+
+TREE_BACKEND_SPECS = [
+    SweepSpec(kind="chain-size", sizes=[1, 40, 300], x_range=(0.0, 200.0),
+              y_range=(0.0, 100.0), repetitions=2, seed=5),
+    SweepSpec(kind="random-tree-depth", depths=[6, 9], dist_probs={1: 0.5, 2: 0.5},
+              repetitions=2, seed=11, x_range=(0.0, 200.0), y_range=(0.0, 100.0)),
+]
+
+
+class TestTreeBackendSweeps:
+    @pytest.mark.parametrize("spec", TREE_BACKEND_SPECS, ids=lambda s: s.kind)
+    def test_csv_bytes_repeat_across_runs_and_threads(self, spec, monkeypatch):
+        texts = []
+        for threads in ("1", "1", "2"):
+            monkeypatch.setenv("VOLTGAME_THREADS", threads)
+            texts.append(sweep_csv(run_sweep(spec)))
+        assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize("spec", TREE_BACKEND_SPECS + [
+        SweepSpec(kind="chain-size", sizes=[3, 30], x=1.0, y=1.0)], ids=lambda s: s.kind)
+    def test_no_dense_matrices(self, spec, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense path called")
+
+        monkeypatch.setattr("voltgame.experiments.build_sensitivity", dense)
+        monkeypatch.setattr("voltgame.equilibrium.posa_report", dense)
+        assert run_sweep(spec)
