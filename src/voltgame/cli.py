@@ -57,8 +57,11 @@ def cmd_validate(args) -> int:
 
 def cmd_matrices(args) -> int:
     net, _ = _load(args.net)
-    S = build_sensitivity(net)
-    M = {"X": S.X, "R": S.R, "Xinv": x_inverse_analytic(net)}[args.kind]
+    if args.kind == "Xinv":
+        M = x_inverse_analytic(net)
+    else:
+        S = build_sensitivity(net)
+        M = S.X if args.kind == "X" else S.R
     _emit(netio.dump_matrix_csv(M, args.kind), args.out)
     return 0
 

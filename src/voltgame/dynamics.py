@@ -28,6 +28,22 @@ class DimensionMismatchError(ValueError):
     pass
 
 
+class CertificateOrderingError(RuntimeError):
+    """The spectral certificates broke an ordering that holds in exact arithmetic.
+
+    The anticipating certificate must lie below the taking one, and the
+    row-sum sufficient test below 1 implies the anticipating certificate
+    below 1.  Carries the three computed values.
+    """
+
+    def __init__(self, message: str, sigma_taking: float, sigma_anticipating: float,
+                 sufficient_lhs: float):
+        super().__init__(message)
+        self.sigma_taking = sigma_taking
+        self.sigma_anticipating = sigma_anticipating
+        self.sufficient_lhs = sufficient_lhs
+
+
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_DIVERGENCE_BOUND = 1e6
@@ -180,7 +196,8 @@ def condition_report(S: SensitivitySet, ctrl: ControlSpec) -> ConditionReport:
 
     The anticipating certificate is always strictly below the taking one,
     and the sufficient test dominates the anticipating certificate; both
-    orderings are asserted before returning.
+    orderings are checked before returning, and a violation raises
+    :class:`CertificateOrderingError`.
     """
     if ctrl.n != S.n:
         raise DimensionMismatchError(f"{ctrl.n} controllers for {S.n} buses")
@@ -192,9 +209,12 @@ def condition_report(S: SensitivitySet, ctrl: ControlSpec) -> ConditionReport:
     sufficient = float(np.max(b) * np.max(np.sum(S.Xbar, axis=1)))
 
     if not sigma_a < sigma_t + 1e-15:
-        raise AssertionError(f"certificate ordering violated: {sigma_a} >= {sigma_t}")
+        raise CertificateOrderingError(
+            f"certificate ordering violated: {sigma_a} >= {sigma_t}", sigma_t, sigma_a, sufficient)
     if sufficient < 1.0 and not sigma_a < 1.0:
-        raise AssertionError("sufficient row-sum test held but the spectral test failed")
+        raise CertificateOrderingError(
+            f"sufficient row-sum test held ({sufficient} < 1) but the spectral test "
+            f"failed ({sigma_a} >= 1)", sigma_t, sigma_a, sufficient)
 
     return ConditionReport(
         sigma_taking=sigma_t,

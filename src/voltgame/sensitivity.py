@@ -1,9 +1,12 @@
 """Voltage-to-injection sensitivity matrices for radial feeders.
 
 X[i,j] (R[i,j]) is the total reactance (resistance) on the lines shared by
-the root paths of buses i+1 and j+1.  X is symmetric positive definite for
-any valid feeder; its inverse is sparse with tree-adjacency structure and
-has a closed form built from the reciprocal-weight Laplacian.
+the root paths of buses i+1 and j+1, i.e. the root-path sum of their lowest
+common ancestor.  :func:`build_sensitivity` fills both matrices from the
+network's cached traversal, one depth level at a time, by copying parent
+rows, in O(n^2).  X is symmetric positive definite for any valid feeder; its
+inverse is sparse with tree-adjacency structure and has a closed form built
+from the reciprocal-weight Laplacian.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import RadialNetwork, tree_laplacian, validate_tree
+from .topology import RadialNetwork, Traversal, tree_laplacian
 
 
 class EmptyChainError(ValueError):
@@ -47,42 +50,56 @@ class SensitivitySet:
         return Xb
 
     def restrict(self, idx) -> "SensitivitySet":
-        """Principal submatrix on the given matrix indices (actuator subset)."""
+        """Principal submatrix on the given matrix indices (actuator subset).
+
+        Indices 0..n-1 in order select the whole set, which is returned as is.
+        """
         idx = np.asarray(idx, dtype=int)
+        if np.array_equal(idx, np.arange(self.n)):
+            return self
         return SensitivitySet(X=self.X[np.ix_(idx, idx)], R=self.R[np.ix_(idx, idx)])
 
 
-def _path_incidence(net: RadialNetwork) -> np.ndarray:
-    """A[e, i] = 1 iff line e (child node e+1) lies on the root path of bus i+1."""
-    n = net.n
-    A = np.zeros((n, n))
-    parent = net.parent
-    # Parents precede children in the traversal order, so each column copies
-    # its parent column plus its own line.
-    for k in net.traversal.order.tolist():
-        p = parent[k - 1]
-        if p != 0:
-            A[:, k - 1] = A[:, p - 1]
-        A[k - 1, k - 1] = 1.0
-    return A
+def _shared_path_sums(tr: Traversal, w: np.ndarray) -> np.ndarray:
+    """M[i, j] = total weight w on the lines shared by the root paths of i+1 and j+1.
+
+    The shared path of two nodes ends at their lowest common ancestor, so a
+    node's entry with a shallower node is its parent's, its entry with
+    another node of its own level is that of the two parents, and only the
+    diagonal, its own root-path sum, is new; entries with deeper nodes come
+    from their rows by symmetry.  Filled one depth level at a time in
+    traversal order, with a zero row and column at position n for the root,
+    then permuted back to node order.  Every off-diagonal entry is copied,
+    never recomputed, so M is exactly symmetric.
+    """
+    n = tr.order.size
+    up = tr.up
+    s = np.zeros(n + 1)  # root-path sums in traversal order; s[n] is the root's 0
+    M = np.zeros((n + 1, n + 1))
+    for lv in tr.levels:
+        a = lv.start
+        u = up[lv]
+        s[lv] = s[u] + w[tr.order[lv] - 1]
+        M[lv, :a] = M[u, :a]
+        M[:a, lv] = M[lv, :a].T
+        block = M[np.ix_(u, u)]
+        np.fill_diagonal(block, s[lv])
+        M[lv, lv] = block
+    node = np.empty(n, dtype=int)
+    node[tr.order - 1] = np.arange(n)  # node[i]: traversal position of node i+1
+    return M[np.ix_(node, node)]
 
 
 def build_sensitivity(net: RadialNetwork) -> SensitivitySet:
     """Assemble X and R from shared root-path sums.
 
-    Uses the path-incidence factorization X = A^T diag(x) A, which is the
-    path-intersection definition written as a matrix product.
+    X[i, j] (R[i, j]) is the root-path reactance (resistance) of the lowest
+    common ancestor of buses i+1 and j+1.  Each depth level copies its
+    parents' rows and sets its own root-path sums on the diagonal, so the
+    build is O(n^2) and diag(X) equals ``net.traversal.d``.
     """
-    validate_tree(net)
-    A = _path_incidence(net)
-    xs = net.reactances()
-    rs = net.resistances()
-    X = A.T @ (xs[:, None] * A)
-    R = A.T @ (rs[:, None] * A)
-    # enforce exact symmetry against BLAS rounding
-    X = 0.5 * (X + X.T)
-    R = 0.5 * (R + R.T)
-    return SensitivitySet(X=X, R=R)
+    tr = net.traversal  # validates the network on first use
+    return SensitivitySet(X=_shared_path_sums(tr, tr.x), R=_shared_path_sums(tr, tr.r))
 
 
 def x_inverse_analytic(net: RadialNetwork) -> np.ndarray:

@@ -254,10 +254,20 @@ def validate_tree(net: RadialNetwork) -> None:
             raise CycleError(f"node {ln.to_node} has two parent lines")
         parent[ln.to_node] = ln.from_node
 
-    # Walk up from every node; a repeat before reaching the root is a cycle.
-    for start in range(1, n + 1):
+    # Mark every node reachable from the root.  Each node has one parent
+    # line, so each is pushed at most once.
+    children = net.children()
+    reached = [True] + [False] * n
+    stack = [0]
+    while stack:
+        for c in children[stack.pop()]:
+            reached[c] = True
+            stack.append(c)
+    if not all(reached):
+        # Walk up from the lowest-numbered unreached node; a repeat before
+        # reaching the root is a cycle.
         seen = set()
-        k = start
+        k = reached.index(False)
         while k != 0:
             if k in seen:
                 raise CycleError(f"cycle through node {k}")

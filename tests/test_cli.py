@@ -45,6 +45,18 @@ def test_matrices_roundtrip(net_file, tmp_path):
     assert main(["matrices", net_file, "--kind", "Xinv"]) == 0
 
 
+def test_matrices_xinv_builds_no_dense_x(net_file, tmp_path, monkeypatch):
+    def no_dense(net):
+        raise AssertionError("dense X built for --kind Xinv")
+
+    monkeypatch.setattr("voltgame.cli.build_sensitivity", no_dense)
+    out = tmp_path / "Xinv.csv"
+    assert main(["matrices", net_file, "--kind", "Xinv", "--out", str(out)]) == 0
+    M, kind = load_matrix_csv(out.read_text())
+    np.testing.assert_allclose(M @ [[0.02, 0.02], [0.02, 0.05]], np.eye(2), atol=1e-12)
+    assert kind == "Xinv"
+
+
 def test_simulate_taking(net_file, tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["simulate", net_file, "--law", "taking", "--alpha", "2.0",

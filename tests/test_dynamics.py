@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from voltgame import dynamics
+from voltgame.cli import main
 from voltgame.controls import ControlSpec
 from voltgame.dynamics import (
+    CertificateOrderingError,
     DimensionMismatchError,
     anticipating_stepper,
     condition_report,
@@ -212,6 +217,45 @@ class TestConditionReport:
                 assert rep.anticipating_converges
             # the spectral certificate is never above the row-sum bound
             assert rep.sigma_anticipating <= rep.sufficient_lhs + 1e-12
+
+
+class TestCertificateOrderingError:
+    @staticmethod
+    def break_sigma(monkeypatch, sigma_taking, sigma_anticipating):
+        # condition_report computes the taking certificate first
+        values = iter([sigma_taking, sigma_anticipating])
+        monkeypatch.setattr(dynamics, "_sigma_max", lambda M: next(values))
+
+    def test_anticipating_above_taking(self, monkeypatch):
+        _, S, spec, _ = make_instance(3, alpha_scale=0.5)
+        sufficient = condition_report(S, spec).sufficient_lhs
+        self.break_sigma(monkeypatch, 0.5, 0.9)
+        with pytest.raises(CertificateOrderingError) as info:
+            condition_report(S, spec)
+        err = info.value
+        assert isinstance(err, RuntimeError) and not isinstance(err, AssertionError)
+        assert (err.sigma_taking, err.sigma_anticipating) == (0.5, 0.9)
+        assert err.sufficient_lhs == sufficient
+        assert "0.9 >= 0.5" in str(err)
+
+    def test_sufficient_test_without_spectral(self, monkeypatch):
+        _, S, spec, _ = make_instance(3, alpha_scale=0.1)
+        rep = condition_report(S, spec)
+        assert rep.sufficient_holds
+        self.break_sigma(monkeypatch, 2.0, 1.5)
+        with pytest.raises(CertificateOrderingError) as info:
+            condition_report(S, spec)
+        err = info.value
+        assert (err.sigma_taking, err.sigma_anticipating) == (2.0, 1.5)
+        assert err.sufficient_lhs == rep.sufficient_lhs < 1.0
+
+    def test_cli_exits_2(self, monkeypatch, tmp_path, capsys):
+        # the alpha sweep calls condition_report before running either law
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"kind": "alpha", "alphas": [9.0], "delta": 0.02}))
+        self.break_sigma(monkeypatch, 0.5, 0.9)
+        assert main(["sweep", str(p)]) == 2
+        assert "certificate ordering violated" in capsys.readouterr().err
 
 
 class TestConvergenceEverywhereUnderCertificate:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltgame.sensitivity import (
     EmptyChainError,
@@ -21,6 +23,7 @@ from voltgame.topology import (
 )
 
 from oracles import sensitivity_by_paths
+from strategies import feeders
 
 
 def fig_tree(a=2.0, b=3.0, c=5.0, d=7.0, rs=(0.1, 0.2, 0.3, 0.4)):
@@ -33,11 +36,28 @@ def random_tree_for(seed, depth=6, x_range=(0.1, 2.0)):
     return random_tree(dist, seed)
 
 
+def star(xs, rs):
+    """Root line to node 1, then lines from node 1 to nodes 2..n."""
+    lines = tuple(Line(0 if k == 1 else 1, k, rs[k - 1], xs[k - 1]) for k in range(1, len(xs) + 1))
+    return RadialNetwork(n=len(xs), lines=lines, buses=tuple(BusData() for _ in xs))
+
+
+def assert_exact_build(net):
+    """X and R match the path oracle, are exactly symmetric, diag(X) is traversal.d."""
+    S = build_sensitivity(net)
+    np.testing.assert_allclose(S.X, sensitivity_by_paths(net, "x"), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(S.R, sensitivity_by_paths(net, "r"), rtol=0, atol=1e-12)
+    assert np.array_equal(S.X, S.X.T) and np.array_equal(S.R, S.R.T)
+    assert np.array_equal(np.diag(S.X), net.traversal.d)
+    return S
+
+
 class TestBuild:
     def test_chain(self):
         a, b = 1.5, 2.5
-        S = build_sensitivity(chain_network([a, b]))
+        S = assert_exact_build(chain_network([a, b], rs=[0.5, 0.25]))
         np.testing.assert_allclose(S.X, [[a, a], [a, a + b]])
+        assert S.R.tolist() == [[0.5, 0.5], [0.5, 0.75]]
 
     def test_fig_tree_printed_matrix(self):
         a, b, c, d = 2.0, 3.0, 5.0, 7.0
@@ -51,8 +71,9 @@ class TestBuild:
         np.testing.assert_allclose(S.X, expected)
 
     def test_single_bus(self):
-        S = build_sensitivity(chain_network([3.0]))
+        S = assert_exact_build(chain_network([3.0], rs=[0.25]))
         np.testing.assert_allclose(S.X, [[3.0]])
+        assert S.R.tolist() == [[0.25]]
 
     def test_against_path_oracle(self):
         for seed in range(5):
@@ -95,6 +116,46 @@ class TestBuild:
         sub = S.restrict(idx)
         Xo = sensitivity_by_paths(net, "x")
         np.testing.assert_allclose(sub.X, Xo[np.ix_(idx, idx)], atol=1e-12)
+
+
+class TestLevelBuild:
+    # shuffled node labels and line order, so traversal order differs from node order
+    @settings(max_examples=80, deadline=None)
+    @given(feeders(st.floats(0.0, 1.0), st.floats(1e-3, 2.0)))
+    def test_random_feeders(self, net):
+        assert_exact_build(net)
+
+    def test_star(self):
+        rng = np.random.default_rng(5)
+        xs, rs = rng.uniform(0.1, 2.0, 12), rng.uniform(0.0, 1.0, 12)
+        S = assert_exact_build(star(xs, rs))
+        # leaves share only the root line: every off-diagonal entry is x01
+        off = ~np.eye(12, dtype=bool)
+        assert np.all(S.X[off] == xs[0]) and np.all(S.R[off] == rs[0])
+
+    def test_chain_300(self):
+        rng = np.random.default_rng(6)
+        xs, rs = rng.uniform(0.1, 2.0, 300), rng.uniform(0.0, 1.0, 300)
+        S = build_sensitivity(chain_network(xs, rs=rs))
+        # on a chain the shared path of i and j is the root path of min(i, j)
+        shallower = np.minimum.outer(np.arange(300), np.arange(300))
+        assert np.array_equal(S.X, np.cumsum(xs)[shallower])
+        assert np.array_equal(S.R, np.cumsum(rs)[shallower])
+
+    def test_restrict_to_all_returns_same_arrays(self):
+        S = build_sensitivity(random_tree_for(3))
+        full = S.restrict(np.arange(S.n))
+        assert full is S
+        assert np.array_equal(full.X, S.X) and np.array_equal(full.R, S.R)
+
+    def test_restrict_proper_subset_is_principal_submatrix(self):
+        S = build_sensitivity(random_tree_for(3))
+        for idx in (np.arange(S.n - 1), np.arange(1, S.n), np.array([4, 0, 2]),
+                    np.arange(S.n)[::-1]):
+            sub = S.restrict(idx)
+            assert sub is not S
+            assert np.array_equal(sub.X, S.X[np.ix_(idx, idx)])
+            assert np.array_equal(sub.R, S.R[np.ix_(idx, idx)])
 
 
 class TestAnalyticInverse:

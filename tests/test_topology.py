@@ -63,6 +63,19 @@ class TestValidate:
         with pytest.raises(DisconnectedError):
             validate_tree(net)
 
+    def test_cycle_named_from_lowest_unreached_node(self):
+        # node 1 reaches the root; node 2 hangs below the cycle 3 <-> 4
+        lines = (Line(0, 1, 0, 1.0), Line(3, 2, 0, 1.0), Line(4, 3, 0, 1.0), Line(3, 4, 0, 1.0))
+        net = RadialNetwork(n=4, lines=lines, buses=(BusData(),) * 4)
+        with pytest.raises(CycleError, match="cycle through node 3$"):
+            validate_tree(net)
+
+    def test_deep_chain(self):
+        net = RadialNetwork(n=20_000, lines=tuple(Line(k, k + 1, 0.0, 1.0) for k in range(20_000)),
+                            buses=(BusData(),) * 20_000)
+        validate_tree(net)
+        assert net._validated
+
     def test_actuator_box_must_contain_zero(self):
         net = RadialNetwork(n=1, lines=(Line(0, 1, 0, 1.0),),
                             buses=(BusData(q_min=0.5, q_max=1.0),))
