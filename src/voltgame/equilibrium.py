@@ -102,11 +102,34 @@ class NashResult:
     residual: float = 0.0
 
 
-def _spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _spd_factor(M: np.ndarray):
     try:
-        return cho_solve(cho_factor(M, lower=True), b)
+        return cho_factor(M, lower=True)
     except np.linalg.LinAlgError as exc:  # defensive: valid X, Y keep M SPD
         raise SingularSystemError(str(exc)) from exc
+
+
+def _cost_diagonal(Y) -> np.ndarray:
+    Y = np.asarray(Y, dtype=float)
+    return np.diag(Y) if Y.ndim == 2 else Y
+
+
+def _quadratic_equilibrium(S: SensitivitySet, M: np.ndarray, cM,
+                           vt: OperatingConstants) -> EquilibriumResult:
+    """The minimizer of F from the Cholesky factor cM of M = X+Y."""
+    dv = vt.delta_v_tilde
+    q = -cho_solve(cM, dv)
+    F = 0.5 * float(q @ M @ q) + float(q @ dv)
+    return EquilibriumResult(q_star=q, v_star=S.X @ q + vt.v_tilde, F_value=F,
+                             solver="closed_form")
+
+
+def _quadratic_nash(M: np.ndarray, N: np.ndarray, cN, dv: np.ndarray) -> NashResult:
+    """The minimizer of W from the Cholesky factor cN of N = X+D+Y."""
+    q = -cho_solve(cN, dv)
+    W = 0.5 * float(q @ N @ q) + float(q @ dv)
+    F = 0.5 * float(q @ M @ q) + float(q @ dv)
+    return NashResult(q_a=q, W_value=W, F_at_qa=F, solver="closed_form")
 
 
 def solve_quadratic(S: SensitivitySet, Y, vt: OperatingConstants, which: str,
@@ -122,23 +145,15 @@ def solve_quadratic(S: SensitivitySet, Y, vt: OperatingConstants, which: str,
         raise NotUnconstrainedError(
             "deadbands or finite reactive boxes present; use solve_iterative"
         )
-    Y = np.asarray(Y, dtype=float)
-    Yd = np.diag(Y) if Y.ndim == 2 else Y
+    Yd = _cost_diagonal(Y)
     if np.any(Yd <= 0):
         raise ValueError("cost coefficients must be positive")
-    dv = vt.delta_v_tilde
     M = S.X + np.diag(Yd)
     if which == "equilibrium":
-        q = -_spd_solve(M, dv)
-        F = 0.5 * float(q @ M @ q) + float(q @ dv)
-        return EquilibriumResult(q_star=q, v_star=S.X @ q + vt.v_tilde, F_value=F,
-                                 solver="closed_form")
+        return _quadratic_equilibrium(S, M, _spd_factor(M), vt)
     if which == "nash":
         N = M + np.diag(np.diag(S.X))
-        q = -_spd_solve(N, dv)
-        W = 0.5 * float(q @ N @ q) + float(q @ dv)
-        F = 0.5 * float(q @ M @ q) + float(q @ dv)
-        return NashResult(q_a=q, W_value=W, F_at_qa=F, solver="closed_form")
+        return _quadratic_nash(M, N, _spd_factor(N), vt.delta_v_tilde)
     raise ValueError(f"which must be 'equilibrium' or 'nash', got {which!r}")
 
 
@@ -224,13 +239,14 @@ def pi_matrix(S: SensitivitySet, Y) -> np.ndarray:
     symmetric and positive definite whenever every bus has positive
     self-sensitivity.  Valid for pure quadratic costs without boxes.
     """
-    Y = np.asarray(Y, dtype=float)
-    Yd = np.diag(Y) if Y.ndim == 2 else Y
     d = np.diag(S.X)
-    M = S.X + np.diag(Yd)
+    M = S.X + np.diag(_cost_diagonal(Y))
     N = M + np.diag(d)
-    cN = cho_factor(N, lower=True)
-    cM = cho_factor(M, lower=True)
+    return _pi_kernel(_spd_factor(M), _spd_factor(N), d)
+
+
+def _pi_kernel(cM, cN, d: np.ndarray) -> np.ndarray:
+    """pi_matrix from the Cholesky factors of M = X+Y and N = X+D+Y."""
     Z = cho_solve(cN, np.diag(d))          # (X+D+Y)^{-1} D
     Pi = Z @ cho_solve(cM, Z.T)
     return 0.5 * (Pi + Pi.T)
@@ -297,15 +313,18 @@ def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
     upper - lower <= gap bound) are checked before returning; a violation
     raises BoundOrderingError.  When operating constants are given, the
     realized gap F(q_nash) - F(q_star) is computed from the closed-form
-    solves as well.
+    solves as well.  M = X+Y and N = X+D+Y are factored once each, and the
+    PoSA kernel, M^{-1}, N^{-1} and the realized gap share the two factors.
     """
-    Y = np.asarray(Y, dtype=float)
-    Yd = np.diag(Y) if Y.ndim == 2 else Y
+    Yd = _cost_diagonal(Y)
+    if np.any(Yd <= 0):
+        raise ValueError("cost coefficients must be positive")
     d_vec = np.diag(S.X)
     M = S.X + np.diag(Yd)
     N = M + np.diag(d_vec)
+    cM, cN = _spd_factor(M), _spd_factor(N)   # the only two factorizations
 
-    Pi = pi_matrix(S, Yd)
+    Pi = _pi_kernel(cM, cN, d_vec)
     if want_direction:
         w, V = np.linalg.eigh(Pi)
         lam_pi = float(w[-1])
@@ -318,15 +337,15 @@ def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
     lam_min_N = float(np.linalg.eigvalsh(N)[0])
     lam_min_X = float(np.linalg.eigvalsh(S.X)[0])
 
-    Minv = cho_solve(cho_factor(M, lower=True), np.eye(S.n))
-    Ninv = cho_solve(cho_factor(N, lower=True), np.eye(S.n))
+    Minv = cho_solve(cM, np.eye(S.n))
+    Ninv = cho_solve(cN, np.eye(S.n))
     lower_mat = 0.5 * ((Minv - 2.0 * Ninv) + (Minv - 2.0 * Ninv).T)
     lam_lower = float(np.linalg.eigvalsh(lower_mat)[-1])
 
     posa = None
     if vt is not None:
-        eq = solve_quadratic(S, Yd, vt, "equilibrium")
-        na = solve_quadratic(S, Yd, vt, "nash")
+        eq = _quadratic_equilibrium(S, M, cM, vt)
+        na = _quadratic_nash(M, N, cN, vt.delta_v_tilde)
         posa = na.F_at_qa - eq.F_value
 
     return _bounds_report(lam_pi, lam_min_M, lam_min_N, lam_min_X, lam_lower,
@@ -337,6 +356,11 @@ def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
 # -- the same bounds on the sparse X^{-1} of a whole feeder ------------------------
 
 _V0_SEED = 0  # seeds ARPACK's start vector, so a report repeats to the bit
+# ARPACK maxiter of a lambda_min estimate.  Random trees and chains converge
+# within it; where the top of the spectrum is clustered (the uniform chain)
+# an estimate fails, and a small budget keeps the restarts it wastes cheap.
+_ESTIMATE_RESTARTS = 4
+_CERTIFY_ULPS = 2  # first half-width of the bracket certified around an estimate
 
 
 class _LeafFirst:
@@ -393,13 +417,36 @@ class _LeafFirst:
             piv[up[k]] -= w2[k] / p
         return int(np.count_nonzero(h < 0.0)) - neg
 
-    def lambda_min(self, g: np.ndarray, lo: float, hi: float) -> float:
+    def lambda_min(self, g: np.ndarray, lo: float, hi: float,
+                   estimate: float | None = None) -> float:
         """Smallest eigenvalue of X + diag(g), given 0 < lo <= it <= hi.
 
         Bisection on :meth:`count_below` to the last bit, on a log scale
         while the bracket spans more than a factor of two; returns the lower
-        end of the final bracket.
+        end of the final bracket.  An estimate strictly inside the bracket
+        first narrows it to estimate -/+ w: the count must be 0 at the lower
+        end and positive at the upper one.  w starts at a few ulps of the
+        estimate and grows 16-fold at an end that fails the test, until that
+        end leaves the bracket.  A failed end still narrows the bracket from
+        the other side, so each count keeps the bracket valid, and the
+        result is the one bisection of [lo, hi] finds.
         """
+        if estimate is not None and lo < estimate < hi:
+            w0 = _CERTIFY_ULPS * math.ulp(estimate)
+            w = w0
+            while lo < estimate - w:
+                if not self.count_below(g, estimate - w):
+                    lo = estimate - w
+                    break
+                hi = estimate - w
+                w *= 16.0
+            w = w0
+            while estimate + w < hi:
+                if self.count_below(g, estimate + w):
+                    hi = estimate + w
+                    break
+                lo = estimate + w
+                w *= 16.0
         while True:
             mid = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
             if not lo < mid < hi:
@@ -434,11 +481,12 @@ class _LeafFirst:
         return solve
 
 
-def _top_eigenvalue(matvec, n: int) -> float:
+def _top_eigenvalue(matvec, n: int, maxiter: int | None = None) -> float:
     """Largest eigenvalue of the symmetric operator v -> matvec(v).
 
     ARPACK's Lanczos from a seeded start vector, so a rerun gives the same
-    bits.  ARPACK needs n > 1; a 1 x 1 operator is its own eigenvalue.
+    bits; with maxiter set it raises ArpackNoConvergence after that many
+    restarts.  ARPACK needs n > 1; a 1 x 1 operator is its own eigenvalue.
     """
     if n == 1:
         return float(matvec(np.ones(1))[0])
@@ -446,46 +494,74 @@ def _top_eigenvalue(matvec, n: int) -> float:
 
     v0 = np.random.default_rng(_V0_SEED).uniform(-1.0, 1.0, n)
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    return float(eigsh(op, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0])
+    return float(eigsh(op, k=1, which="LA", tol=0, v0=v0, maxiter=maxiter,
+                       return_eigenvectors=False)[0])
+
+
+def _lambda_min_estimate(inverse, n: int) -> float | None:
+    """1/theta, for theta the top Ritz value of the inverse operator.
+
+    Lanczos gets a budget of _ESTIMATE_RESTARTS restarts; it returns None
+    when that is not enough, which happens where the top of the spectrum is
+    clustered (the uniform chain).
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    try:
+        theta = _top_eigenvalue(inverse, n, maxiter=_ESTIMATE_RESTARTS)
+    except ArpackNoConvergence:
+        return None
+    return 1.0 / theta if theta > 0.0 else None
 
 
 def tree_posa_report(net: RadialNetwork, y) -> PosaReport:
     """The bounds of :func:`posa_report` for a whole feeder, from the sparse X^{-1}.
 
-    y holds one positive cost coefficient per bus.  No n x n array is formed:
-    solves with M = X+Y and N = X+D+Y go through the Woodbury identity on
-    X^{-1}, the largest eigenvalues of the PoSA kernel and of M^{-1} - 2 N^{-1}
-    come from Lanczos, and the smallest of X, M and N from bisection on
-    Sylvester inertia.  posa and worst_direction stay None; use posa_report
-    for those and for instances restricted to their actuators, whose X^{-1}
-    is not a tree Laplacian.
+    y holds one finite, positive cost coefficient per bus.  No n x n array is
+    formed: solves with M = X+Y and N = X+D+Y go through the Woodbury
+    identity on X^{-1}, factored once each.  The largest eigenvalues of the
+    PoSA kernel and of M^{-1} - 2 N^{-1} come from Lanczos.  The smallest
+    eigenvalues of X, M and N are estimated first, as 1/theta for theta the
+    top Ritz value of a short Lanczos run on X^{-1}, M^{-1} and N^{-1}; a
+    bracket of a few ulps around each estimate is certified by Sylvester
+    inertia counts and then bisected to the last bit.  Where Lanczos does not
+    converge in its short budget, bisection starts from the whole Weyl or
+    Gershgorin bracket.  Either way the result is bit for bit that of
+    bisection on the whole bracket.  posa and worst_direction stay None; use
+    posa_report for those and for instances restricted to their actuators,
+    whose X^{-1} is not a tree Laplacian.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (net.n,):
         raise ValueError(f"need one cost coefficient per bus ({net.n}), got shape {y.shape}")
-    if np.any(y <= 0):
-        raise ValueError("cost coefficients must be positive")
+    bad = np.flatnonzero(~(np.isfinite(y) & (y > 0)))
+    if bad.size:
+        raise ValueError(f"cost coefficients must be finite and positive; "
+                         f"bus {bad[0] + 1} has {y[bad[0]]}")
+    n = net.n
     tree = _LeafFirst(net)
     d_vec = net.traversal.d
-    lam_min_X = tree.lambda_min(np.zeros(net.n), *tree.x_bracket)
+    g_N = d_vec + y
+    Minv = tree.inverse(y)
+    Ninv = tree.inverse(g_N)
+    lam_min_X = tree.lambda_min(np.zeros(n), *tree.x_bracket,
+                                _lambda_min_estimate(tree.L.dot, n))
 
-    def lam_min(g):
+    def lam_min(g, inverse):
         # Weyl brackets lambda_min(X + G) by lambda_min(X) + min/max g, and
         # each diagonal entry d_i + g_i bounds it from above
         return tree.lambda_min(g, lam_min_X + float(np.min(g)),
-                               min(float(np.min(d_vec + g)), lam_min_X + float(np.max(g))))
+                               min(float(np.min(d_vec + g)), lam_min_X + float(np.max(g))),
+                               _lambda_min_estimate(inverse, n))
 
-    g_N = d_vec + y
-    lam_min_M = lam_min(y)
-    lam_min_N = lam_min(g_N)
-    Minv = tree.inverse(y)
-    Ninv = tree.inverse(g_N)
+    lam_min_M = lam_min(y, Minv)
+    lam_min_N = lam_min(g_N, Ninv)
 
     def pi(v):
         return Ninv(d_vec * Minv(d_vec * Ninv(v)))
 
-    lam_pi = _top_eigenvalue(pi, net.n)
-    lam_lower = _top_eigenvalue(lambda v: Minv(v) - 2.0 * Ninv(v), net.n)
+    lam_pi = _top_eigenvalue(pi, n)
+    lam_lower = _top_eigenvalue(lambda v: Minv(v) - 2.0 * Ninv(v), n)
     return _bounds_report(lam_pi, lam_min_M, lam_min_N, lam_min_X, lam_lower,
                           d=float(np.max(d_vec)), y=float(np.min(y)))
 

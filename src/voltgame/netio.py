@@ -23,7 +23,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -230,31 +230,46 @@ def load_matrix_csv(text: str) -> tuple[np.ndarray, str]:
 
 
 def dump_trace_csv(trace: SimulationTrace, with_voltages: bool = False) -> str:
-    """Trace as CSV rows (t, residual, q_1..q_n[, v_1..v_n])."""
-    k = trace.q_hist.shape[1]
-    buf = io.StringIO()
-    w = csv.writer(buf)
+    """Trace as CSV rows (t, residual, q_1..q_n[, v_1..v_n]).
+
+    Each float is printed with %.17g and each row ends with "\r\n", as
+    csv.writer would write them; no field ever needs quoting.
+    """
+    q_hist = trace.q_hist
+    k = q_hist.shape[1]
+    v_hist = trace.v_hist if with_voltages else None
     header = ["t", "residual"] + [f"q_{i}" for i in range(1, k + 1)]
-    if with_voltages and trace.v_hist is not None:
-        header += [f"v_{i}" for i in range(1, trace.v_hist.shape[1] + 1)]
-    w.writerow(header)
-    for t in range(trace.q_hist.shape[0]):
-        row = [t, "" if t == 0 else f"{trace.residuals[t - 1]:.17g}"]
-        row += [f"{v:.17g}" for v in trace.q_hist[t]]
-        if with_voltages and trace.v_hist is not None and t < trace.v_hist.shape[0]:
-            row += [f"{v:.17g}" for v in trace.v_hist[t]]
-        w.writerow(row)
+    if v_hist is not None:
+        header += [f"v_{i}" for i in range(1, v_hist.shape[1] + 1)]
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\r\n")
+    q_fmt = ",%.17g" * k
+    v_fmt = "" if v_hist is None else ",%.17g" * v_hist.shape[1]
+    v_steps = 0 if v_hist is None else v_hist.shape[0]
+    residuals = trace.residuals
+    for t in range(q_hist.shape[0]):
+        buf.write(f"{t}," if t == 0 else f"{t},{residuals[t - 1]:.17g}")
+        buf.write(q_fmt % tuple(q_hist[t].tolist()))
+        if t < v_steps:
+            buf.write(v_fmt % tuple(v_hist[t].tolist()))
+        buf.write("\r\n")
     return buf.getvalue()
 
 
 def topology_hash(net: RadialNetwork) -> str:
-    """Stable short hash of the feeder structure and parameters."""
+    """Stable short hash of the feeder structure and parameters.
+
+    Each bus is hashed as its fields in sorted-key JSON, the bytes of
+    json.dumps(asdict(bus), sort_keys=True).
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+    names = [f.name for f in fields(BusData)]
     h = hashlib.sha256()
     h.update(f"v0={net.v0:.12g};n={net.n}".encode())
-    for ln in net.lines:
-        h.update(f"L{ln.from_node},{ln.to_node},{ln.r:.12g},{ln.x:.12g}".encode())
-    for b in net.buses:
-        h.update(json.dumps(asdict(b), sort_keys=True).encode())
+    h.update("".join(f"L{ln.from_node},{ln.to_node},{ln.r:.12g},{ln.x:.12g}"
+                     for ln in net.lines).encode())
+    h.update("".join(encode({name: getattr(b, name) for name in names})
+                     for b in net.buses).encode())
     return h.hexdigest()[:16]
 
 

@@ -8,7 +8,6 @@ code indexes node k at row/column k-1.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -353,32 +352,34 @@ def random_tree(dist: DegreeDistribution, seed: int) -> RadialNetwork:
     """Generate a random feeder; deterministic for a fixed seed.
 
     The root gets exactly one child; every other node draws its child count
-    from ``dist`` until ``max_depth``.
+    from ``dist`` until ``max_depth``.  Nodes are numbered breadth first, and
+    one depth level draws all its child counts at once: one rng.random()
+    per node through the cumulative distribution, which is the draw
+    ``rng.choice(counts, p=probs)`` makes, so the trees do not depend on how
+    the draws are batched.
     """
     rng = np.random.default_rng(seed)
-    counts = sorted(dist.probabilities)
-    probs = np.array([dist.probabilities[k] for k in counts])
+    keys = sorted(dist.probabilities)
+    counts = np.array(keys).astype(np.int64)
+    cdf = np.array([dist.probabilities[k] for k in keys], dtype=float).cumsum()
+    cdf /= cdf[-1]
 
-    lines: list[tuple[int, int]] = [(0, 1)]
-    depth_of = {1: 1}
-    frontier = deque([1])
-    next_id = 2
-    while frontier:
-        node = frontier.popleft()
-        if depth_of[node] >= dist.max_depth:
-            continue
-        k = int(rng.choice(counts, p=probs))
-        for _ in range(k):
-            lines.append((node, next_id))
-            depth_of[next_id] = depth_of[node] + 1
-            frontier.append(next_id)
-            next_id += 1
+    parents = [np.zeros(1, dtype=np.int64)]    # the parent of node 1
+    level = np.ones(1, dtype=np.int64)         # the nodes at depth 1
+    for _ in range(dist.max_depth - 1):
+        k = counts[cdf.searchsorted(rng.random(level.size), side="right")]
+        child_parents = np.repeat(level, k)
+        parents.append(child_parents)
+        level = np.arange(level[-1] + 1, level[-1] + 1 + child_parents.size)
+        if not level.size:
+            break
 
-    n = next_id - 1
-    xs = _uniform_half_open(rng, *dist.x_range, size=n)
+    parent = np.concatenate(parents).tolist()
+    n = len(parent)
+    xs = _uniform_half_open(rng, *dist.x_range, size=n).tolist()
     net = RadialNetwork(
         n=n,
-        lines=tuple(Line(f, t, 0.0, float(xs[t - 1])) for f, t in lines),
+        lines=tuple(Line(f, t, 0.0, x) for t, f, x in zip(range(1, n + 1), parent, xs)),
         buses=tuple(BusData() for _ in range(n)),
     )
     validate_tree(net)

@@ -215,3 +215,70 @@ def sweep_solve_by_bus(net, p_inj, q_inj, tol=1e-8, max_iter=200):
         if state.residual < tol:
             return state
     raise NoConvergenceError(state.residual, max_iter)
+
+
+def random_tree_by_node(dist, seed):
+    """Random feeder drawing each node's child count with its own rng.choice."""
+    from collections import deque
+
+    from voltgame.topology import BusData, Line, RadialNetwork, _uniform_half_open
+
+    rng = np.random.default_rng(seed)
+    counts = sorted(dist.probabilities)
+    probs = np.array([dist.probabilities[k] for k in counts])
+    lines = [(0, 1)]
+    depth_of = {1: 1}
+    frontier = deque([1])
+    next_id = 2
+    while frontier:
+        node = frontier.popleft()
+        if depth_of[node] >= dist.max_depth:
+            continue
+        for _ in range(int(rng.choice(counts, p=probs))):
+            lines.append((node, next_id))
+            depth_of[next_id] = depth_of[node] + 1
+            frontier.append(next_id)
+            next_id += 1
+    n = next_id - 1
+    xs = _uniform_half_open(rng, *dist.x_range, size=n)
+    return RadialNetwork(
+        n=n,
+        lines=tuple(Line(f, t, 0.0, float(xs[t - 1])) for f, t in lines),
+        buses=tuple(BusData() for _ in range(n)),
+    )
+
+
+def topology_hash_by_parts(net):
+    """topology_hash with one sha256 update per line and per asdict(bus) dump."""
+    import hashlib
+    import json
+    from dataclasses import asdict
+
+    h = hashlib.sha256()
+    h.update(f"v0={net.v0:.12g};n={net.n}".encode())
+    for ln in net.lines:
+        h.update(f"L{ln.from_node},{ln.to_node},{ln.r:.12g},{ln.x:.12g}".encode())
+    for b in net.buses:
+        h.update(json.dumps(asdict(b), sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+def dump_trace_csv_by_writer(trace, with_voltages=False):
+    """Trace CSV formatted float by float and written through csv.writer."""
+    import csv
+    import io
+
+    k = trace.q_hist.shape[1]
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    header = ["t", "residual"] + [f"q_{i}" for i in range(1, k + 1)]
+    if with_voltages and trace.v_hist is not None:
+        header += [f"v_{i}" for i in range(1, trace.v_hist.shape[1] + 1)]
+    w.writerow(header)
+    for t in range(trace.q_hist.shape[0]):
+        row = [t, "" if t == 0 else f"{trace.residuals[t - 1]:.17g}"]
+        row += [f"{v:.17g}" for v in trace.q_hist[t]]
+        if with_voltages and trace.v_hist is not None and t < trace.v_hist.shape[0]:
+            row += [f"{v:.17g}" for v in trace.v_hist[t]]
+        w.writerow(row)
+    return buf.getvalue()

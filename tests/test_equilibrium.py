@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from voltgame import equilibrium
 from voltgame.controls import ControlSpec
 from voltgame.dynamics import (
     OperatingConstants,
@@ -22,6 +25,7 @@ from voltgame.equilibrium import (
     solve_iterative,
     solve_quadratic,
 )
+from voltgame.experiments import load_sce42, restricted_model
 from voltgame.sensitivity import build_sensitivity, x_inverse_analytic
 from voltgame.topology import DegreeDistribution, chain_network, random_instance
 
@@ -251,6 +255,21 @@ class TestPosaReport:
         r = posa_report(S, y, vt=vt)
         assert r.posa is not None and r.posa > 0
         assert r.posa <= r.posa_max * float(vt.delta_v_tilde @ vt.delta_v_tilde) * 2 + 1e-12
+
+    def test_factors_m_and_n_once_each(self):
+        S_act, vt, _ = restricted_model(load_sce42().net)
+        y = np.linspace(0.5, 1.5, S_act.n)
+        with mock.patch.object(equilibrium, "cho_factor",
+                               wraps=equilibrium.cho_factor) as factor:
+            r = posa_report(S_act, y, vt=vt)
+        assert factor.call_count == 2
+        # the shared factors give the numbers the separate solves give
+        eq = solve_quadratic(S_act, y, vt, "equilibrium")
+        na = solve_quadratic(S_act, y, vt, "nash")
+        assert r.posa == na.F_at_qa - eq.F_value
+        w, V = np.linalg.eigh(pi_matrix(S_act, y))
+        assert r.posa_max == 0.5 * w[-1]
+        np.testing.assert_array_equal(r.worst_direction, V[:, -1])
 
     def test_refined_factor_approaches_one(self):
         factors = []

@@ -3,9 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import dump_trace_csv_by_writer, topology_hash_by_parts
+from voltgame.acflow import closed_loop_ac
 from voltgame.controls import ControlSpec
-from voltgame.dynamics import OperatingConstants, run, taking_stepper
+from voltgame.dynamics import (
+    OperatingConstants,
+    SimulationTrace,
+    anticipating_stepper,
+    run,
+    taking_stepper,
+    voltage_from_q,
+)
+from voltgame.experiments import load_sce42, restricted_model
 from voltgame.equilibrium import posa_report
 from voltgame.netio import (
     ParseError,
@@ -20,7 +32,14 @@ from voltgame.netio import (
     topology_hash,
 )
 from voltgame.sensitivity import build_sensitivity
-from voltgame.topology import BusData, DegreeDistribution, chain_network, random_tree
+from voltgame.topology import (
+    BusData,
+    DegreeDistribution,
+    Line,
+    RadialNetwork,
+    chain_network,
+    random_tree,
+)
 
 
 def sample_net():
@@ -117,6 +136,84 @@ class TestTraceCsv:
         assert len(lines) == trace.q_hist.shape[0] + 1
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == ""
+
+
+def linear_trace(net, ctrl, law):
+    S_act, vt, _ = restricted_model(net)
+    step = (taking_stepper if law == "taking" else anticipating_stepper)(S_act, ctrl, vt)
+    return run(step, np.zeros(S_act.n), tol=1e-10, max_iter=400,
+               voltage_fn=lambda q: voltage_from_q(S_act, q, vt))
+
+
+def sce42_traces():
+    data = load_sce42()
+    ctrl = ControlSpec.uniform(data.ctrl.alpha.size, alpha=9.0, delta=0.02)
+    S_act, _, _ = restricted_model(data.net)
+    return {
+        "linear taking": linear_trace(data.net, ctrl, "taking"),
+        "linear anticipating": linear_trace(data.net, ctrl, "anticipating"),
+        "ac taking": closed_loop_ac(data.net, S_act, ctrl, "taking", max_iter=400),
+    }
+
+
+class TestTraceCsvMatchesCsvWriter:
+    @pytest.mark.parametrize("voltages", [False, True])
+    def test_sce42(self, voltages):
+        for name, trace in sce42_traces().items():
+            text = dump_trace_csv(trace, with_voltages=voltages)
+            assert text == dump_trace_csv_by_writer(trace, with_voltages=voltages), name
+            assert text.split("\r\n")[1].startswith("0,,"), name   # no residual at t = 0
+
+    @pytest.mark.parametrize("voltages", [False, True])
+    def test_tree(self, voltages):
+        dist = DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=8, x_range=(0.01, 0.05))
+        net = random_tree(dist, seed=3)
+        trace = linear_trace(net, ControlSpec.uniform(net.n, alpha=2.0, delta=0.01), "taking")
+        assert trace.v_hist is not None
+        text = dump_trace_csv(trace, with_voltages=voltages)
+        assert text == dump_trace_csv_by_writer(trace, with_voltages=voltages)
+
+    def test_special_values(self):
+        q = np.array([[-0.0, np.inf, -np.inf], [np.nan, 5e-324, 1e300],
+                      [0.1, -1.0 / 3.0, 2.0]])
+        trace = SimulationTrace(q_hist=q, residuals=np.array([np.nan, 0.0]),
+                                status="max_iter", iterations=2, v_hist=q[:2] + 1.0)
+        for voltages in (False, True):
+            assert (dump_trace_csv(trace, with_voltages=voltages)
+                    == dump_trace_csv_by_writer(trace, with_voltages=voltages))
+
+    def test_no_buses(self):
+        trace = SimulationTrace(q_hist=np.zeros((2, 0)), residuals=np.array([0.0]),
+                                status="converged", iterations=1)
+        assert dump_trace_csv(trace) == dump_trace_csv_by_writer(trace) == "t,residual\r\n0,\r\n1,0\r\n"
+
+
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from([0.0, -0.0, 1e-320, math.inf, -math.inf, math.nan]),
+                   st.integers(-10, 10))
+
+
+class TestHashMatchesAsdict:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.builds(BusData, p_c=FLOATS, p_g=FLOATS, q_c=FLOATS, v_nom=FLOATS,
+                              q_min=FLOATS, q_max=FLOATS, is_actuator=st.booleans()),
+                    min_size=1, max_size=6),
+           st.floats(0.5, 1.5))
+    def test_buses(self, buses, v0):
+        # unvalidated: the hash reads any field values, box checks aside
+        lines = tuple(Line(k, k + 1, 0.0, 0.1) for k in range(len(buses)))
+        net = RadialNetwork(n=len(buses), lines=lines, buses=tuple(buses), v0=v0)
+        assert topology_hash(net) == topology_hash_by_parts(net)
+
+    def test_tree(self):
+        net = random_tree(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=10), seed=5)
+        assert topology_hash(net) == topology_hash_by_parts(net)
+
+    def test_signed_zero_and_int_fields_change_the_hash(self):
+        plain = chain_network([0.1], buses=[BusData(p_c=0.0, q_c=1.0)])
+        for bus in (BusData(p_c=-0.0, q_c=1.0), BusData(p_c=0.0, q_c=1)):
+            other = chain_network([0.1], buses=[bus])
+            assert topology_hash(other) == topology_hash_by_parts(other) != topology_hash(plain)
 
 
 class TestHashAndReport:

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import random_tree_by_node
 from voltgame.acflow import sweep_solve
 from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import (
@@ -175,6 +178,31 @@ class TestPaths:
 
 
 class TestRandomTree:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_per_node_draws(self, data):
+        support = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(support),
+                                     max_size=len(support)))
+        assume(sum(weights) > 0)
+        total = sum(weights)
+        probs = dict(zip(support, (w / total for w in weights)))
+        depth = data.draw(st.integers(1, 10))
+        # keep the expected size of the tree below 4 000 buses
+        mean = sum(k * p for k, p in probs.items())
+        assume(sum(mean ** level for level in range(depth)) < 4000)
+        dist = DegreeDistribution(probs, max_depth=depth, x_range=(0.0, 2.0))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got, want = random_tree(dist, seed), random_tree_by_node(dist, seed)
+        assert got.n == want.n
+        assert got.lines == want.lines
+        assert got.buses == want.buses
+
+    @pytest.mark.parametrize("seed", [5, 1326, 2822, 9245])
+    def test_depth15_binary_trees_equal_per_node_draws(self, seed):
+        dist = DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=15)
+        assert random_tree(dist, seed).lines == random_tree_by_node(dist, seed).lines
+
     def test_determinism(self):
         dist = DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=8)
         n1 = random_tree(dist, seed=42)

@@ -1,10 +1,13 @@
 """The tree-sparse PoSA report against the dense oracle posa_report."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from voltgame import equilibrium
 from voltgame.equilibrium import (
     BoundOrderingError,
     _bounds_report,
@@ -14,7 +17,7 @@ from voltgame.equilibrium import (
 )
 from strategies import feeders
 from voltgame.sensitivity import build_sensitivity
-from voltgame.topology import chain_network, tree_laplacian
+from voltgame.topology import DegreeDistribution, chain_network, random_instance, tree_laplacian
 
 BOUND_FIELDS = ("posa_max", "upper", "refined_upper", "lower", "lower_clamped",
                 "gap_bound", "d", "y")
@@ -62,6 +65,13 @@ class TestMatchesDense:
         with pytest.raises(ValueError, match="per bus"):
             tree_posa_report(net, np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_costs(self, bad):
+        net = chain_network([1.0, 2.0, 0.5])
+        y = np.array([1.0, bad, bad])
+        with pytest.raises(ValueError, match="bus 2 has"):
+            tree_posa_report(net, y)
+
     def test_repeats_to_the_bit(self):
         rng = np.random.default_rng(4)
         net = chain_network(rng.uniform(1e-2, 200.0, 400))
@@ -88,6 +98,69 @@ class TestInertiaCount:
         g = np.array([0.3, 0.7, 1.1])
         eig = np.linalg.eigvalsh(build_sensitivity(net).X + np.diag(g))
         assert _LeafFirst(net).count_below(g, 0.7) == np.count_nonzero(eig < 0.7)
+
+
+def smallest_eigenvalues(net, y):
+    """lambda_min of X, M and N as tree_posa_report passes them on."""
+    with mock.patch.object(equilibrium, "_bounds_report", wraps=_bounds_report) as spy:
+        tree_posa_report(net, y)
+    args = spy.call_args.args
+    return args[3], args[1], args[2]
+
+
+def full_bracket_bisection(net, y):
+    """lambda_min of X, M and N by bisection of the whole Weyl/Gershgorin brackets."""
+    tree = _LeafFirst(net)
+    d = net.traversal.d
+    lam_x = tree.lambda_min(np.zeros(net.n), *tree.x_bracket)
+    return (lam_x,) + tuple(
+        tree.lambda_min(g, lam_x + np.min(g), min(np.min(d + g), lam_x + np.max(g)))
+        for g in (y, d + y))
+
+
+class TestLambdaMinEstimate:
+    """The estimate only narrows the bisection bracket; it never moves a bit."""
+
+    ESTIMATES = {
+        "as_is": lambda est: est,
+        "10% low": lambda est: None if est is None else 0.9 * est,
+        "10% high": lambda est: None if est is None else 1.1 * est,
+        "unavailable": lambda est: None,
+    }
+
+    def assert_bit_for_bit(self, net, y):
+        want = full_bracket_bisection(net, y)
+        estimate = equilibrium._lambda_min_estimate
+        for name, skew in self.ESTIMATES.items():
+            with mock.patch.object(equilibrium, "_lambda_min_estimate",
+                                   lambda inverse, n: skew(estimate(inverse, n))):
+                assert smallest_eigenvalues(net, y) == want, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_trees(self, data):
+        net = data.draw(trees())
+        self.assert_bit_for_bit(net, data.draw(costs(net.n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 50, 300])
+    def test_uniform_chain(self, n):
+        self.assert_bit_for_bit(chain_network([1.0] * n), np.ones(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 50, 300])
+    def test_random_chain(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_bit_for_bit(chain_network(rng.uniform(1e-2, 200.0, n)),
+                                rng.uniform(1e-2, 100.0, n))
+
+    def test_depth15_tree_needs_few_counts(self):
+        # the seed-42 binary tree of depth 15 (1 199 buses); bisecting the
+        # three whole brackets takes about 160 counts
+        net, y = random_instance(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=15), 42)
+        assert net.n == 1199
+        with mock.patch.object(_LeafFirst, "count_below", autospec=True,
+                               side_effect=_LeafFirst.count_below) as count:
+            tree_posa_report(net, y)
+        assert 6 <= count.call_count <= 40
 
 
 class TestSparseInverse:
