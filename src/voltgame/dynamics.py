@@ -128,14 +128,13 @@ class SimulationTrace:
 
 
 def run(stepper, q0: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-        divergence_bound: float = DEFAULT_DIVERGENCE_BOUND, record_every: int = 1,
         voltage_fn=None) -> SimulationTrace:
     """Iterate q(t+1) = stepper(q(t)) until the residual drops below tol.
 
     The verdict encodes the outcome instead of raising: "converged" when the
     sup-norm step falls below tol, "diverged" once any |q| exceeds
-    divergence_bound, "max_iter" otherwise.  record_every thins the stored
-    history without affecting the iteration itself.
+    DEFAULT_DIVERGENCE_BOUND or turns non-finite, "max_iter" otherwise.
+    Every iterate is stored.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -149,11 +148,9 @@ def run(stepper, q0: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAU
         q_next = stepper(q)
         residual = float(np.max(np.abs(q_next - q)))
         q = q_next
-        diverged = not np.all(np.isfinite(q)) or np.max(np.abs(q)) > divergence_bound
-        if it % record_every == 0 or residual < tol or diverged:
-            hist.append(q.copy())
-            res_hist.append(residual)
-        if diverged:
+        hist.append(q.copy())
+        res_hist.append(residual)
+        if not np.all(np.isfinite(q)) or np.max(np.abs(q)) > DEFAULT_DIVERGENCE_BOUND:
             status = "diverged"
             break
         if residual < tol:

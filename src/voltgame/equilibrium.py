@@ -15,11 +15,12 @@ matrix has closed-form spectral bounds.  All bound fields reported here
 carry the 1/2 factor of the worst-case metric so every number in a report
 is directly comparable.
 
-Two functions report the bounds.  :func:`posa_report` works on the dense
-sensitivity matrices of any instance, including one restricted to its
-actuators, and can add the realized gap and the worst direction.
-:func:`tree_posa_report` works on a whole feeder through the sparse inverse
-X^{-1} = tree_laplacian(net) alone, in O(n) memory.
+:func:`tree_posa_report` computes every report from the sparse inverse
+X^{-1} = tree_laplacian(net) of the feeder, in O(n) memory, also for an
+instance restricted to an actuator set A: restriction adds a diagonal that
+is zero off A to X^{-1}, which keeps it a tree matrix.  :func:`posa_report`
+is the same report for a :class:`SensitivitySet`, by way of the feeder and
+actuator set it records.
 """
 
 from __future__ import annotations
@@ -109,29 +110,6 @@ def _spd_factor(M: np.ndarray):
         raise SingularSystemError(str(exc)) from exc
 
 
-def _cost_diagonal(Y) -> np.ndarray:
-    Y = np.asarray(Y, dtype=float)
-    return np.diag(Y) if Y.ndim == 2 else Y
-
-
-def _quadratic_equilibrium(S: SensitivitySet, M: np.ndarray, cM,
-                           vt: OperatingConstants) -> EquilibriumResult:
-    """The minimizer of F from the Cholesky factor cM of M = X+Y."""
-    dv = vt.delta_v_tilde
-    q = -cho_solve(cM, dv)
-    F = 0.5 * float(q @ M @ q) + float(q @ dv)
-    return EquilibriumResult(q_star=q, v_star=S.X @ q + vt.v_tilde, F_value=F,
-                             solver="closed_form")
-
-
-def _quadratic_nash(M: np.ndarray, N: np.ndarray, cN, dv: np.ndarray) -> NashResult:
-    """The minimizer of W from the Cholesky factor cN of N = X+D+Y."""
-    q = -cho_solve(cN, dv)
-    W = 0.5 * float(q @ N @ q) + float(q @ dv)
-    F = 0.5 * float(q @ M @ q) + float(q @ dv)
-    return NashResult(q_a=q, W_value=W, F_at_qa=F, solver="closed_form")
-
-
 def solve_quadratic(S: SensitivitySet, Y, vt: OperatingConstants, which: str,
                     ctrl: ControlSpec | None = None):
     """Closed-form equilibrium for pure quadratic costs, no boxes.
@@ -145,15 +123,24 @@ def solve_quadratic(S: SensitivitySet, Y, vt: OperatingConstants, which: str,
         raise NotUnconstrainedError(
             "deadbands or finite reactive boxes present; use solve_iterative"
         )
-    Yd = _cost_diagonal(Y)
+    Yd = np.asarray(Y, dtype=float)
+    if Yd.ndim == 2:
+        Yd = np.diag(Yd)
     if np.any(Yd <= 0):
         raise ValueError("cost coefficients must be positive")
+    dv = vt.delta_v_tilde
     M = S.X + np.diag(Yd)
     if which == "equilibrium":
-        return _quadratic_equilibrium(S, M, _spd_factor(M), vt)
+        q = -cho_solve(_spd_factor(M), dv)
+        F = 0.5 * float(q @ M @ q) + float(q @ dv)
+        return EquilibriumResult(q_star=q, v_star=S.X @ q + vt.v_tilde, F_value=F,
+                                 solver="closed_form")
     if which == "nash":
         N = M + np.diag(np.diag(S.X))
-        return _quadratic_nash(M, N, _spd_factor(N), vt.delta_v_tilde)
+        q = -cho_solve(_spd_factor(N), dv)
+        W = 0.5 * float(q @ N @ q) + float(q @ dv)
+        F = 0.5 * float(q @ M @ q) + float(q @ dv)
+        return NashResult(q_a=q, W_value=W, F_at_qa=F, solver="closed_form")
     raise ValueError(f"which must be 'equilibrium' or 'nash', got {which!r}")
 
 
@@ -231,27 +218,6 @@ def optimality_residual(objective: str, S: SensitivitySet, ctrl: ControlSpec,
                                                           vt.delta_v_tilde))))
 
 
-def pi_matrix(S: SensitivitySet, Y) -> np.ndarray:
-    """Kernel of the quadratic PoSA form:
-
-        (X+D+Y)^{-1} D (X+Y)^{-1} D (X+D+Y)^{-1},
-
-    symmetric and positive definite whenever every bus has positive
-    self-sensitivity.  Valid for pure quadratic costs without boxes.
-    """
-    d = np.diag(S.X)
-    M = S.X + np.diag(_cost_diagonal(Y))
-    N = M + np.diag(d)
-    return _pi_kernel(_spd_factor(M), _spd_factor(N), d)
-
-
-def _pi_kernel(cM, cN, d: np.ndarray) -> np.ndarray:
-    """pi_matrix from the Cholesky factors of M = X+Y and N = X+D+Y."""
-    Z = cho_solve(cN, np.diag(d))          # (X+D+Y)^{-1} D
-    Pi = Z @ cho_solve(cM, Z.T)
-    return 0.5 * (Pi + Pi.T)
-
-
 @dataclass(frozen=True)
 class PosaReport:
     """Worst-case PoSA with its spectral bounds, all in the same 1/2-units.
@@ -305,55 +271,7 @@ def _bounds_report(lam_pi: float, lam_min_M: float, lam_min_N: float, lam_min_X:
     return report
 
 
-def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
-                want_direction: bool = True) -> PosaReport:
-    """All PoSA bounds for a quadratic unconstrained instance, from dense matrices.
-
-    Ordering invariants (lower <= posa_max <= refined_upper <= upper and
-    upper - lower <= gap bound) are checked before returning; a violation
-    raises BoundOrderingError.  When operating constants are given, the
-    realized gap F(q_nash) - F(q_star) is computed from the closed-form
-    solves as well.  M = X+Y and N = X+D+Y are factored once each, and the
-    PoSA kernel, M^{-1}, N^{-1} and the realized gap share the two factors.
-    """
-    Yd = _cost_diagonal(Y)
-    if np.any(Yd <= 0):
-        raise ValueError("cost coefficients must be positive")
-    d_vec = np.diag(S.X)
-    M = S.X + np.diag(Yd)
-    N = M + np.diag(d_vec)
-    cM, cN = _spd_factor(M), _spd_factor(N)   # the only two factorizations
-
-    Pi = _pi_kernel(cM, cN, d_vec)
-    if want_direction:
-        w, V = np.linalg.eigh(Pi)
-        lam_pi = float(w[-1])
-        direction = V[:, -1]
-    else:
-        lam_pi = float(np.linalg.eigvalsh(Pi)[-1])
-        direction = None
-
-    lam_min_M = float(np.linalg.eigvalsh(M)[0])
-    lam_min_N = float(np.linalg.eigvalsh(N)[0])
-    lam_min_X = float(np.linalg.eigvalsh(S.X)[0])
-
-    Minv = cho_solve(cM, np.eye(S.n))
-    Ninv = cho_solve(cN, np.eye(S.n))
-    lower_mat = 0.5 * ((Minv - 2.0 * Ninv) + (Minv - 2.0 * Ninv).T)
-    lam_lower = float(np.linalg.eigvalsh(lower_mat)[-1])
-
-    posa = None
-    if vt is not None:
-        eq = _quadratic_equilibrium(S, M, cM, vt)
-        na = _quadratic_nash(M, N, cN, vt.delta_v_tilde)
-        posa = na.F_at_qa - eq.F_value
-
-    return _bounds_report(lam_pi, lam_min_M, lam_min_N, lam_min_X, lam_lower,
-                          d=float(np.max(d_vec)), y=float(np.min(Yd)), posa=posa,
-                          direction=direction)
-
-
-# -- the same bounds on the sparse X^{-1} of a whole feeder ------------------------
+# -- every report from the sparse X^{-1} of the feeder -----------------------------
 
 _V0_SEED = 0  # seeds ARPACK's start vector, so a report repeats to the bit
 # ARPACK maxiter of a lambda_min estimate.  Random trees and chains converge
@@ -364,22 +282,27 @@ _CERTIFY_ULPS = 2  # first half-width of the bracket certified around an estimat
 
 
 class _LeafFirst:
-    """X^{-1} + diag(s) of a feeder with the buses in leaf-first order.
+    """X^{-1} + P^T diag(s) P of a feeder with the buses in leaf-first order.
 
-    Position k holds matrix index ``perm[k]``; the order is the reverse of the
-    traversal order, so every bus comes after all its children and Gaussian
+    P selects the actuator set A (matrix indices ``idx``, every bus when
+    none is given), so the added diagonal is zero off A.  Position k holds
+    matrix index ``perm[k]``; the order is the reverse of the traversal
+    order, so every bus comes after all its children and Gaussian
     elimination in this order creates no fill.  The pivot of bus i is then
     a_i + s_i - sum_c w_c^2 / p_c over its children c, where a = diag(X^{-1})
-    and w_c = 1/x_c is the weight of the line into c.
+    and w_c = 1/x_c is the weight of the line into c.  Vectors indexed by A
+    (g, h, v below) follow the order of ``idx``.
     """
 
-    def __init__(self, net: RadialNetwork):
+    def __init__(self, net: RadialNetwork, idx: np.ndarray | None = None):
         tr = net.traversal
         n = net.n
         self.n = n
         self.perm = tr.order[::-1] - 1
         pos = np.empty(n, dtype=int)
         pos[self.perm] = np.arange(n)
+        self.whole = idx is None
+        self._act = pos if idx is None else pos[idx]  # leaf-first positions of A
         L = tree_laplacian(net)
         self.L = L[self.perm][:, self.perm].tocsc()
         self.a = L.diagonal()[self.perm]
@@ -392,19 +315,26 @@ class _LeafFirst:
         self._w2 = w2.tolist()
         self._pivmin = np.finfo(float).tiny * max(1.0, float(np.max(w2)))
 
-    def count_below(self, g: np.ndarray, sigma: float) -> int:
-        """Number of eigenvalues of X + diag(g) below sigma.
+    def _padded_diagonal(self, s: np.ndarray) -> np.ndarray:
+        """diag(X^{-1} + P^T diag(s) P) in leaf-first order."""
+        diag = self.a.copy()
+        diag[self._act] += s
+        return diag
 
-        By Sylvester's law of inertia it is #{g_i < sigma} minus the number of
-        negative eigenvalues of X^{-1} + diag(1/(g - sigma)), which are the
-        negative pivots of its leaf-first elimination.  A pivot smaller in
-        magnitude than the underflow guard counts as negative, as in LAPACK's
-        dlaebz.
+    def count_below(self, g: np.ndarray, sigma: float) -> int:
+        """Number of eigenvalues of X_AA + diag(g) below sigma.
+
+        With h = g - sigma, the inertia of [[diag(h), P], [P^T, -X^{-1}]]
+        taken through either Schur complement (Haynsworth) makes it
+        #{h_i < 0} minus the number of negative eigenvalues of
+        X^{-1} + P^T diag(1/h) P, which are the negative pivots of its
+        leaf-first elimination.  A pivot smaller in magnitude than the
+        underflow guard counts as negative, as in LAPACK's dlaebz.
         """
         h = g - sigma
         if not h.all():     # sigma is some g_i: count below the next float instead
             h = g - np.nextafter(sigma, np.inf)
-        piv = (self.a + 1.0 / h[self.perm]).tolist()
+        piv = self._padded_diagonal(1.0 / h).tolist()
         piv.append(0.0)
         up, w2, pivmin = self._up, self._w2, self._pivmin
         neg = 0
@@ -419,7 +349,7 @@ class _LeafFirst:
 
     def lambda_min(self, g: np.ndarray, lo: float, hi: float,
                    estimate: float | None = None) -> float:
-        """Smallest eigenvalue of X + diag(g), given 0 < lo <= it <= hi.
+        """Smallest eigenvalue of X_AA + diag(g), given 0 < lo <= it <= hi.
 
         Bisection on :meth:`count_below` to the last bit, on a log scale
         while the bracket spans more than a factor of two; returns the lower
@@ -457,45 +387,54 @@ class _LeafFirst:
                 lo = mid
 
     def inverse(self, g: np.ndarray):
-        """v -> (X + diag(g))^{-1} v, for g > 0, by the Woodbury identity
+        """v -> (X_AA + diag(g))^{-1} v, for g > 0, by the Woodbury identity
 
-            (X + G)^{-1} v = G^{-1} v - G^{-1} (X^{-1} + G^{-1})^{-1} G^{-1} v
+            (P X P^T + G)^{-1} v = G^{-1} v - G^{-1} P z,
+            (X^{-1} + P^T G^{-1} P) z = P^T G^{-1} v,
 
-        with X^{-1} + G^{-1} factored once, leaf first and without pivoting.
+        with X^{-1} + P^T G^{-1} P factored once, leaf first and without
+        pivoting.
         """
         from scipy.sparse.linalg import splu
 
         ginv = 1.0 / g
         K = self.L.copy()
-        K.setdiag(self.a + ginv[self.perm])
+        K.setdiag(self._padded_diagonal(ginv))
         lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
-        perm = self.perm
+        act, n = self._act, self.n
 
         def solve(v: np.ndarray) -> np.ndarray:
             u = ginv * v
-            w = np.empty_like(u)
-            w[perm] = lu.solve(u[perm])
-            return u - ginv * w
+            b = np.zeros(n)
+            b[act] = u
+            return u - ginv * lu.solve(b)[act]
 
         return solve
 
 
-def _top_eigenvalue(matvec, n: int, maxiter: int | None = None) -> float:
-    """Largest eigenvalue of the symmetric operator v -> matvec(v).
+def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = False):
+    """Largest eigenvalue of the symmetric operator v -> matvec(v), and with
+    ``vector`` also its unit eigenvector, signed so that its entry of largest
+    magnitude is positive.
 
     ARPACK's Lanczos from a seeded start vector, so a rerun gives the same
     bits; with maxiter set it raises ArpackNoConvergence after that many
     restarts.  ARPACK needs n > 1; a 1 x 1 operator is its own eigenvalue.
     """
     if n == 1:
-        return float(matvec(np.ones(1))[0])
+        lam = float(matvec(np.ones(1))[0])
+        return (lam, np.ones(1)) if vector else lam
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     v0 = np.random.default_rng(_V0_SEED).uniform(-1.0, 1.0, n)
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    return float(eigsh(op, k=1, which="LA", tol=0, v0=v0, maxiter=maxiter,
-                       return_eigenvectors=False)[0])
+    out = eigsh(op, k=1, which="LA", tol=0, v0=v0, maxiter=maxiter,
+                return_eigenvectors=vector)
+    if not vector:
+        return float(out[0])
+    e = out[1][:, 0]
+    return float(out[0][0]), (e if e[np.argmax(np.abs(e))] > 0.0 else -e)
 
 
 def _lambda_min_estimate(inverse, n: int) -> float | None:
@@ -508,51 +447,71 @@ def _lambda_min_estimate(inverse, n: int) -> float | None:
     from scipy.sparse.linalg import ArpackNoConvergence
 
     try:
-        theta = _top_eigenvalue(inverse, n, maxiter=_ESTIMATE_RESTARTS)
+        theta = _top_eigenpair(inverse, n, maxiter=_ESTIMATE_RESTARTS)
     except ArpackNoConvergence:
         return None
     return 1.0 / theta if theta > 0.0 else None
 
 
-def tree_posa_report(net: RadialNetwork, y) -> PosaReport:
-    """The bounds of :func:`posa_report` for a whole feeder, from the sparse X^{-1}.
+def tree_posa_report(net: RadialNetwork, y, *, actuators=None,
+                     vt: OperatingConstants | None = None,
+                     want_direction: bool = False) -> PosaReport:
+    """All PoSA bounds of a feeder restricted to an actuator set, from the sparse X^{-1}.
 
-    y holds one finite, positive cost coefficient per bus.  No n x n array is
-    formed: solves with M = X+Y and N = X+D+Y go through the Woodbury
-    identity on X^{-1}, factored once each.  The largest eigenvalues of the
-    PoSA kernel and of M^{-1} - 2 N^{-1} come from Lanczos.  The smallest
-    eigenvalues of X, M and N are estimated first, as 1/theta for theta the
-    top Ritz value of a short Lanczos run on X^{-1}, M^{-1} and N^{-1}; a
-    bracket of a few ulps around each estimate is certified by Sylvester
-    inertia counts and then bisected to the last bit.  Where Lanczos does not
-    converge in its short budget, bisection starts from the whole Weyl or
-    Gershgorin bracket.  Either way the result is bit for bit that of
-    bisection on the whole bracket.  posa and worst_direction stay None; use
-    posa_report for those and for instances restricted to their actuators,
-    whose X^{-1} is not a tree Laplacian.
+    actuators holds the distinct matrix indices (bus k -> k-1) of the set A,
+    every bus when None; X_AA, y and the operating constants vt follow its
+    order.  y holds one finite, positive cost coefficient per actuator.  No
+    n x n array is formed: solves with M = X_AA+Y and N = X_AA+D+Y go
+    through the Woodbury identity on X^{-1} plus a diagonal that is zero off
+    A, factored once each.  The largest eigenvalues of the PoSA kernel
+    N^{-1} D M^{-1} D N^{-1} and of M^{-1} - 2 N^{-1} come from Lanczos; with
+    want_direction the kernel's Ritz vector is the worst direction, signed so
+    its largest-magnitude entry is positive.  The smallest eigenvalues of
+    X_AA, M and N are bisected to the last bit on Sylvester inertia counts.
+    Those of M and N, and of X on a whole feeder, are estimated first as
+    1/theta, for theta the top Ritz value of a short Lanczos run on M^{-1},
+    N^{-1} and X^{-1}, and a bracket of a few ulps around each estimate is
+    certified before bisection finishes it; where Lanczos does not converge
+    in its short budget, bisection starts from the whole bracket, with the
+    same result.  X_AA^{-1} has no sparse form, so its smallest eigenvalue
+    is bisected on [lower Gershgorin bound of lambda_min(X), min d_A], valid
+    by Cauchy interlacing.  With vt, posa is the realized gap
+    F(q_n) - F(q_e) at q_e = -M^{-1} dv and q_n = -N^{-1} dv, where
+    F(q_e) = q_e.dv / 2 and F(q_n) = q_n.dv / 2 - sum_A d q_n^2 / 2.
     """
+    n = net.n
+    buses = np.arange(n) if actuators is None else np.asarray(actuators, dtype=int)
+    if (buses.ndim != 1 or buses.size == 0 or np.unique(buses).size != buses.size
+            or buses.min() < 0 or buses.max() >= n):
+        raise ValueError(f"actuators must be distinct matrix indices in 0..{n - 1}")
+    k = buses.size
     y = np.asarray(y, dtype=float)
-    if y.shape != (net.n,):
-        raise ValueError(f"need one cost coefficient per bus ({net.n}), got shape {y.shape}")
+    if y.shape != (k,):
+        raise ValueError(f"need one cost coefficient per bus ({k}), got shape {y.shape}")
     bad = np.flatnonzero(~(np.isfinite(y) & (y > 0)))
     if bad.size:
         raise ValueError(f"cost coefficients must be finite and positive; "
-                         f"bus {bad[0] + 1} has {y[bad[0]]}")
-    n = net.n
-    tree = _LeafFirst(net)
-    d_vec = net.traversal.d
+                         f"bus {buses[bad[0]] + 1} has {y[bad[0]]}")
+    dv = None if vt is None else np.asarray(vt.delta_v_tilde, dtype=float)
+    if dv is not None and dv.shape != (k,):
+        raise ValueError(f"need one voltage offset per bus ({k}), got shape {dv.shape}")
+    tree = _LeafFirst(net, None if np.array_equal(buses, np.arange(n)) else buses)
+    d_vec = net.traversal.d[buses]
     g_N = d_vec + y
     Minv = tree.inverse(y)
     Ninv = tree.inverse(g_N)
-    lam_min_X = tree.lambda_min(np.zeros(n), *tree.x_bracket,
-                                _lambda_min_estimate(tree.L.dot, n))
+    if tree.whole:
+        lam_min_X = tree.lambda_min(np.zeros(n), *tree.x_bracket,
+                                    _lambda_min_estimate(tree.L.dot, n))
+    else:
+        lam_min_X = tree.lambda_min(np.zeros(k), tree.x_bracket[0], float(np.min(d_vec)))
 
     def lam_min(g, inverse):
-        # Weyl brackets lambda_min(X + G) by lambda_min(X) + min/max g, and
-        # each diagonal entry d_i + g_i bounds it from above
+        # Weyl brackets lambda_min(X_AA + G) by lambda_min(X_AA) + min/max g,
+        # and each diagonal entry d_i + g_i bounds it from above
         return tree.lambda_min(g, lam_min_X + float(np.min(g)),
                                min(float(np.min(d_vec + g)), lam_min_X + float(np.max(g))),
-                               _lambda_min_estimate(inverse, n))
+                               _lambda_min_estimate(inverse, k))
 
     lam_min_M = lam_min(y, Minv)
     lam_min_N = lam_min(g_N, Ninv)
@@ -560,10 +519,29 @@ def tree_posa_report(net: RadialNetwork, y) -> PosaReport:
     def pi(v):
         return Ninv(d_vec * Minv(d_vec * Ninv(v)))
 
-    lam_pi = _top_eigenvalue(pi, n)
-    lam_lower = _top_eigenvalue(lambda v: Minv(v) - 2.0 * Ninv(v), n)
+    direction = None
+    if want_direction:
+        lam_pi, direction = _top_eigenpair(pi, k, vector=True)
+    else:
+        lam_pi = _top_eigenpair(pi, k)
+    lam_lower = _top_eigenpair(lambda v: Minv(v) - 2.0 * Ninv(v), k)
+
+    posa = None
+    if dv is not None:
+        q_e = -Minv(dv)
+        q_n = -Ninv(dv)
+        F_e = 0.5 * float(q_e @ dv)
+        F_n = 0.5 * float(q_n @ dv) - 0.5 * float(np.sum(d_vec * q_n * q_n))
+        posa = F_n - F_e
     return _bounds_report(lam_pi, lam_min_M, lam_min_N, lam_min_X, lam_lower,
-                          d=float(np.max(d_vec)), y=float(np.min(y)))
+                          d=float(np.max(d_vec)), y=float(np.min(y)), posa=posa,
+                          direction=direction)
+
+
+def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
+                want_direction: bool = True) -> PosaReport:
+    """:func:`tree_posa_report` on the feeder and actuator set S was built for."""
+    return tree_posa_report(S.net, Y, actuators=S.idx, vt=vt, want_direction=want_direction)
 
 
 def posa_constrained(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants,
@@ -608,7 +586,7 @@ def chain_upper_bound_range(n: int, a: float, b: float, d: float, y: float) -> f
 __all__ = [
     "EquilibriumResult", "NashResult", "PosaReport",
     "objective_F", "objective_W", "solve_quadratic", "solve_iterative",
-    "optimality_residual", "pi_matrix", "posa_report", "tree_posa_report",
+    "optimality_residual", "posa_report", "tree_posa_report",
     "posa_constrained", "chain_upper_bound_uniform",
     "chain_upper_bound_range", "NotUnconstrainedError", "SingularSystemError",
     "MaxIterError", "BoundOrderingError",

@@ -1,8 +1,10 @@
 """Dataset ingestion and reproducible sweep runners.
 
-Sweeps fan out over a thread pool (numpy releases the GIL in the heavy
-kernels); VOLTGAME_THREADS caps the pool size.  Rows are emitted in job
-order so a fixed spec and seed reproduce the CSV byte for byte.
+A sweep runs its jobs one after another and emits their rows in job order,
+so a fixed spec and seed reproduce the CSV byte for byte.  Every PoSA row
+comes from :func:`voltgame.equilibrium.tree_posa_report` on the sparse
+X^{-1}: whole feeders for the chain-size and random-tree-depth kinds, the
+SCE feeder restricted to its actuators for the cost-coefficient kind.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -197,13 +197,6 @@ class SweepSpec:
         return json.dumps(doc, indent=1)
 
 
-def _threads() -> int:
-    env = os.environ.get("VOLTGAME_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def _posa_row(rep: equilibrium.PosaReport) -> dict:
     return {
         "posa_max": rep.posa_max, "upper": rep.upper, "refined_upper": rep.refined_upper,
@@ -342,11 +335,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     else:
         raise ValueError(f"unknown sweep kind {spec.kind!r}")
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(lambda job: job[0](*job[1]), jobs))
-
     rows = []
-    for res in results:
+    for fn, args in jobs:
+        res = fn(*args)
         if isinstance(res, list):
             rows.extend(res)
         else:

@@ -11,15 +11,11 @@ from the reciprocal-weight Laplacian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .topology import RadialNetwork, Traversal, tree_laplacian
-
-
-class EmptyChainError(ValueError):
-    pass
 
 
 class IndexOutOfRangeError(IndexError):
@@ -28,19 +24,23 @@ class IndexOutOfRangeError(IndexError):
 
 @dataclass(frozen=True)
 class SensitivitySet:
-    """Dense sensitivity matrices of a feeder (immutable, share freely)."""
+    """Dense sensitivity matrices of a feeder's actuator set (immutable, share freely).
+
+    net is the feeder the matrices were built from and idx the matrix
+    indices (bus k -> k-1) of the buses they cover, in matrix order: X is
+    the principal submatrix of the feeder's reactance matrix on idx.  The
+    sparse routines, such as :func:`voltgame.equilibrium.tree_posa_report`,
+    work from net and idx alone.
+    """
 
     X: np.ndarray
     R: np.ndarray
+    net: RadialNetwork = field(repr=False)
+    idx: np.ndarray
 
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def D(self) -> np.ndarray:
-        """Diagonal of X as a vector (root-path total reactance per bus)."""
-        return np.diag(self.X).copy()
 
     @property
     def Xbar(self) -> np.ndarray:
@@ -57,7 +57,8 @@ class SensitivitySet:
         idx = np.asarray(idx, dtype=int)
         if np.array_equal(idx, np.arange(self.n)):
             return self
-        return SensitivitySet(X=self.X[np.ix_(idx, idx)], R=self.R[np.ix_(idx, idx)])
+        return SensitivitySet(X=self.X[np.ix_(idx, idx)], R=self.R[np.ix_(idx, idx)],
+                              net=self.net, idx=self.idx[idx])
 
 
 def _shared_path_sums(tr: Traversal, w: np.ndarray) -> np.ndarray:
@@ -99,7 +100,8 @@ def build_sensitivity(net: RadialNetwork) -> SensitivitySet:
     build is O(n^2) and diag(X) equals ``net.traversal.d``.
     """
     tr = net.traversal  # validates the network on first use
-    return SensitivitySet(X=_shared_path_sums(tr, tr.x), R=_shared_path_sums(tr, tr.r))
+    return SensitivitySet(X=_shared_path_sums(tr, tr.x), R=_shared_path_sums(tr, tr.r),
+                          net=net, idx=np.arange(net.n))
 
 
 def x_inverse_analytic(net: RadialNetwork) -> np.ndarray:
@@ -111,28 +113,6 @@ def x_inverse_analytic(net: RadialNetwork) -> np.ndarray:
     same matrix in sparse form.
     """
     return tree_laplacian(net).toarray()
-
-
-def chain_x_inverse(xs) -> np.ndarray:
-    """Tridiagonal inverse reactance matrix of a linear feeder.
-
-    Diagonal entry i is 1/x(i-1,i) + 1/x(i,i+1) (just 1/x(n-1,n) for the
-    leaf), off-diagonals are -1/x(i,i+1).
-    """
-    xs = np.asarray(list(xs), dtype=float)
-    n = xs.size
-    if n == 0:
-        raise EmptyChainError("chain must have at least one line")
-    if np.any(xs <= 0):
-        raise ValueError("chain reactances must be positive")
-    T = np.zeros((n, n))
-    for i in range(n):
-        T[i, i] += 1.0 / xs[i]
-        if i + 1 < n:
-            w = 1.0 / xs[i + 1]
-            T[i, i] += w
-            T[i, i + 1] = T[i + 1, i] = -w
-    return T
 
 
 def uniform_chain_eigenvalues(n: int, a: float) -> np.ndarray:

@@ -180,9 +180,6 @@ class RadialNetwork:
             ch[ln.from_node].append(ln.to_node)
         return ch
 
-    def depth(self, i: int) -> int:
-        return len(path_to_root(self, i))
-
     def reactances(self) -> np.ndarray:
         """Per-line x ordered by child node (entry i-1 is the line into node i)."""
         return self.traversal.x.copy()
@@ -298,19 +295,6 @@ def path_to_root(net: RadialNetwork, i: int) -> list[Line]:
     return path
 
 
-def path_intersection(net: RadialNetwork, i: int, j: int) -> list[Line]:
-    """Shared lines of the root paths of i and j (a root-anchored prefix of both)."""
-    pi = path_to_root(net, i)
-    pj = path_to_root(net, j)
-    common = []
-    for a, b in zip(pi, pj):
-        if a is b or (a.from_node, a.to_node) == (b.from_node, b.to_node):
-            common.append(a)
-        else:
-            break
-    return common
-
-
 @dataclass(frozen=True)
 class DegreeDistribution:
     """Child-count distribution for random feeder generation.
@@ -419,15 +403,3 @@ def tree_laplacian(net: RadialNetwork):
     cols = np.concatenate([child, parent[inner], child[inner]])
     vals = np.concatenate([diag, -w[inner], -w[inner]])
     return csr_array((vals, (rows, cols)), shape=(n, n))
-
-
-def inverse_tree_laplacian(net: RadialNetwork) -> np.ndarray:
-    """Dense :func:`tree_laplacian` without the root line: every row sums to zero.
-
-    Adding 1/x01 to the entry of the root's child yields the exact inverse of
-    the reactance matrix (see :func:`voltgame.sensitivity.x_inverse_analytic`).
-    """
-    L = tree_laplacian(net).toarray()
-    k = np.flatnonzero(net.traversal.parent == 0)[0]
-    L[k, k] -= 1.0 / net.traversal.x[k]
-    return L

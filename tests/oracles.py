@@ -1,8 +1,9 @@
 """Independent brute-force implementations used as test oracles.
 
 Everything here recomputes quantities from first principles (explicit path
-intersections, scalar bisection, product-grid minimization) without calling
-the library code paths under test.
+intersections, scalar bisection, product-grid minimization, dense
+factorizations and eigen-solves) without calling the library code paths
+under test.  Scalar and dense APIs that only the tests need live here too.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 
 def root_path_lines(net, i):
@@ -282,3 +284,156 @@ def dump_trace_csv_by_writer(trace, with_voltages=False):
             row += [f"{v:.17g}" for v in trace.v_hist[t]]
         w.writerow(row)
     return buf.getvalue()
+
+
+# -- scalar and dense APIs that only the tests use ---------------------------------
+
+
+def depth(net, i):
+    """Number of lines on the root path of node i."""
+    from voltgame.topology import path_to_root
+
+    return len(path_to_root(net, i))
+
+
+def path_intersection(net, i, j):
+    """Shared lines of the root paths of i and j (a root-anchored prefix of both)."""
+    from voltgame.topology import path_to_root
+
+    pi = path_to_root(net, i)
+    pj = path_to_root(net, j)
+    common = []
+    for a, b in zip(pi, pj):
+        if a is b or (a.from_node, a.to_node) == (b.from_node, b.to_node):
+            common.append(a)
+        else:
+            break
+    return common
+
+
+def inverse_tree_laplacian(net):
+    """Dense tree_laplacian without the root line: every row sums to zero.
+
+    Adding 1/x01 to the entry of the root's child yields the exact inverse of
+    the reactance matrix (see voltgame.sensitivity.x_inverse_analytic).
+    """
+    from voltgame.topology import tree_laplacian
+
+    L = tree_laplacian(net).toarray()
+    k = np.flatnonzero(net.traversal.parent == 0)[0]
+    L[k, k] -= 1.0 / net.traversal.x[k]
+    return L
+
+
+class EmptyChainError(ValueError):
+    pass
+
+
+def chain_x_inverse(xs):
+    """Tridiagonal inverse reactance matrix of a linear feeder.
+
+    Diagonal entry i is 1/x(i-1,i) + 1/x(i,i+1) (just 1/x(n-1,n) for the
+    leaf), off-diagonals are -1/x(i,i+1).
+    """
+    xs = np.asarray(list(xs), dtype=float)
+    n = xs.size
+    if n == 0:
+        raise EmptyChainError("chain must have at least one line")
+    if np.any(xs <= 0):
+        raise ValueError("chain reactances must be positive")
+    T = np.zeros((n, n))
+    for i in range(n):
+        T[i, i] += 1.0 / xs[i]
+        if i + 1 < n:
+            w = 1.0 / xs[i + 1]
+            T[i, i] += w
+            T[i, i + 1] = T[i + 1, i] = -w
+    return T
+
+
+def self_sensitivities(S):
+    """Diagonal of X as a vector (root-path total reactance per bus)."""
+    return np.diag(S.X).copy()
+
+
+# -- the dense PoSA report ----------------------------------------------------------
+
+
+def _spd_factor(M):
+    return cho_factor(M, lower=True)
+
+
+def _cost_diagonal(Y):
+    Y = np.asarray(Y, dtype=float)
+    return np.diag(Y) if Y.ndim == 2 else Y
+
+
+def pi_matrix(S, Y):
+    """Kernel of the quadratic PoSA form:
+
+        (X+D+Y)^{-1} D (X+Y)^{-1} D (X+D+Y)^{-1},
+
+    symmetric and positive definite whenever every bus has positive
+    self-sensitivity.  Valid for pure quadratic costs without boxes.
+    """
+    d = np.diag(S.X)
+    M = S.X + np.diag(_cost_diagonal(Y))
+    N = M + np.diag(d)
+    return _pi_kernel(_spd_factor(M), _spd_factor(N), d)
+
+
+def _pi_kernel(cM, cN, d):
+    """pi_matrix from the Cholesky factors of M = X+Y and N = X+D+Y."""
+    Z = cho_solve(cN, np.diag(d))          # (X+D+Y)^{-1} D
+    Pi = Z @ cho_solve(cM, Z.T)
+    return 0.5 * (Pi + Pi.T)
+
+
+def posa_report(S, Y, vt=None, want_direction=True):
+    """Every PoSA bound of a SensitivitySet from its dense matrices.
+
+    M = X+Y and N = X+D+Y are factored once each; the PoSA kernel, M^{-1},
+    N^{-1} and the realized gap share the two factors, and the extreme
+    eigenvalues come from dense eigvalsh/eigh.  The gap is evaluated as
+    F = q.M.q / 2 + q.dv at both closed-form points, as solve_quadratic does.
+    """
+    from voltgame.equilibrium import _bounds_report
+
+    Yd = _cost_diagonal(Y)
+    if np.any(Yd <= 0):
+        raise ValueError("cost coefficients must be positive")
+    d_vec = np.diag(S.X)
+    M = S.X + np.diag(Yd)
+    N = M + np.diag(d_vec)
+    cM, cN = _spd_factor(M), _spd_factor(N)   # the only two factorizations
+
+    Pi = _pi_kernel(cM, cN, d_vec)
+    if want_direction:
+        w, V = np.linalg.eigh(Pi)
+        lam_pi = float(w[-1])
+        direction = V[:, -1]
+    else:
+        lam_pi = float(np.linalg.eigvalsh(Pi)[-1])
+        direction = None
+
+    lam_min_M = float(np.linalg.eigvalsh(M)[0])
+    lam_min_N = float(np.linalg.eigvalsh(N)[0])
+    lam_min_X = float(np.linalg.eigvalsh(S.X)[0])
+
+    Minv = cho_solve(cM, np.eye(S.n))
+    Ninv = cho_solve(cN, np.eye(S.n))
+    lower_mat = 0.5 * ((Minv - 2.0 * Ninv) + (Minv - 2.0 * Ninv).T)
+    lam_lower = float(np.linalg.eigvalsh(lower_mat)[-1])
+
+    posa = None
+    if vt is not None:
+        dv = vt.delta_v_tilde
+        q_e = -cho_solve(cM, dv)
+        q_n = -cho_solve(cN, dv)
+        F_e = 0.5 * float(q_e @ M @ q_e) + float(q_e @ dv)
+        F_n = 0.5 * float(q_n @ M @ q_n) + float(q_n @ dv)
+        posa = F_n - F_e
+
+    return _bounds_report(lam_pi, lam_min_M, lam_min_N, lam_min_X, lam_lower,
+                          d=float(np.max(d_vec)), y=float(np.min(Yd)), posa=posa,
+                          direction=direction)

@@ -16,21 +16,22 @@ from voltgame.dynamics import (
     search_alpha_window,
     taking_stepper,
 )
-from voltgame.equilibrium import objective_F, pi_matrix, solve_iterative, solve_quadratic
+from voltgame.equilibrium import objective_F, solve_iterative, solve_quadratic
 from voltgame.experiments import SweepSpec, load_sce42, run_sweep
 from voltgame.sensitivity import (
     build_sensitivity,
-    chain_x_inverse,
     uniform_chain_eigenvalues,
     x_inverse_analytic,
 )
 from voltgame.topology import DegreeDistribution, chain_network, random_instance, random_tree
 
 from oracles import (
+    chain_x_inverse,
     droop_scalar,
     grid_best_response_nash,
     grid_minimize,
     objective_F_direct,
+    pi_matrix,
 )
 
 

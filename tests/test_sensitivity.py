@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voltgame.sensitivity import (
-    EmptyChainError,
     IndexOutOfRangeError,
     build_sensitivity,
     chain_eigen_bounds,
-    chain_x_inverse,
     uniform_chain_eigenvalues,
     x_inverse_analytic,
 )
@@ -22,7 +20,7 @@ from voltgame.topology import (
     random_tree,
 )
 
-from oracles import sensitivity_by_paths
+from oracles import EmptyChainError, chain_x_inverse, self_sensitivities, sensitivity_by_paths
 from strategies import feeders
 
 
@@ -107,7 +105,7 @@ class TestBuild:
 
     def test_decomposition_identity(self):
         S = build_sensitivity(random_tree_for(1))
-        np.testing.assert_array_equal(np.diag(S.D) + S.Xbar, S.X)
+        np.testing.assert_array_equal(np.diag(self_sensitivities(S)) + S.Xbar, S.X)
 
     def test_restriction_matches_direct_submatrix(self):
         net = random_tree_for(3)
@@ -116,6 +114,17 @@ class TestBuild:
         sub = S.restrict(idx)
         Xo = sensitivity_by_paths(net, "x")
         np.testing.assert_allclose(sub.X, Xo[np.ix_(idx, idx)], atol=1e-12)
+
+    def test_restriction_records_feeder_and_composes_indices(self):
+        net = random_tree_for(3)
+        S = build_sensitivity(net)
+        assert S.net is net
+        np.testing.assert_array_equal(S.idx, np.arange(net.n))
+        assert S.restrict(np.arange(net.n)) is S
+        sub = S.restrict([5, 0, 2, 7]).restrict([3, 1])
+        assert sub.net is net
+        np.testing.assert_array_equal(sub.idx, [7, 0])
+        np.testing.assert_array_equal(sub.X, S.X[np.ix_([7, 0], [7, 0])])
 
 
 class TestLevelBuild:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import random_tree_by_node
+from oracles import depth, inverse_tree_laplacian, path_intersection, random_tree_by_node
 from voltgame.acflow import sweep_solve
 from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import (
@@ -20,8 +20,6 @@ from voltgame.topology import (
     RadialNetwork,
     UnknownNodeError,
     chain_network,
-    inverse_tree_laplacian,
-    path_intersection,
     path_to_root,
     random_instance,
     random_tree,
@@ -228,7 +226,7 @@ class TestRandomTree:
         assert net.n == 1 + 2 + 4 + 8
         xs = net.reactances()
         assert np.all(xs > 0.5) and np.all(xs <= 2.0)
-        assert max(net.depth(i) for i in range(1, net.n + 1)) == 4
+        assert max(depth(net, i) for i in range(1, net.n + 1)) == 4
 
     def test_random_instance_costs(self):
         dist = DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=6, y_range=(0.0, 100.0))

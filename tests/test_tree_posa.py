@@ -1,5 +1,7 @@
 """The tree-sparse PoSA report against the dense oracle posa_report."""
 
+import json
+
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from voltgame import equilibrium
+import oracles
+from voltgame import cli, equilibrium
+from voltgame.dynamics import OperatingConstants
 from voltgame.equilibrium import (
     BoundOrderingError,
     _bounds_report,
@@ -16,6 +20,7 @@ from voltgame.equilibrium import (
     tree_posa_report,
 )
 from strategies import feeders
+from voltgame.experiments import SweepSpec, load_sce42, run_sweep
 from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import DegreeDistribution, chain_network, random_instance, tree_laplacian
 
@@ -32,13 +37,37 @@ def costs(n):
     return st.lists(st.floats(1e-2, 100.0), min_size=n, max_size=n).map(np.array)
 
 
-def assert_matches_dense(net, y):
-    got = tree_posa_report(net, y)
-    want = posa_report(build_sensitivity(net), y, want_direction=False)
-    for name in BOUND_FIELDS:
+def assert_close(got, want, names):
+    for name in names:
         g, w = getattr(got, name), getattr(want, name)
         assert abs(g - w) <= RTOL * max(1.0, abs(w)), (name, g, w)
+
+
+def assert_matches_dense(net, y):
+    got = tree_posa_report(net, y)
+    assert_close(got, oracles.posa_report(build_sensitivity(net), y, want_direction=False),
+                 BOUND_FIELDS)
     assert got.posa is None and got.worst_direction is None
+
+
+def pi_top_gap(S, y):
+    """(lambda_1 - lambda_2) / lambda_1 of the dense PoSA kernel."""
+    w = np.linalg.eigvalsh(oracles.pi_matrix(S, y))
+    return 1.0 if w.size == 1 else (w[-1] - w[-2]) / w[-1]
+
+
+def assert_restricted_matches_dense(net, idx, y, dv):
+    S = build_sensitivity(net).restrict(idx)
+    vt = OperatingConstants(1.0 + dv, dv)
+    got = tree_posa_report(net, y, actuators=idx, vt=vt, want_direction=True)
+    want = oracles.posa_report(S, y, vt=vt)
+    assert_close(got, want, BOUND_FIELDS + ("posa",))
+    assert_close(posa_report(S, y, vt=vt), want, BOUND_FIELDS + ("posa",))
+    e = got.worst_direction
+    assert np.linalg.norm(e) == pytest.approx(1.0, rel=1e-12)
+    assert e[np.argmax(np.abs(e))] > 0
+    if pi_top_gap(S, y) >= 1e-6:
+        assert abs(float(e @ want.worst_direction)) >= 1.0 - 1e-9
 
 
 class TestMatchesDense:
@@ -77,6 +106,85 @@ class TestMatchesDense:
         net = chain_network(rng.uniform(1e-2, 200.0, 400))
         y = rng.uniform(1e-2, 100.0, 400)
         assert tree_posa_report(net, y) == tree_posa_report(net, y)
+
+
+class TestActuatorSubsets:
+    """Restricted reports, realized gaps and worst directions against the dense oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_trees(self, data):
+        net = data.draw(trees())
+        n = net.n
+        idx = np.array(data.draw(st.one_of(
+            st.just(list(range(n))),
+            st.integers(0, n - 1).map(lambda i: [i]),
+            st.sets(st.integers(0, n - 1), min_size=1).map(sorted),
+        )))
+        k = idx.size
+        dv = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k).map(np.array))
+        assert_restricted_matches_dense(net, idx, data.draw(costs(k)), dv)
+
+    @pytest.mark.parametrize("y", [0.01, 0.1, 1.0, 10.0])
+    def test_sce42_actuators(self, y):
+        net = load_sce42().net
+        idx = net.actuator_indices()
+        dv = np.random.default_rng(7).uniform(-0.1, 0.1, idx.size)
+        assert_restricted_matches_dense(net, idx, np.full(idx.size, y), dv)
+
+    def test_all_buses_is_the_whole_feeder(self):
+        rng = np.random.default_rng(3)
+        net = chain_network(rng.uniform(1e-2, 200.0, 60))
+        y = rng.uniform(1e-2, 100.0, 60)
+        assert tree_posa_report(net, y, actuators=np.arange(60)) == tree_posa_report(net, y)
+
+    @pytest.mark.parametrize("idx", [[], [0, 0], [-1], [3], [[0, 1]]])
+    def test_rejects_bad_actuator_sets(self, idx):
+        with pytest.raises(ValueError, match="actuators"):
+            tree_posa_report(chain_network([1.0, 2.0, 0.5]), np.ones(1), actuators=idx)
+
+    def test_bad_cost_names_the_bus(self):
+        net = chain_network([1.0, 2.0, 0.5])
+        with pytest.raises(ValueError, match="bus 3 has"):
+            tree_posa_report(net, np.array([1.0, -1.0]), actuators=[0, 2])
+
+    def test_rejects_offsets_of_the_wrong_length(self):
+        vt = OperatingConstants(np.ones(3), np.zeros(3))
+        with pytest.raises(ValueError, match="voltage offset"):
+            tree_posa_report(chain_network([1.0, 2.0, 0.5]), np.ones(2), actuators=[0, 2], vt=vt)
+
+    def test_factors_m_and_n_once_each(self):
+        import scipy.sparse.linalg as sla
+
+        net = chain_network([1.0, 2.0, 0.5, 0.3])
+        vt = OperatingConstants(np.ones(2), np.array([0.1, -0.2]))
+        with mock.patch.object(sla, "splu", wraps=sla.splu) as factor:
+            r = tree_posa_report(net, np.ones(2), actuators=[1, 3], vt=vt, want_direction=True)
+        assert factor.call_count == 2
+        assert r.posa is not None and r.worst_direction is not None
+
+
+def _no_dense(*args, **kwargs):
+    raise AssertionError("dense PoSA path called")
+
+
+class TestNoDensePath:
+    """The restricted PoSA commands run with every dense solver patched to raise."""
+
+    @pytest.fixture(autouse=True)
+    def dense_raises(self, monkeypatch):
+        for name in ("voltgame.equilibrium.cho_factor", "numpy.linalg.eigh",
+                     "numpy.linalg.eigvalsh"):
+            monkeypatch.setattr(name, _no_dense)
+
+    def test_cli_posa(self, capsys):
+        assert cli.main(["posa", "sce42", "--y", "0.1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["posa"] > 0 and len(doc["worst_direction"]) == 5
+
+    def test_cost_coefficient_sweep(self):
+        rows = run_sweep(SweepSpec(kind="cost-coefficient", y_values=[0.05, 0.2]))
+        assert [r["y"] for r in rows] == [0.05, 0.2]
 
 
 class TestInertiaCount:
