@@ -195,7 +195,6 @@ def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
     p_fixed = np.array([b.p_g - b.p_c for b in net.buses])
     q_fixed = np.array([-b.q_c for b in net.buses])
     v_nom = np.array([b.v_nom for b in net.buses])[act]
-    xii = np.diag(S.X)
     v_hist = []
 
     def step(q):
@@ -203,7 +202,7 @@ def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
         q_inj[act] += q
         v = sweep_solve(net, p_fixed, q_inj, tol=SWEEP_TOL).v
         v_hist.append(v)
-        return law_update(stepper, ctrl, xii, v[act] - v_nom, q)
+        return law_update(stepper, ctrl, S.d, v[act] - v_nom, q)
 
     trace = run(step, np.zeros(act.size), tol=tol, max_iter=max_iter)
     trace.v_hist = np.array(v_hist) if v_hist else None

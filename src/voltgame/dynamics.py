@@ -66,11 +66,11 @@ class OperatingConstants:
 
 
 def operating_constants(net: RadialNetwork, S: SensitivitySet) -> OperatingConstants:
-    """v_tilde = v0 + R(p_g - p_c) - X q_c over all non-root buses."""
+    """v_tilde = v0 + R(p_g - p_c) - X q_c over all non-root buses; S covers them all."""
     p = np.array([b.p_g - b.p_c for b in net.buses])
     qc = np.array([b.q_c for b in net.buses])
     vnom = np.array([b.v_nom for b in net.buses])
-    vt = net.v0 + S.R @ p - S.X @ qc
+    vt = net.v0 + S.r_matvec(p) - S.matvec(qc)
     return OperatingConstants(v_tilde=vt, delta_v_tilde=vt - vnom)
 
 
@@ -79,9 +79,9 @@ def voltage_from_q(S: SensitivitySet, q: np.ndarray, vt: OperatingConstants) -> 
     q = np.asarray(q, dtype=float)
     if q.shape != (S.n,) or vt.v_tilde.shape != (S.n,):
         raise DimensionMismatchError(
-            f"q has shape {q.shape}, constants {vt.v_tilde.shape}, X is {S.X.shape}"
+            f"q has shape {q.shape}, constants {vt.v_tilde.shape}, {S.n} buses"
         )
-    return S.X @ q + vt.v_tilde
+    return S.matvec(q) + vt.v_tilde
 
 
 def law_update(law: str, ctrl: ControlSpec, xii: np.ndarray, v_dev: np.ndarray,
@@ -199,11 +199,11 @@ def condition_report(S: SensitivitySet, ctrl: ControlSpec) -> ConditionReport:
     if ctrl.n != S.n:
         raise DimensionMismatchError(f"{ctrl.n} controllers for {S.n} buses")
     alpha = ctrl.alpha
-    xii = np.diag(S.X)
-    b = beta(alpha, xii)
+    b = beta(alpha, S.d)
+    Xbar = S.X - np.diag(S.d)  # mutual sensitivities only
     sigma_t = _sigma_max(alpha[:, None] * S.X)
-    sigma_a = _sigma_max(b[:, None] * S.Xbar)
-    sufficient = float(np.max(b) * np.max(np.sum(S.Xbar, axis=1)))
+    sigma_a = _sigma_max(b[:, None] * Xbar)
+    sufficient = float(np.max(b) * np.max(np.sum(Xbar, axis=1)))
 
     if not sigma_a < sigma_t + 1e-15:
         raise CertificateOrderingError(
@@ -224,8 +224,7 @@ def condition_report(S: SensitivitySet, ctrl: ControlSpec) -> ConditionReport:
 
 
 def _linear_stepper(law: str, S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants):
-    xii = np.diag(S.X)
-    return lambda q: law_update(law, ctrl, xii, S.X @ q + vt.delta_v_tilde, q)
+    return lambda q: law_update(law, ctrl, S.d, S.matvec(q) + vt.delta_v_tilde, q)
 
 
 def taking_stepper(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants):
@@ -247,14 +246,14 @@ def search_alpha_window(S: SensitivitySet, margin: float = 0.05,
     slope alpha with sigma(taking) > 1 > sigma(anticipating); raises if the
     anticipating certificate margin at the taking threshold is too thin.
     """
-    n = S.n
+    Xbar = S.X - np.diag(S.d)
 
     def sig_t(a):
         return _sigma_max(a * S.X)
 
     def sig_a(a):
-        b = beta(np.full(n, a), np.diag(S.X))
-        return _sigma_max(b[:, None] * S.Xbar)
+        b = beta(np.full(S.n, a), S.d)
+        return _sigma_max(b[:, None] * Xbar)
 
     lo, hi = 1e-9, 1.0
     while sig_t(hi) < 1.0:

@@ -73,14 +73,14 @@ def objective_F(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants,
                 q: np.ndarray) -> float:
     """Global cost targeted by the signal-taking law."""
     q = np.asarray(q, dtype=float)
-    return ctrl.cost(q) + 0.5 * float(q @ S.X @ q) + float(q @ vt.delta_v_tilde)
+    return ctrl.cost(q) + 0.5 * float(q @ S.matvec(q)) + float(q @ vt.delta_v_tilde)
 
 
 def objective_W(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants,
                 q: np.ndarray) -> float:
     """Global cost whose minimizer is the anticipating fixed point."""
     q = np.asarray(q, dtype=float)
-    return objective_F(S, ctrl, vt, q) + 0.5 * float(np.sum(np.diag(S.X) * q * q))
+    return objective_F(S, ctrl, vt, q) + 0.5 * float(np.sum(S.d * q * q))
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,10 @@ def solve_quadratic(S: SensitivitySet, Y, vt: OperatingConstants, which: str,
     if which == "equilibrium":
         q = -cho_solve(_spd_factor(M), dv)
         F = 0.5 * float(q @ M @ q) + float(q @ dv)
-        return EquilibriumResult(q_star=q, v_star=S.X @ q + vt.v_tilde, F_value=F,
+        return EquilibriumResult(q_star=q, v_star=S.matvec(q) + vt.v_tilde, F_value=F,
                                  solver="closed_form")
     if which == "nash":
-        N = M + np.diag(np.diag(S.X))
+        N = M + np.diag(S.d)
         q = -cho_solve(_spd_factor(N), dv)
         W = 0.5 * float(q @ N @ q) + float(q @ dv)
         F = 0.5 * float(q @ M @ q) + float(q @ dv)
@@ -147,9 +147,8 @@ def solve_quadratic(S: SensitivitySet, Y, vt: OperatingConstants, which: str,
 def _coordinate_minimizers(objective: str, S: SensitivitySet, ctrl: ControlSpec,
                            s: np.ndarray, q: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """Exact per-coordinate minimizers given s = X q (vectorized)."""
-    xii = np.diag(S.X)
-    c = s - xii * q + dv
-    curv = ctrl.y + (xii if objective == "F" else 2.0 * xii)
+    c = s - S.d * q + dv
+    curv = ctrl.y + (S.d if objective == "F" else 2.0 * S.d)
     half_delta = 0.5 * ctrl.delta
     # soft-threshold of the linear term against the |q| kink
     shrunk = np.where(c > half_delta, c - half_delta, np.where(c < -half_delta, c + half_delta, 0.0))
@@ -170,11 +169,11 @@ def solve_iterative(objective: str, S: SensitivitySet, ctrl: ControlSpec,
         raise ValueError("objective must be 'F' or 'W'")
     n = S.n
     dv = vt.delta_v_tilde
-    xii = np.diag(S.X)
+    xii = S.d
     curv = ctrl.y + (xii if objective == "F" else 2.0 * xii)
     half_delta = 0.5 * ctrl.delta
     q = np.zeros(n) if q0 is None else np.asarray(q0, dtype=float).copy()
-    s = S.X @ q
+    s = S.matvec(q)
 
     residual = math.inf
     it = 0
@@ -190,7 +189,7 @@ def solve_iterative(objective: str, S: SensitivitySet, ctrl: ControlSpec,
             target = min(ctrl.q_max[i], max(ctrl.q_min[i], target))
             dq = target - q[i]
             if dq != 0.0:
-                s += S.X[:, i] * dq
+                s += S.X[:, i] * dq  # dense X, one column per step
                 q[i] = target
         residual = float(np.max(np.abs(q - _coordinate_minimizers(objective, S, ctrl, s, q, dv))))
         if residual < tol:
@@ -200,7 +199,7 @@ def solve_iterative(objective: str, S: SensitivitySet, ctrl: ControlSpec,
 
     if objective == "F":
         return EquilibriumResult(
-            q_star=q, v_star=S.X @ q + vt.v_tilde, F_value=objective_F(S, ctrl, vt, q),
+            q_star=q, v_star=S.matvec(q) + vt.v_tilde, F_value=objective_F(S, ctrl, vt, q),
             solver="iterative", iterations=it, residual=residual,
         )
     return NashResult(
@@ -213,7 +212,7 @@ def optimality_residual(objective: str, S: SensitivitySet, ctrl: ControlSpec,
                         vt: OperatingConstants, q: np.ndarray) -> float:
     """Stationarity measure: sup-norm distance to the coordinate minimizers."""
     q = np.asarray(q, dtype=float)
-    s = S.X @ q
+    s = S.matvec(q)
     return float(np.max(np.abs(q - _coordinate_minimizers(objective, S, ctrl, s, q,
                                                           vt.delta_v_tilde))))
 
@@ -273,7 +272,7 @@ def _bounds_report(lam_pi: float, lam_min_M: float, lam_min_N: float, lam_min_X:
 
 # -- every report from the sparse X^{-1} of the feeder -----------------------------
 
-_V0_SEED = 0  # seeds ARPACK's start vector, so a report repeats to the bit
+_V0_SEED = 0  # seeds ARPACK's start and restart vectors, so a report repeats to the bit
 # ARPACK maxiter of a lambda_min estimate.  Random trees and chains converge
 # within it; where the top of the spectrum is clustered (the uniform chain)
 # an estimate fails, and a small budget keeps the restarts it wastes cheap.
@@ -418,9 +417,9 @@ def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = Fa
     ``vector`` also its unit eigenvector, signed so that its entry of largest
     magnitude is positive.
 
-    ARPACK's Lanczos from a seeded start vector, so a rerun gives the same
-    bits; with maxiter set it raises ArpackNoConvergence after that many
-    restarts.  ARPACK needs n > 1; a 1 x 1 operator is its own eigenvalue.
+    ARPACK's Lanczos with seeded start and restart vectors, so a rerun gives
+    the same bits; with maxiter set it raises ArpackNoConvergence after that
+    many restarts.  ARPACK needs n > 1; a 1 x 1 operator is its own eigenvalue.
     """
     if n == 1:
         lam = float(matvec(np.ones(1))[0])
@@ -430,7 +429,7 @@ def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = Fa
     v0 = np.random.default_rng(_V0_SEED).uniform(-1.0, 1.0, n)
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
     out = eigsh(op, k=1, which="LA", tol=0, v0=v0, maxiter=maxiter,
-                return_eigenvectors=vector)
+                return_eigenvectors=vector, rng=np.random.default_rng(_V0_SEED))
     if not vector:
         return float(out[0])
     e = out[1][:, 0]

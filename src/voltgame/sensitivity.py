@@ -1,17 +1,17 @@
-"""Voltage-to-injection sensitivity matrices for radial feeders.
+"""Voltage-to-injection sensitivities of radial feeders.
 
 X[i,j] (R[i,j]) is the total reactance (resistance) on the lines shared by
-the root paths of buses i+1 and j+1, i.e. the root-path sum of their lowest
-common ancestor.  :func:`build_sensitivity` fills both matrices from the
-network's cached traversal, one depth level at a time, by copying parent
-rows, in O(n^2).  X is symmetric positive definite for any valid feeder; its
-inverse is sparse with tree-adjacency structure and has a closed form built
-from the reciprocal-weight Laplacian.
+the root paths of buses i+1 and j+1.  So X = A^T diag(x) A and R = A^T
+diag(r) A for the path incidence A (A[e, i] = 1 when the line into e is on
+the root path of i): X q is a subtree sum, a scaling by x and a root-path
+sum, in O(n).  X is symmetric positive definite; its inverse is the sparse
+reciprocal-weight tree Laplacian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,47 +22,85 @@ class IndexOutOfRangeError(IndexError):
     pass
 
 
-@dataclass(frozen=True)
-class SensitivitySet:
-    """Dense sensitivity matrices of a feeder's actuator set (immutable, share freely).
+class _PathProducts:
+    """v -> A^T diag(w) A v for the path incidence A of a feeder.
 
-    net is the feeder the matrices were built from and idx the matrix
-    indices (bus k -> k-1) of the buses they cover, in matrix order: X is
-    the principal submatrix of the feeder's reactance matrix on idx.  The
-    sparse routines, such as :func:`voltgame.equilibrium.tree_posa_report`,
-    work from net and idx alone.
+    A = C^{-T} for C = I - Par (Par[k, up[k]] = 1), which is unit lower
+    triangular in traversal order, so splu factors it with no fill.  pos[i]
+    is the traversal position of node i+1; x and r are in traversal order.
     """
 
-    X: np.ndarray
-    R: np.ndarray
+    def __init__(self, tr: Traversal):
+        from scipy.sparse import csc_array, identity
+        from scipy.sparse.linalg import splu
+
+        n = tr.order.size
+        k = np.flatnonzero(tr.up < n)
+        C = identity(n, format="csc") - csc_array((np.ones(k.size), (k, tr.up[k])), shape=(n, n))
+        self.lu = splu(C, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self.pos = np.empty(n, dtype=int)
+        self.pos[tr.order - 1] = np.arange(n)
+        self.x, self.r = tr.x[tr.order - 1], tr.r[tr.order - 1]
+
+    def apply(self, w: np.ndarray, at: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The product's rows and columns at traversal positions ``at``, applied to v."""
+        b = np.zeros(self.pos.size)
+        b[at] = v
+        return self.lu.solve(w * self.lu.solve(b, trans="T"))[at]
+
+
+@dataclass(frozen=True)
+class SensitivitySet:
+    """X and R of a feeder's actuator set (immutable, share freely).
+
+    idx holds the set's matrix indices (bus k -> k-1) in matrix order; X and
+    R are the feeder's matrices on idx.  No n x n array is stored: matvec and
+    r_matvec are O(n) tree passes, d = diag(X) comes from the traversal, and
+    the dense X and R are built, in O(n^2), on first access only.
+    """
+
     net: RadialNetwork = field(repr=False)
     idx: np.ndarray
+    _paths: _PathProducts = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.idx.size
 
-    @property
-    def Xbar(self) -> np.ndarray:
-        """X with its diagonal zeroed (mutual sensitivities only)."""
-        Xb = self.X.copy()
-        np.fill_diagonal(Xb, 0.0)
-        return Xb
+    @cached_property
+    def d(self) -> np.ndarray:
+        return self.net.traversal.d[self.idx]
+
+    @cached_property
+    def _at(self) -> np.ndarray:
+        return self._paths.pos[self.idx]
+
+    def matvec(self, q: np.ndarray) -> np.ndarray:
+        """X q."""
+        return self._paths.apply(self._paths.x, self._at, q)
+
+    def r_matvec(self, p: np.ndarray) -> np.ndarray:
+        """R p."""
+        return self._paths.apply(self._paths.r, self._at, p)
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        return _shared_path_sums(self.net.traversal, self.net.traversal.x, self.idx)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return _shared_path_sums(self.net.traversal, self.net.traversal.r, self.idx)
 
     def restrict(self, idx) -> "SensitivitySet":
-        """Principal submatrix on the given matrix indices (actuator subset).
-
-        Indices 0..n-1 in order select the whole set, which is returned as is.
-        """
+        """The set on the given matrix indices, copying nothing; 0..n-1 in order gives self."""
         idx = np.asarray(idx, dtype=int)
         if np.array_equal(idx, np.arange(self.n)):
             return self
-        return SensitivitySet(X=self.X[np.ix_(idx, idx)], R=self.R[np.ix_(idx, idx)],
-                              net=self.net, idx=self.idx[idx])
+        return SensitivitySet(net=self.net, idx=self.idx[idx], _paths=self._paths)
 
 
-def _shared_path_sums(tr: Traversal, w: np.ndarray) -> np.ndarray:
-    """M[i, j] = total weight w on the lines shared by the root paths of i+1 and j+1.
+def _shared_path_sums(tr: Traversal, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """M[a, b] = total weight w on the lines shared by the root paths of idx[a]+1 and idx[b]+1.
 
     The shared path of two nodes ends at their lowest common ancestor, so a
     node's entry with a shallower node is its parent's, its entry with
@@ -70,8 +108,8 @@ def _shared_path_sums(tr: Traversal, w: np.ndarray) -> np.ndarray:
     diagonal, its own root-path sum, is new; entries with deeper nodes come
     from their rows by symmetry.  Filled one depth level at a time in
     traversal order, with a zero row and column at position n for the root,
-    then permuted back to node order.  Every off-diagonal entry is copied,
-    never recomputed, so M is exactly symmetric.
+    then the rows and columns of idx are taken.  Every off-diagonal entry is
+    copied, never recomputed, so M is exactly symmetric.
     """
     n = tr.order.size
     up = tr.up
@@ -88,20 +126,12 @@ def _shared_path_sums(tr: Traversal, w: np.ndarray) -> np.ndarray:
         M[lv, lv] = block
     node = np.empty(n, dtype=int)
     node[tr.order - 1] = np.arange(n)  # node[i]: traversal position of node i+1
-    return M[np.ix_(node, node)]
+    return M[np.ix_(node[idx], node[idx])]
 
 
 def build_sensitivity(net: RadialNetwork) -> SensitivitySet:
-    """Assemble X and R from shared root-path sums.
-
-    X[i, j] (R[i, j]) is the root-path reactance (resistance) of the lowest
-    common ancestor of buses i+1 and j+1.  Each depth level copies its
-    parents' rows and sets its own root-path sums on the diagonal, so the
-    build is O(n^2) and diag(X) equals ``net.traversal.d``.
-    """
-    tr = net.traversal  # validates the network on first use
-    return SensitivitySet(X=_shared_path_sums(tr, tr.x), R=_shared_path_sums(tr, tr.r),
-                          net=net, idx=np.arange(net.n))
+    """The sensitivity set of the whole feeder: one O(n) factorization, no dense matrix."""
+    return SensitivitySet(net=net, idx=np.arange(net.n), _paths=_PathProducts(net.traversal))
 
 
 def x_inverse_analytic(net: RadialNetwork) -> np.ndarray:

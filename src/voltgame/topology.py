@@ -1,4 +1,4 @@
-"""Radial feeder topology: rooted trees, root paths, random generation.
+"""Radial feeder topology: rooted trees, their traversal, random generation.
 
 Node 0 is the substation (fixed voltage) and must have exactly one direct
 child; every other node has exactly one parent line.  All matrix-facing
@@ -167,25 +167,12 @@ class RadialNetwork:
         """parent[i] is the parent node of node i+1 (0 means the root)."""
         return self.traversal.parent
 
-    def line_to(self, i: int) -> Line:
-        """The unique line whose child end is node i."""
-        if not 1 <= i <= self.n:
-            raise UnknownNodeError(f"node {i} not in 1..{self.n}")
-        return self.traversal.lines[i - 1]
-
     def children(self) -> list[list[int]]:
         """children[k] lists direct children of node k (k = 0..n)."""
         ch: list[list[int]] = [[] for _ in range(self.n + 1)]
         for ln in self.lines:
             ch[ln.from_node].append(ln.to_node)
         return ch
-
-    def reactances(self) -> np.ndarray:
-        """Per-line x ordered by child node (entry i-1 is the line into node i)."""
-        return self.traversal.x.copy()
-
-    def resistances(self) -> np.ndarray:
-        return self.traversal.r.copy()
 
     def actuator_indices(self) -> np.ndarray:
         """Matrix indices (0-based, node k -> k-1) of the actuator buses."""
@@ -278,21 +265,6 @@ def validate_tree(net: RadialNetwork) -> None:
                 f"actuator box [{b.q_min},{b.q_max}] must contain 0 (zero injection always feasible)"
             )
     object.__setattr__(net, "_validated", True)
-
-
-def path_to_root(net: RadialNetwork, i: int) -> list[Line]:
-    """Lines on the unique path from the root to node i, root end first."""
-    if not 1 <= i <= net.n:
-        raise UnknownNodeError(f"node {i} not in 1..{net.n}")
-    lines = net.traversal.lines
-    path = []
-    k = i
-    while k != 0:
-        ln = lines[k - 1]
-        path.append(ln)
-        k = ln.from_node
-    path.reverse()
-    return path
 
 
 @dataclass(frozen=True)

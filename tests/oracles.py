@@ -289,17 +289,35 @@ def dump_trace_csv_by_writer(trace, with_voltages=False):
 # -- scalar and dense APIs that only the tests use ---------------------------------
 
 
+def reactances(net):
+    """Per-line x ordered by child node (entry i-1 is the line into node i), a copy."""
+    return net.traversal.x.copy()
+
+
+def path_to_root(net, i):
+    """Lines on the unique path from the root to node i, root end first."""
+    from voltgame.topology import UnknownNodeError
+
+    if not 1 <= i <= net.n:
+        raise UnknownNodeError(f"node {i} not in 1..{net.n}")
+    lines = net.traversal.lines
+    path = []
+    k = i
+    while k != 0:
+        ln = lines[k - 1]
+        path.append(ln)
+        k = ln.from_node
+    path.reverse()
+    return path
+
+
 def depth(net, i):
     """Number of lines on the root path of node i."""
-    from voltgame.topology import path_to_root
-
     return len(path_to_root(net, i))
 
 
 def path_intersection(net, i, j):
     """Shared lines of the root paths of i and j (a root-anchored prefix of both)."""
-    from voltgame.topology import path_to_root
-
     pi = path_to_root(net, i)
     pj = path_to_root(net, j)
     common = []

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltgame import dynamics
 from voltgame.cli import main
@@ -18,11 +20,12 @@ from voltgame.dynamics import (
     voltage_from_q,
     OperatingConstants,
 )
-from voltgame.equilibrium import solve_quadratic
+from voltgame.equilibrium import solve_iterative, solve_quadratic
 from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import BusData, DegreeDistribution, chain_network, random_tree
 
 from oracles import cost_scalar
+from strategies import feeders
 
 
 def make_instance(seed=0, n_depth=5, alpha_scale=0.8, delta=0.0):
@@ -130,13 +133,15 @@ class TestSteppers:
         np.testing.assert_allclose(q2, q1, atol=1e-15)
 
     def test_local_measurement_form_agrees(self):
-        # the local form v_i - v_nom_i - Xii q_i equals the aggregate signal Xbar q + dv
+        # the local form v_i - v_nom_i - Xii q_i equals the aggregate signal Xbar q + dv,
+        # Xbar = X - diag(X) holding the mutual sensitivities only
         _, S, spec, vt = make_instance(4, delta=0.02)
         step = anticipating_stepper(S, spec, vt)
         rng = np.random.default_rng(5)
         for _ in range(20):
             q = rng.uniform(-0.5, 0.5, S.n)
-            a = spec.project(spec.eval_anticipating(np.diag(S.X), S.Xbar @ q + vt.delta_v_tilde))
+            Xbar = S.X - np.diag(S.d)
+            a = spec.project(spec.eval_anticipating(np.diag(S.X), Xbar @ q + vt.delta_v_tilde))
             b = step(q)
             np.testing.assert_allclose(a, b, atol=1e-10)
 
@@ -273,6 +278,34 @@ class TestConvergenceEverywhereUnderCertificate:
             limits.append(trace.q_final)
         spread = np.max(np.ptp(np.array(limits), axis=0))
         assert spread < 1e-8
+
+
+class TestFixedPointsAreMinimizers:
+    # ROADMAP item 6: the taking fixed point is argmin F and the anticipating
+    # one argmin W, on trees with deadbands and finite boxes.  The steppers
+    # apply X as a tree pass; coordinate descent reads dense columns of X.
+    @settings(max_examples=40, deadline=None)
+    @given(feeders(st.floats(0.0, 1.0), st.floats(0.1, 1.5), max_buses=30), st.data())
+    def test_random_trees(self, net, data):
+        n = net.n
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        S = build_sensitivity(net)
+        alpha = rng.uniform(0.5, 2.0, n)
+        spec = ControlSpec(alpha, rng.uniform(0.0, 0.04, n),
+                           np.full(n, -rng.uniform(0.1, 0.6)), np.full(n, rng.uniform(0.1, 0.6)))
+        rep = condition_report(S, spec)
+        if rep.sigma_taking >= 1.0:  # as criterion 6 scales its slopes
+            spec = ControlSpec(alpha * (0.85 / rep.sigma_taking), spec.delta,
+                               spec.q_min, spec.q_max)
+        dv = rng.uniform(-0.1, 0.1, n)
+        vt = OperatingConstants(1.0 + dv, dv)
+        take = run(taking_stepper(S, spec, vt), np.zeros(n), tol=1e-11)
+        anti = run(anticipating_stepper(S, spec, vt), np.zeros(n), tol=1e-11)
+        assert take.converged and anti.converged
+        eq = solve_iterative("F", S, spec, vt, tol=1e-12)
+        na = solve_iterative("W", S, spec, vt, tol=1e-12)
+        assert float(np.max(np.abs(take.q_final - eq.q_star))) <= 1e-7
+        assert float(np.max(np.abs(anti.q_final - na.q_a))) <= 1e-7
 
 
 class TestAlphaWindow:

@@ -16,11 +16,16 @@ from voltgame.topology import (
     Line,
     RadialNetwork,
     chain_network,
-    path_to_root,
     random_tree,
 )
 
-from oracles import EmptyChainError, chain_x_inverse, self_sensitivities, sensitivity_by_paths
+from oracles import (
+    EmptyChainError,
+    chain_x_inverse,
+    path_to_root,
+    self_sensitivities,
+    sensitivity_by_paths,
+)
 from strategies import feeders
 
 
@@ -105,7 +110,7 @@ class TestBuild:
 
     def test_decomposition_identity(self):
         S = build_sensitivity(random_tree_for(1))
-        np.testing.assert_array_equal(np.diag(self_sensitivities(S)) + S.Xbar, S.X)
+        np.testing.assert_array_equal(np.diag(self_sensitivities(S)) + (S.X - np.diag(S.d)), S.X)
 
     def test_restriction_matches_direct_submatrix(self):
         net = random_tree_for(3)

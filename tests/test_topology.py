@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import depth, inverse_tree_laplacian, path_intersection, random_tree_by_node
+from oracles import (
+    depth,
+    inverse_tree_laplacian,
+    path_intersection,
+    path_to_root,
+    random_tree_by_node,
+    reactances,
+)
 from voltgame.acflow import sweep_solve
 from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import (
@@ -20,7 +27,6 @@ from voltgame.topology import (
     RadialNetwork,
     UnknownNodeError,
     chain_network,
-    path_to_root,
     random_instance,
     random_tree,
     validate_tree,
@@ -134,7 +140,7 @@ class TestTraversal:
         assert net.traversal is net.traversal
         with pytest.raises(ValueError):
             net.traversal.x[0] = 1.0
-        xs = net.reactances()
+        xs = reactances(net)
         xs[0] = 1.0  # a copy: the cache is unchanged
         assert net.traversal.x[0] == 2.0
 
@@ -224,7 +230,7 @@ class TestRandomTree:
         dist = DegreeDistribution({2: 1.0}, max_depth=4, x_range=(0.5, 2.0))
         net = random_tree(dist, seed=3)
         assert net.n == 1 + 2 + 4 + 8
-        xs = net.reactances()
+        xs = reactances(net)
         assert np.all(xs > 0.5) and np.all(xs <= 2.0)
         assert max(depth(net, i) for i in range(1, net.n + 1)) == 4
 

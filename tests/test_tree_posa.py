@@ -22,7 +22,15 @@ from voltgame.equilibrium import (
 from strategies import feeders
 from voltgame.experiments import SweepSpec, load_sce42, run_sweep
 from voltgame.sensitivity import build_sensitivity
-from voltgame.topology import DegreeDistribution, chain_network, random_instance, tree_laplacian
+from voltgame.topology import (
+    BusData,
+    DegreeDistribution,
+    Line,
+    RadialNetwork,
+    chain_network,
+    random_instance,
+    tree_laplacian,
+)
 
 BOUND_FIELDS = ("posa_max", "upper", "refined_upper", "lower", "lower_clamped",
                 "gap_bound", "d", "y")
@@ -106,6 +114,16 @@ class TestMatchesDense:
         net = chain_network(rng.uniform(1e-2, 200.0, 400))
         y = rng.uniform(1e-2, 100.0, 400)
         assert tree_posa_report(net, y) == tree_posa_report(net, y)
+
+    def test_repeats_on_a_star_with_a_rounding_noise_lower_bound(self):
+        # the top eigenvalue of M^-1 - 2 N^-1 is 0 up to rounding here, and
+        # Lanczos finds an invariant subspace and restarts from a random vector
+        lines = tuple(Line(0 if k == 1 else 1, k, 0.0, 0.5) for k in range(1, 6))
+        net = RadialNetwork(n=5, lines=lines, buses=tuple(BusData() for _ in range(5)))
+        y = np.full(5, 0.5)
+        reports = [tree_posa_report(net, y) for _ in range(20)]
+        for name in BOUND_FIELDS:
+            assert len({getattr(r, name) for r in reports}) == 1, name
 
 
 class TestActuatorSubsets:
