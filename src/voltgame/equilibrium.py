@@ -15,6 +15,12 @@ matrix has closed-form spectral bounds.  All bound fields reported here
 carry the 1/2 factor of the worst-case metric so every number in a report
 is directly comparable.
 
+Both equilibria are computed without a dense matrix.  :func:`solve_iterative`
+is an active-set Newton method: each step is one linear system on the buses
+that are free of their box limits and deadbands, solved in O(n) on the
+sparse X^{-1} of the feeder, and the objective falls strictly at every step.
+:func:`solve_quadratic` is the same solve with every actuator free.
+
 :func:`tree_posa_report` computes every report from the sparse inverse
 X^{-1} = tree_laplacian(net) of the feeder, in O(n) memory, also for an
 instance restricted to an actuator set A: restriction adds a diagonal that
@@ -29,24 +35,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .controls import ControlSpec
 from .dynamics import OperatingConstants
 from .sensitivity import SensitivitySet, chain_eigen_bounds
-from .topology import RadialNetwork, tree_laplacian
+from .topology import RadialNetwork, _LeafFirst
 
 
 class NotUnconstrainedError(ValueError):
     pass
 
 
-class SingularSystemError(np.linalg.LinAlgError):
-    pass
-
-
 class MaxIterError(RuntimeError):
-    pass
+    """solve_iterative stopped short of its tolerance.
+
+    steps is the number of Newton steps taken and residual the stationarity
+    residual where it stopped: the step budget ran out, or a step's line
+    search found no decrease of the objective.
+    """
+
+    def __init__(self, steps: int, residual: float, reason: str = "step budget exhausted"):
+        self.steps = steps
+        self.residual = residual
+        super().__init__(f"active-set Newton: {reason} after {steps} steps "
+                         f"at residual {residual:.3e}")
 
 
 class BoundOrderingError(RuntimeError):
@@ -103,11 +115,22 @@ class NashResult:
     residual: float = 0.0
 
 
-def _spd_factor(M: np.ndarray):
-    try:
-        return cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:  # defensive: valid X, Y keep M SPD
-        raise SingularSystemError(str(exc)) from exc
+def _face_solver(S: SensitivitySet, g: np.ndarray):
+    """(free, v) -> q with (X_FF + diag(g_F)) q_F = v_F on the free set F, 0 off F.
+
+    One Woodbury solve on the feeder's leaf-first X^{-1} with g infinite off
+    F, in O(n), then one step of iterative refinement against S.matvec,
+    which restores the digits the Woodbury form loses to cancellation when
+    g is small next to X.  S.X is never read.
+    """
+    tree = _LeafFirst(S.net, S.idx)
+
+    def solve(free: np.ndarray, v: np.ndarray) -> np.ndarray:
+        inverse = tree.inverse(np.where(free, g, np.inf))
+        q = inverse(v)
+        return q + inverse(v - S.matvec(q) - g * q)
+
+    return solve
 
 
 def solve_quadratic(S: SensitivitySet, Y, vt: OperatingConstants, which: str,
@@ -115,33 +138,30 @@ def solve_quadratic(S: SensitivitySet, Y, vt: OperatingConstants, which: str,
     """Closed-form equilibrium for pure quadratic costs, no boxes.
 
     which="equilibrium" solves (X+Y) q = -dv, which="nash" solves
-    (X+D+Y) q = -dv, both by Cholesky (the factorization doubles as the
-    positive-definiteness assertion).  Pass the active ControlSpec to verify
-    the instance really is unconstrained quadratic.
+    (X+D+Y) q = -dv, each by one refined Woodbury solve on the sparse
+    X^{-1} of the feeder.  Pass the active ControlSpec to verify the
+    instance really is unconstrained quadratic.
     """
     if ctrl is not None and not ctrl.unconstrained_quadratic:
         raise NotUnconstrainedError(
             "deadbands or finite reactive boxes present; use solve_iterative"
         )
+    if which not in ("equilibrium", "nash"):
+        raise ValueError(f"which must be 'equilibrium' or 'nash', got {which!r}")
     Yd = np.asarray(Y, dtype=float)
     if Yd.ndim == 2:
         Yd = np.diag(Yd)
     if np.any(Yd <= 0):
         raise ValueError("cost coefficients must be positive")
     dv = vt.delta_v_tilde
-    M = S.X + np.diag(Yd)
+    g = Yd if which == "equilibrium" else Yd + S.d
+    q = _face_solver(S, g)(np.ones(S.n, dtype=bool), -dv)
+    F = 0.5 * float(q @ (S.matvec(q) + Yd * q)) + float(q @ dv)
     if which == "equilibrium":
-        q = -cho_solve(_spd_factor(M), dv)
-        F = 0.5 * float(q @ M @ q) + float(q @ dv)
         return EquilibriumResult(q_star=q, v_star=S.matvec(q) + vt.v_tilde, F_value=F,
                                  solver="closed_form")
-    if which == "nash":
-        N = M + np.diag(S.d)
-        q = -cho_solve(_spd_factor(N), dv)
-        W = 0.5 * float(q @ N @ q) + float(q @ dv)
-        F = 0.5 * float(q @ M @ q) + float(q @ dv)
-        return NashResult(q_a=q, W_value=W, F_at_qa=F, solver="closed_form")
-    raise ValueError(f"which must be 'equilibrium' or 'nash', got {which!r}")
+    W = F + 0.5 * float(np.sum(S.d * q * q))
+    return NashResult(q_a=q, W_value=W, F_at_qa=F, solver="closed_form")
 
 
 def _coordinate_minimizers(objective: str, S: SensitivitySet, ctrl: ControlSpec,
@@ -155,56 +175,140 @@ def _coordinate_minimizers(objective: str, S: SensitivitySet, ctrl: ControlSpec,
     return ctrl.project(-shrunk / curv)
 
 
+_ARMIJO_SLOPE = 1e-4   # fraction of the predicted decrease a projected-Newton step must reach
+_ARMIJO_HALVINGS = 60  # step-length halvings before a projected-Newton step gives up
+
+
+class _Problem:
+    """F or W as 1/2 q^T (X + diag(g)) q + q.dv + sum_i delta_i |q_i| / 2 on the box.
+
+    g = y for F and y + d for W.  Differences of the objective are taken
+    from the step p itself, grad.p + p^T (X + diag(g)) p / 2 plus the change
+    of the deadband term, so a decrease far below the objective's own
+    rounding still shows with the right sign.
+    """
+
+    def __init__(self, objective: str, S: SensitivitySet, ctrl: ControlSpec,
+                 vt: OperatingConstants):
+        self.S, self.ctrl = S, ctrl
+        self.dv = vt.delta_v_tilde
+        self.g = ctrl.y + (0.0 if objective == "F" else S.d)
+        self.half_delta = 0.5 * ctrl.delta
+        self.face_solve = _face_solver(S, self.g)
+
+    def change(self, q: np.ndarray, grad: np.ndarray, q_new: np.ndarray) -> float:
+        """Objective at q_new minus objective at q, for grad = X q + g q + dv."""
+        p = q_new - q
+        return (float(grad @ p) + 0.5 * float(p @ (self.S.matvec(p) + self.g * p))
+                + float(self.half_delta @ (np.abs(q_new) - np.abs(q))))
+
+
+def _active_set_step(pb: _Problem, t: np.ndarray) -> np.ndarray:
+    """The primal-dual active-set point for the classification the minimizers t give.
+
+    A bus whose coordinate minimizer is at a box limit or at 0 is held
+    there; every other bus is free with the sign of its minimizer, and the
+    free buses solve stationarity on their face,
+    (X_FF + G_F) q_F = -(dv + sign(t) delta / 2 + X q_held)_F.
+    The result is projected onto the box.
+    """
+    ctrl = pb.ctrl
+    at_zero = t == 0.0
+    free = ~at_zero & (t != ctrl.q_min) & (t != ctrl.q_max)
+    held = np.where(free | at_zero, 0.0, t)   # +0.0 where t is -0.0
+    rhs = -(pb.dv + pb.half_delta * np.sign(t) + pb.S.matvec(held))
+    return ctrl.project(np.where(free, pb.face_solve(free, rhs), held))
+
+
+def _projected_newton_step(pb: _Problem, q: np.ndarray, grad: np.ndarray,
+                           t: np.ndarray) -> np.ndarray | None:
+    """One projected Newton step with an Armijo search on the projected arc.
+
+    On the orthant of the current signs (a bus at 0 takes the sign of its
+    minimizer t) the objective is a smooth quadratic on a box.  Buses
+    within eps of a limit that the gradient pushes against get a
+    diagonally scaled gradient step, the rest a Newton step on their face;
+    the trial points are projected onto that box.  Returns None when no
+    step length gives the Armijo decrease.
+    """
+    ctrl = pb.ctrl
+    sign = np.where(q != 0.0, np.sign(q), np.sign(t))
+    lo = np.where(sign < 0.0, ctrl.q_min, 0.0)
+    hi = np.where(sign > 0.0, ctrl.q_max, 0.0)
+    gr = grad + pb.half_delta * sign
+    curv = pb.g + pb.S.d
+    eps = float(np.max(np.abs(q - np.clip(q - gr / curv, lo, hi))))
+    active = ((q <= lo + eps) & (gr > 0.0)) | ((q >= hi - eps) & (gr < 0.0))
+    free = ~active
+    p = np.where(active, -gr / curv, pb.face_solve(free, -gr))
+    newton_decrease = -float(gr[free] @ p[free])
+    alpha = 1.0
+    for _ in range(_ARMIJO_HALVINGS):
+        trial = np.clip(q + alpha * p, lo, hi)
+        want = alpha * newton_decrease + float(gr[active] @ (q - trial)[active])
+        if want > 0.0 and -pb.change(q, grad, trial) >= _ARMIJO_SLOPE * want:
+            return trial
+        alpha *= 0.5
+    return None
+
+
 def solve_iterative(objective: str, S: SensitivitySet, ctrl: ControlSpec,
                     vt: OperatingConstants, q0: np.ndarray | None = None,
                     tol: float = 1e-10, max_iter: int = 200_000):
-    """Projected cyclic coordinate descent on F or W with exact line minimization.
+    """Minimize F or W under deadbands and reactive boxes by active-set Newton.
 
-    Handles deadband costs and reactive boxes.  Stops when the stationarity
-    residual max_i |q_i - argmin_i| drops below tol; this residual is zero
+    Each step classifies every actuator from its exact coordinate minimizer
+    t_i: held at a box limit, held at 0 in its deadband, or free with the
+    sign of t_i.  The primal-dual active-set (semismooth Newton) step of
+    Hintermueller, Ito & Kunisch (SIAM J. Optim. 13(3), 2002) solves
+    stationarity on the free set as one linear system with X_FF + G_F
+    (G = Y for F, Y + D for W), an O(n) Woodbury solve on the sparse X^{-1}
+    with one refinement step, and projects onto the box.  It is taken when
+    it lowers the objective; otherwise a projected Newton step (Bertsekas,
+    SIAM J. Control Optim. 20(2), 1982) with an Armijo search is, so the
+    objective falls strictly at every step and the method cannot cycle.
+    Dense X is never formed.
+
+    Starts from q0 projected onto the box, or from 0.  Stops when the
+    stationarity residual max_i |q_i - t_i| drops below tol; it is zero
     exactly at the unique optimum because both objectives are strictly
-    convex with separable nonsmooth parts.
+    convex with separable nonsmooth parts.  iterations counts the
+    Newton steps.  Raises MaxIterError, with the step count and the
+    residual, after max_iter steps or when a line search finds no decrease.
     """
     if objective not in ("F", "W"):
         raise ValueError("objective must be 'F' or 'W'")
-    n = S.n
-    dv = vt.delta_v_tilde
-    xii = S.d
-    curv = ctrl.y + (xii if objective == "F" else 2.0 * xii)
-    half_delta = 0.5 * ctrl.delta
-    q = np.zeros(n) if q0 is None else np.asarray(q0, dtype=float).copy()
-    s = S.matvec(q)
-
-    residual = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        for i in range(n):
-            c = s[i] - xii[i] * q[i] + dv[i]
-            if c > half_delta[i]:
-                target = -(c - half_delta[i]) / curv[i]
-            elif c < -half_delta[i]:
-                target = -(c + half_delta[i]) / curv[i]
-            else:
-                target = 0.0
-            target = min(ctrl.q_max[i], max(ctrl.q_min[i], target))
-            dq = target - q[i]
-            if dq != 0.0:
-                s += S.X[:, i] * dq  # dense X, one column per step
-                q[i] = target
-        residual = float(np.max(np.abs(q - _coordinate_minimizers(objective, S, ctrl, s, q, dv))))
+    if not np.all(np.isfinite(ctrl.alpha)):
+        raise ValueError("droop slopes must be finite: the face solve needs costs y = 1/alpha > 0")
+    pb = _Problem(objective, S, ctrl, vt)
+    dv = pb.dv
+    q = np.zeros(S.n) if q0 is None else ctrl.project(np.asarray(q0, dtype=float))
+    steps = 0
+    while True:
+        s = S.matvec(q)
+        t = _coordinate_minimizers(objective, S, ctrl, s, q, dv)
+        residual = float(np.max(np.abs(q - t)))
         if residual < tol:
             break
-    else:
-        raise MaxIterError(f"coordinate descent stalled at residual {residual:.3e}")
+        if steps == max_iter:
+            raise MaxIterError(steps, residual)
+        steps += 1
+        grad = s + pb.g * q + dv
+        q_new = _active_set_step(pb, t)
+        if not pb.change(q, grad, q_new) < 0.0:
+            q_new = _projected_newton_step(pb, q, grad, t)
+            if q_new is None:
+                raise MaxIterError(steps, residual, "line search found no decrease")
+        q = q_new
 
     if objective == "F":
         return EquilibriumResult(
-            q_star=q, v_star=S.matvec(q) + vt.v_tilde, F_value=objective_F(S, ctrl, vt, q),
-            solver="iterative", iterations=it, residual=residual,
+            q_star=q, v_star=s + vt.v_tilde, F_value=objective_F(S, ctrl, vt, q),
+            solver="iterative", iterations=steps, residual=residual,
         )
     return NashResult(
         q_a=q, W_value=objective_W(S, ctrl, vt, q), F_at_qa=objective_F(S, ctrl, vt, q),
-        solver="iterative", iterations=it, residual=residual,
+        solver="iterative", iterations=steps, residual=residual,
     )
 
 
@@ -277,139 +381,6 @@ _V0_SEED = 0  # seeds ARPACK's start and restart vectors, so a report repeats to
 # within it; where the top of the spectrum is clustered (the uniform chain)
 # an estimate fails, and a small budget keeps the restarts it wastes cheap.
 _ESTIMATE_RESTARTS = 4
-_CERTIFY_ULPS = 2  # first half-width of the bracket certified around an estimate
-
-
-class _LeafFirst:
-    """X^{-1} + P^T diag(s) P of a feeder with the buses in leaf-first order.
-
-    P selects the actuator set A (matrix indices ``idx``, every bus when
-    none is given), so the added diagonal is zero off A.  Position k holds
-    matrix index ``perm[k]``; the order is the reverse of the traversal
-    order, so every bus comes after all its children and Gaussian
-    elimination in this order creates no fill.  The pivot of bus i is then
-    a_i + s_i - sum_c w_c^2 / p_c over its children c, where a = diag(X^{-1})
-    and w_c = 1/x_c is the weight of the line into c.  Vectors indexed by A
-    (g, h, v below) follow the order of ``idx``.
-    """
-
-    def __init__(self, net: RadialNetwork, idx: np.ndarray | None = None):
-        tr = net.traversal
-        n = net.n
-        self.n = n
-        self.perm = tr.order[::-1] - 1
-        pos = np.empty(n, dtype=int)
-        pos[self.perm] = np.arange(n)
-        self.whole = idx is None
-        self._act = pos if idx is None else pos[idx]  # leaf-first positions of A
-        L = tree_laplacian(net)
-        self.L = L[self.perm][:, self.perm].tocsc()
-        self.a = L.diagonal()[self.perm]
-        # lambda_max(X^{-1}) lies between its largest diagonal entry and its
-        # largest absolute row sum (Gershgorin); 1/lambda_max(X^{-1}) = lambda_min(X)
-        self.x_bracket = (1.0 / float(np.max(abs(L).sum(axis=1))), 1.0 / float(np.max(self.a)))
-        parent = tr.parent[self.perm] - 1
-        self._up = np.where(parent >= 0, pos[parent], n).tolist()  # n: the root, a dummy slot
-        w2 = (1.0 / tr.x[self.perm]) ** 2
-        self._w2 = w2.tolist()
-        self._pivmin = np.finfo(float).tiny * max(1.0, float(np.max(w2)))
-
-    def _padded_diagonal(self, s: np.ndarray) -> np.ndarray:
-        """diag(X^{-1} + P^T diag(s) P) in leaf-first order."""
-        diag = self.a.copy()
-        diag[self._act] += s
-        return diag
-
-    def count_below(self, g: np.ndarray, sigma: float) -> int:
-        """Number of eigenvalues of X_AA + diag(g) below sigma.
-
-        With h = g - sigma, the inertia of [[diag(h), P], [P^T, -X^{-1}]]
-        taken through either Schur complement (Haynsworth) makes it
-        #{h_i < 0} minus the number of negative eigenvalues of
-        X^{-1} + P^T diag(1/h) P, which are the negative pivots of its
-        leaf-first elimination.  A pivot smaller in magnitude than the
-        underflow guard counts as negative, as in LAPACK's dlaebz.
-        """
-        h = g - sigma
-        if not h.all():     # sigma is some g_i: count below the next float instead
-            h = g - np.nextafter(sigma, np.inf)
-        piv = self._padded_diagonal(1.0 / h).tolist()
-        piv.append(0.0)
-        up, w2, pivmin = self._up, self._w2, self._pivmin
-        neg = 0
-        for k in range(self.n):
-            p = piv[k]
-            if p < pivmin:
-                if p > -pivmin:
-                    p = -pivmin
-                neg += 1
-            piv[up[k]] -= w2[k] / p
-        return int(np.count_nonzero(h < 0.0)) - neg
-
-    def lambda_min(self, g: np.ndarray, lo: float, hi: float,
-                   estimate: float | None = None) -> float:
-        """Smallest eigenvalue of X_AA + diag(g), given 0 < lo <= it <= hi.
-
-        Bisection on :meth:`count_below` to the last bit, on a log scale
-        while the bracket spans more than a factor of two; returns the lower
-        end of the final bracket.  An estimate strictly inside the bracket
-        first narrows it to estimate -/+ w: the count must be 0 at the lower
-        end and positive at the upper one.  w starts at a few ulps of the
-        estimate and grows 16-fold at an end that fails the test, until that
-        end leaves the bracket.  A failed end still narrows the bracket from
-        the other side, so each count keeps the bracket valid, and the
-        result is the one bisection of [lo, hi] finds.
-        """
-        if estimate is not None and lo < estimate < hi:
-            w0 = _CERTIFY_ULPS * math.ulp(estimate)
-            w = w0
-            while lo < estimate - w:
-                if not self.count_below(g, estimate - w):
-                    lo = estimate - w
-                    break
-                hi = estimate - w
-                w *= 16.0
-            w = w0
-            while estimate + w < hi:
-                if self.count_below(g, estimate + w):
-                    hi = estimate + w
-                    break
-                lo = estimate + w
-                w *= 16.0
-        while True:
-            mid = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                return lo
-            if self.count_below(g, mid):
-                hi = mid
-            else:
-                lo = mid
-
-    def inverse(self, g: np.ndarray):
-        """v -> (X_AA + diag(g))^{-1} v, for g > 0, by the Woodbury identity
-
-            (P X P^T + G)^{-1} v = G^{-1} v - G^{-1} P z,
-            (X^{-1} + P^T G^{-1} P) z = P^T G^{-1} v,
-
-        with X^{-1} + P^T G^{-1} P factored once, leaf first and without
-        pivoting.
-        """
-        from scipy.sparse.linalg import splu
-
-        ginv = 1.0 / g
-        K = self.L.copy()
-        K.setdiag(self._padded_diagonal(ginv))
-        lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        act, n = self._act, self.n
-
-        def solve(v: np.ndarray) -> np.ndarray:
-            u = ginv * v
-            b = np.zeros(n)
-            b[act] = u
-            return u - ginv * lu.solve(b)[act]
-
-        return solve
 
 
 def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = False):
@@ -587,6 +558,6 @@ __all__ = [
     "objective_F", "objective_W", "solve_quadratic", "solve_iterative",
     "optimality_residual", "posa_report", "tree_posa_report",
     "posa_constrained", "chain_upper_bound_uniform",
-    "chain_upper_bound_range", "NotUnconstrainedError", "SingularSystemError",
+    "chain_upper_bound_range", "NotUnconstrainedError",
     "MaxIterError", "BoundOrderingError",
 ]

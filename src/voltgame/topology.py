@@ -1,4 +1,6 @@
-"""Radial feeder topology: rooted trees, their traversal, random generation.
+"""Radial feeder topology: rooted trees, their traversal, random generation,
+and the sparse tree algebra of X^{-1} that the equilibrium solvers and the
+PoSA report share.
 
 Node 0 is the substation (fixed voltage) and must have exactly one direct
 child; every other node has exactly one parent line.  All matrix-facing
@@ -375,3 +377,139 @@ def tree_laplacian(net: RadialNetwork):
     cols = np.concatenate([child, parent[inner], child[inner]])
     vals = np.concatenate([diag, -w[inner], -w[inner]])
     return csr_array((vals, (rows, cols)), shape=(n, n))
+
+
+_CERTIFY_ULPS = 2  # first half-width of the bracket certified around an estimate
+
+
+class _LeafFirst:
+    """X^{-1} + P^T diag(s) P of a feeder with the buses in leaf-first order.
+
+    P selects the actuator set A (matrix indices ``idx``, every bus when
+    none is given), so the added diagonal is zero off A.  Position k holds
+    matrix index ``perm[k]``; the order is the reverse of the traversal
+    order, so every bus comes after all its children and Gaussian
+    elimination in this order creates no fill.  The pivot of bus i is then
+    a_i + s_i - sum_c w_c^2 / p_c over its children c, where a = diag(X^{-1})
+    and w_c = 1/x_c is the weight of the line into c.  Vectors indexed by A
+    (g, h, v below) follow the order of ``idx``.
+    """
+
+    def __init__(self, net: RadialNetwork, idx: np.ndarray | None = None):
+        tr = net.traversal
+        n = net.n
+        self.n = n
+        self.perm = tr.order[::-1] - 1
+        pos = np.empty(n, dtype=int)
+        pos[self.perm] = np.arange(n)
+        self.whole = idx is None
+        self._act = pos if idx is None else pos[idx]  # leaf-first positions of A
+        L = tree_laplacian(net)
+        self.L = L[self.perm][:, self.perm].tocsc()
+        self.a = L.diagonal()[self.perm]
+        # lambda_max(X^{-1}) lies between its largest diagonal entry and its
+        # largest absolute row sum (Gershgorin); 1/lambda_max(X^{-1}) = lambda_min(X)
+        self.x_bracket = (1.0 / float(np.max(abs(L).sum(axis=1))), 1.0 / float(np.max(self.a)))
+        parent = tr.parent[self.perm] - 1
+        self._up = np.where(parent >= 0, pos[parent], n).tolist()  # n: the root, a dummy slot
+        w2 = (1.0 / tr.x[self.perm]) ** 2
+        self._w2 = w2.tolist()
+        self._pivmin = np.finfo(float).tiny * max(1.0, float(np.max(w2)))
+
+    def _padded_diagonal(self, s: np.ndarray) -> np.ndarray:
+        """diag(X^{-1} + P^T diag(s) P) in leaf-first order."""
+        diag = self.a.copy()
+        diag[self._act] += s
+        return diag
+
+    def count_below(self, g: np.ndarray, sigma: float) -> int:
+        """Number of eigenvalues of X_AA + diag(g) below sigma.
+
+        With h = g - sigma, the inertia of [[diag(h), P], [P^T, -X^{-1}]]
+        taken through either Schur complement (Haynsworth) makes it
+        #{h_i < 0} minus the number of negative eigenvalues of
+        X^{-1} + P^T diag(1/h) P, which are the negative pivots of its
+        leaf-first elimination.  A pivot smaller in magnitude than the
+        underflow guard counts as negative, as in LAPACK's dlaebz.
+        """
+        h = g - sigma
+        if not h.all():     # sigma is some g_i: count below the next float instead
+            h = g - np.nextafter(sigma, np.inf)
+        piv = self._padded_diagonal(1.0 / h).tolist()
+        piv.append(0.0)
+        up, w2, pivmin = self._up, self._w2, self._pivmin
+        neg = 0
+        for k in range(self.n):
+            p = piv[k]
+            if p < pivmin:
+                if p > -pivmin:
+                    p = -pivmin
+                neg += 1
+            piv[up[k]] -= w2[k] / p
+        return int(np.count_nonzero(h < 0.0)) - neg
+
+    def lambda_min(self, g: np.ndarray, lo: float, hi: float,
+                   estimate: float | None = None) -> float:
+        """Smallest eigenvalue of X_AA + diag(g), given 0 < lo <= it <= hi.
+
+        Bisection on :meth:`count_below` to the last bit, on a log scale
+        while the bracket spans more than a factor of two; returns the lower
+        end of the final bracket.  An estimate strictly inside the bracket
+        first narrows it to estimate -/+ w: the count must be 0 at the lower
+        end and positive at the upper one.  w starts at a few ulps of the
+        estimate and grows 16-fold at an end that fails the test, until that
+        end leaves the bracket.  A failed end still narrows the bracket from
+        the other side, so each count keeps the bracket valid, and the
+        result is the one bisection of [lo, hi] finds.
+        """
+        if estimate is not None and lo < estimate < hi:
+            w0 = _CERTIFY_ULPS * math.ulp(estimate)
+            w = w0
+            while lo < estimate - w:
+                if not self.count_below(g, estimate - w):
+                    lo = estimate - w
+                    break
+                hi = estimate - w
+                w *= 16.0
+            w = w0
+            while estimate + w < hi:
+                if self.count_below(g, estimate + w):
+                    hi = estimate + w
+                    break
+                lo = estimate + w
+                w *= 16.0
+        while True:
+            mid = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return lo
+            if self.count_below(g, mid):
+                hi = mid
+            else:
+                lo = mid
+
+    def inverse(self, g: np.ndarray):
+        """v -> (X_AA + diag(g))^{-1} v, for g > 0, by the Woodbury identity
+
+            (P X P^T + G)^{-1} v = G^{-1} v - G^{-1} P z,
+            (X^{-1} + P^T G^{-1} P) z = P^T G^{-1} v,
+
+        with X^{-1} + P^T G^{-1} P factored once, leaf first and without
+        pivoting.  An infinite g_i drops bus i: the result is zero there and
+        solves the system on the other buses of A (a face of the set).
+        """
+        from scipy.sparse.linalg import splu
+
+        ginv = 1.0 / g
+        K = self.L.copy()
+        K.setdiag(self._padded_diagonal(ginv))
+        lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        act, n = self._act, self.n
+
+        def solve(v: np.ndarray) -> np.ndarray:
+            u = ginv * v
+            b = np.zeros(n)
+            b[act] = u
+            return u - ginv * lu.solve(b)[act]
+
+        return solve

@@ -374,6 +374,91 @@ def self_sensitivities(S):
     return np.diag(S.X).copy()
 
 
+# -- dense equilibrium solvers -----------------------------------------------------
+
+
+def solve_quadratic_cholesky(S, Y, vt, which):
+    """Closed-form equilibrium for pure quadratic costs by dense Cholesky.
+
+    which="equilibrium" solves (X+Y) q = -dv, which="nash" (X+D+Y) q = -dv.
+    """
+    from voltgame.equilibrium import EquilibriumResult, NashResult
+
+    Yd = _cost_diagonal(Y)
+    dv = vt.delta_v_tilde
+    M = S.X + np.diag(Yd)
+    if which == "equilibrium":
+        q = -cho_solve(_spd_factor(M), dv)
+        F = 0.5 * float(q @ M @ q) + float(q @ dv)
+        return EquilibriumResult(q_star=q, v_star=S.X @ q + vt.v_tilde, F_value=F,
+                                 solver="closed_form")
+    N = M + np.diag(np.diag(S.X))
+    q = -cho_solve(_spd_factor(N), dv)
+    W = 0.5 * float(q @ N @ q) + float(q @ dv)
+    F = 0.5 * float(q @ M @ q) + float(q @ dv)
+    return NashResult(q_a=q, W_value=W, F_at_qa=F, solver="closed_form")
+
+
+def solve_coordinate_descent(objective, S, ctrl, vt, q0=None, tol=1e-10, max_iter=200_000):
+    """Projected cyclic coordinate descent on F or W with exact line minimization.
+
+    Handles deadband costs and reactive boxes.  Stops when the stationarity
+    residual max_i |q_i - argmin_i| drops below tol; this residual is zero
+    exactly at the unique optimum because both objectives are strictly
+    convex with separable nonsmooth parts.
+    """
+    from voltgame.equilibrium import (
+        EquilibriumResult,
+        MaxIterError,
+        NashResult,
+        _coordinate_minimizers,
+        objective_F,
+        objective_W,
+    )
+
+    if objective not in ("F", "W"):
+        raise ValueError("objective must be 'F' or 'W'")
+    n = S.n
+    dv = vt.delta_v_tilde
+    xii = S.d
+    curv = ctrl.y + (xii if objective == "F" else 2.0 * xii)
+    half_delta = 0.5 * ctrl.delta
+    q = np.zeros(n) if q0 is None else np.asarray(q0, dtype=float).copy()
+    s = S.matvec(q)
+
+    residual = math.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        for i in range(n):
+            c = s[i] - xii[i] * q[i] + dv[i]
+            if c > half_delta[i]:
+                target = -(c - half_delta[i]) / curv[i]
+            elif c < -half_delta[i]:
+                target = -(c + half_delta[i]) / curv[i]
+            else:
+                target = 0.0
+            target = min(ctrl.q_max[i], max(ctrl.q_min[i], target))
+            dq = target - q[i]
+            if dq != 0.0:
+                s += S.X[:, i] * dq  # dense X, one column per step
+                q[i] = target
+        residual = float(np.max(np.abs(q - _coordinate_minimizers(objective, S, ctrl, s, q, dv))))
+        if residual < tol:
+            break
+    else:
+        raise MaxIterError(it, residual, "coordinate descent stalled")
+
+    if objective == "F":
+        return EquilibriumResult(
+            q_star=q, v_star=S.matvec(q) + vt.v_tilde, F_value=objective_F(S, ctrl, vt, q),
+            solver="iterative", iterations=it, residual=residual,
+        )
+    return NashResult(
+        q_a=q, W_value=objective_W(S, ctrl, vt, q), F_at_qa=objective_F(S, ctrl, vt, q),
+        solver="iterative", iterations=it, residual=residual,
+    )
+
+
 # -- the dense PoSA report ----------------------------------------------------------
 
 

@@ -263,9 +263,9 @@ class TestPosaReport:
         with mock.patch.object(oracles, "cho_factor", wraps=oracles.cho_factor) as factor:
             r = oracles.posa_report(S_act, y, vt=vt)
         assert factor.call_count == 2
-        # the shared factors give the numbers the separate solves give
-        eq = solve_quadratic(S_act, y, vt, "equilibrium")
-        na = solve_quadratic(S_act, y, vt, "nash")
+        # the shared factors give the numbers the separate Cholesky solves give
+        eq = oracles.solve_quadratic_cholesky(S_act, y, vt, "equilibrium")
+        na = oracles.solve_quadratic_cholesky(S_act, y, vt, "nash")
         assert r.posa == na.F_at_qa - eq.F_value
         w, V = np.linalg.eigh(pi_matrix(S_act, y))
         assert r.posa_max == 0.5 * w[-1]

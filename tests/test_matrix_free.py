@@ -1,7 +1,8 @@
 """The linear model applied matrix-free: X q and R p as O(n) tree passes.
 
 Products agree with the dense matrices, restricting a set builds nothing,
-and the CLI's linear and AC runs complete with the dense build disabled.
+and the CLI's linear and AC runs and the equilibrium solvers complete with
+the dense build disabled.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from voltgame import dynamics
 from voltgame.cli import main
 from voltgame.controls import ControlSpec
+from voltgame.equilibrium import posa_constrained, solve_iterative, solve_quadratic
 from voltgame.experiments import restricted_model
 from voltgame.netio import save_network_json
 from voltgame.sensitivity import build_sensitivity
@@ -106,6 +108,31 @@ def test_cli_runs_build_nothing_dense(tmp_path, monkeypatch):
                         "--out", str(out)] + extra
                 assert main(argv) == 0, argv
                 assert out.read_text().count("\n") > 2
+
+
+def test_equilibria_build_nothing_dense(tmp_path, monkeypatch):
+    tree, tree_alpha = depth8_feeder(tmp_path)
+    net = random_tree(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=6, x_range=(0.1, 1.0)), 3)
+    S = build_sensitivity(net).restrict(np.arange(0, net.n, 2))
+    n = S.n
+    rng = np.random.default_rng(0)
+    y = rng.uniform(0.5, 2.0, n)
+    dv = rng.uniform(-0.1, 0.1, n)
+    vt = dynamics.OperatingConstants(1.0 + dv, dv)
+    ctrl = ControlSpec(1.0 / y, np.full(n, 0.02), np.full(n, -0.05), np.full(n, 0.05))
+    no_dense_build(monkeypatch)
+    for objective in ("F", "W"):
+        assert solve_iterative(objective, S, ctrl, vt).residual < 1e-10
+    for which in ("equilibrium", "nash"):
+        solve_quadratic(S, y, vt, which)
+    assert posa_constrained(S, ctrl, vt) >= -1e-12
+    for path, alpha in (("sce42", 9.0), (tree, tree_alpha)):
+        for law in ("taking", "anticipating"):
+            out = tmp_path / "eq.json"
+            argv = ["equilibrium", path, "--law", law, "--alpha", str(alpha), "--delta", "0.02",
+                    "--out", str(out)]
+            assert main(argv) == 0, argv
+            assert '"q"' in out.read_text()
 
 
 def test_chain_of_100k_buses_runs_matrix_free(monkeypatch):

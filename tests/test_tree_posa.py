@@ -15,7 +15,6 @@ from voltgame.dynamics import OperatingConstants
 from voltgame.equilibrium import (
     BoundOrderingError,
     _bounds_report,
-    _LeafFirst,
     posa_report,
     tree_posa_report,
 )
@@ -27,6 +26,7 @@ from voltgame.topology import (
     DegreeDistribution,
     Line,
     RadialNetwork,
+    _LeafFirst,
     chain_network,
     random_instance,
     tree_laplacian,
@@ -191,8 +191,8 @@ class TestNoDensePath:
 
     @pytest.fixture(autouse=True)
     def dense_raises(self, monkeypatch):
-        for name in ("voltgame.equilibrium.cho_factor", "numpy.linalg.eigh",
-                     "numpy.linalg.eigvalsh"):
+        for name in ("scipy.linalg.cho_factor", "numpy.linalg.eigh",
+                     "numpy.linalg.eigvalsh", "voltgame.sensitivity._shared_path_sums"):
             monkeypatch.setattr(name, _no_dense)
 
     def test_cli_posa(self, capsys):
