@@ -92,11 +92,7 @@ def cmd_equilibrium(args) -> int:
     S_act, vt_act, idx = experiments.restricted_model(net)
     ctrl = _ctrl_from_args(net, ctrl0, args)
     objective = "F" if args.law == "taking" else "W"
-    if ctrl.unconstrained_quadratic:
-        which = "equilibrium" if args.law == "taking" else "nash"
-        res = equilibrium.solve_quadratic(S_act, ctrl.y, vt_act, which, ctrl=ctrl)
-    else:
-        res = equilibrium.solve_iterative(objective, S_act, ctrl, vt_act)
+    res = equilibrium.solve_iterative(objective, S_act, ctrl, vt_act)
     q = res.q_star if args.law == "taking" else res.q_a
     doc = {
         "law": args.law,

@@ -15,11 +15,13 @@ matrix has closed-form spectral bounds.  All bound fields reported here
 carry the 1/2 factor of the worst-case metric so every number in a report
 is directly comparable.
 
-Both equilibria are computed without a dense matrix.  :func:`solve_iterative`
-is an active-set Newton method: each step is one linear system on the buses
-that are free of their box limits and deadbands, solved in O(n) on the
-sparse X^{-1} of the feeder, and the objective falls strictly at every step.
-:func:`solve_quadratic` is the same solve with every actuator free.
+Both equilibria come from one solver, :func:`solve_iterative`, without a
+dense matrix.  It is an active-set Newton method: each step is one linear
+system on the buses that are free of their box limits and deadbands, solved
+in O(n) on the sparse X^{-1} of the feeder, and the objective falls strictly
+at every step.  Pure quadratic costs are the ControlSpec.quadratic(y)
+instance: with no deadband and no box, every bus with a non-zero offset is
+free in the first step, which is then the closed-form solve.
 
 :func:`tree_posa_report` computes every report from the sparse inverse
 X^{-1} = tree_laplacian(net) of the feeder, in O(n) memory, also for an
@@ -31,19 +33,14 @@ actuator set it records.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .controls import ControlSpec
 from .dynamics import OperatingConstants
-from .sensitivity import SensitivitySet, chain_eigen_bounds
+from .sensitivity import SensitivitySet, _is_index_set, chain_eigen_bounds
 from .topology import RadialNetwork, _LeafFirst
-
-
-class NotUnconstrainedError(ValueError):
-    pass
 
 
 class MaxIterError(RuntimeError):
@@ -131,37 +128,6 @@ def _face_solver(S: SensitivitySet, g: np.ndarray):
         return q + inverse(v - S.matvec(q) - g * q)
 
     return solve
-
-
-def solve_quadratic(S: SensitivitySet, Y, vt: OperatingConstants, which: str,
-                    ctrl: ControlSpec | None = None):
-    """Closed-form equilibrium for pure quadratic costs, no boxes.
-
-    which="equilibrium" solves (X+Y) q = -dv, which="nash" solves
-    (X+D+Y) q = -dv, each by one refined Woodbury solve on the sparse
-    X^{-1} of the feeder.  Pass the active ControlSpec to verify the
-    instance really is unconstrained quadratic.
-    """
-    if ctrl is not None and not ctrl.unconstrained_quadratic:
-        raise NotUnconstrainedError(
-            "deadbands or finite reactive boxes present; use solve_iterative"
-        )
-    if which not in ("equilibrium", "nash"):
-        raise ValueError(f"which must be 'equilibrium' or 'nash', got {which!r}")
-    Yd = np.asarray(Y, dtype=float)
-    if Yd.ndim == 2:
-        Yd = np.diag(Yd)
-    if np.any(Yd <= 0):
-        raise ValueError("cost coefficients must be positive")
-    dv = vt.delta_v_tilde
-    g = Yd if which == "equilibrium" else Yd + S.d
-    q = _face_solver(S, g)(np.ones(S.n, dtype=bool), -dv)
-    F = 0.5 * float(q @ (S.matvec(q) + Yd * q)) + float(q @ dv)
-    if which == "equilibrium":
-        return EquilibriumResult(q_star=q, v_star=S.matvec(q) + vt.v_tilde, F_value=F,
-                                 solver="closed_form")
-    W = F + 0.5 * float(np.sum(S.d * q * q))
-    return NashResult(q_a=q, W_value=W, F_at_qa=F, solver="closed_form")
 
 
 def _coordinate_minimizers(objective: str, S: SensitivitySet, ctrl: ControlSpec,
@@ -270,11 +236,13 @@ def solve_iterative(objective: str, S: SensitivitySet, ctrl: ControlSpec,
     Dense X is never formed.
 
     Starts from q0 projected onto the box, or from 0.  Stops when the
-    stationarity residual max_i |q_i - t_i| drops below tol; it is zero
-    exactly at the unique optimum because both objectives are strictly
-    convex with separable nonsmooth parts.  iterations counts the
-    Newton steps.  Raises MaxIterError, with the step count and the
-    residual, after max_iter steps or when a line search finds no decrease.
+    stationarity residual max_i |q_i - t_i| drops below
+    tol * max(1, max_i |q_i|); it is zero exactly at the unique optimum
+    because both objectives are strictly convex with separable nonsmooth
+    parts, and the scale keeps the test above the rounding floor of a
+    large q.  iterations counts the Newton steps.  Raises MaxIterError,
+    with the step count and the residual, after max_iter steps or when a
+    line search finds no decrease.
     """
     if objective not in ("F", "W"):
         raise ValueError("objective must be 'F' or 'W'")
@@ -288,7 +256,7 @@ def solve_iterative(objective: str, S: SensitivitySet, ctrl: ControlSpec,
         s = S.matvec(q)
         t = _coordinate_minimizers(objective, S, ctrl, s, q, dv)
         residual = float(np.max(np.abs(q - t)))
-        if residual < tol:
+        if residual < tol * max(1.0, float(np.max(np.abs(q)))):
             break
         if steps == max_iter:
             raise MaxIterError(steps, residual)
@@ -451,8 +419,7 @@ def tree_posa_report(net: RadialNetwork, y, *, actuators=None,
     """
     n = net.n
     buses = np.arange(n) if actuators is None else np.asarray(actuators, dtype=int)
-    if (buses.ndim != 1 or buses.size == 0 or np.unique(buses).size != buses.size
-            or buses.min() < 0 or buses.max() >= n):
+    if buses.size == 0 or not _is_index_set(buses, n):
         raise ValueError(f"actuators must be distinct matrix indices in 0..{n - 1}")
     k = buses.size
     y = np.asarray(y, dtype=float)
@@ -522,20 +489,16 @@ def posa_constrained(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstant
     return na.F_at_qa - eq.F_value
 
 
-def _chain_lambda_min(n: int, a: float) -> float:
-    return a / (2.0 + 2.0 * math.cos(2.0 * math.pi / (2 * n + 1)))
-
-
 def chain_upper_bound_uniform(n: int, a: float, y: float) -> float:
     """Closed-form worst-case bound for the uniform chain, in 1/2-units.
 
-    Uses the exact smallest reactance eigenvalue of the uniform chain and the
-    deepest bus's self-sensitivity d = a*n; approaches 1/(2(y + a/4)) as the
-    chain grows.
+    Uses the exact smallest reactance eigenvalue of the uniform chain (both
+    ends of the chain_eigen_bounds bracket at a = b) and the deepest bus's
+    self-sensitivity d = a*n; approaches 1/(2(y + a/4)) as the chain grows.
     """
     if n < 1 or a <= 0 or y <= 0:
         raise ValueError("need n >= 1, a > 0, y > 0")
-    lam = _chain_lambda_min(n, a)
+    lam, _ = chain_eigen_bounds(n, a, a, k=n)
     d = a * n
     return 0.5 * d * d / ((lam + d + y) ** 2 * (y + lam))
 
@@ -555,9 +518,8 @@ def chain_upper_bound_range(n: int, a: float, b: float, d: float, y: float) -> f
 
 __all__ = [
     "EquilibriumResult", "NashResult", "PosaReport",
-    "objective_F", "objective_W", "solve_quadratic", "solve_iterative",
+    "objective_F", "objective_W", "solve_iterative",
     "optimality_residual", "posa_report", "tree_posa_report",
     "posa_constrained", "chain_upper_bound_uniform",
-    "chain_upper_bound_range", "NotUnconstrainedError",
-    "MaxIterError", "BoundOrderingError",
+    "chain_upper_bound_range", "MaxIterError", "BoundOrderingError",
 ]

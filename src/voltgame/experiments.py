@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,10 +44,6 @@ class Sce42Dataset:
     ctrl: ControlSpec
     pv_buses: tuple[int, ...]          # original table numbering
     pv_capacity_pu: tuple[float, ...]
-
-    @property
-    def actuator_idx(self) -> np.ndarray:
-        return self.net.actuator_indices()
 
 
 def _read_data_csv(name: str, path=None):
@@ -298,50 +295,36 @@ def _alpha_sweep_job(data: Sce42Dataset, alpha: float, delta: float, ac: bool) -
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Execute a sweep; one output row per instance x repetition (x law)."""
-    jobs = []
+    rows = []
     if spec.kind == "chain-size":
         if not spec.sizes:
             raise ValueError("chain-size sweep needs sizes")
-        idx = 0
-        for n in spec.sizes:
-            reps = spec.repetitions if spec.x_range is not None else 1
-            for rep in range(reps):
-                seed = spec.seed + 7919 * idx
-                jobs.append((_chain_size_job, (spec, int(n), rep, seed)))
-                idx += 1
+        reps = spec.repetitions if spec.x_range is not None else 1
+        for idx, (n, rep) in enumerate(itertools.product(spec.sizes, range(reps))):
+            rows.append(_chain_size_job(spec, int(n), rep, spec.seed + 7919 * idx))
     elif spec.kind == "random-tree-depth":
         if not spec.depths:
             raise ValueError("random-tree-depth sweep needs depths")
-        idx = 0
-        for depth in spec.depths:
-            for rep in range(spec.repetitions):
-                seed = spec.seed + 7919 * idx
-                jobs.append((_tree_depth_job, (spec, int(depth), rep, seed)))
-                idx += 1
+        for idx, (depth, rep) in enumerate(itertools.product(spec.depths, range(spec.repetitions))):
+            rows.append(_tree_depth_job(spec, int(depth), rep, spec.seed + 7919 * idx))
     elif spec.kind == "cost-coefficient":
         if not spec.y_values:
             raise ValueError("cost-coefficient sweep needs y_values")
         data = load_sce42(loading_factor=spec.loading_factor,
                           pv_output_factor=spec.pv_output_factor,
                           capacity_constraint=spec.capacity_constraint)
-        jobs = [(_cost_sweep_job, (data, float(y), spec.delta)) for y in spec.y_values]
+        for y in spec.y_values:
+            rows.append(_cost_sweep_job(data, float(y), spec.delta))
     elif spec.kind == "alpha":
         if not spec.alphas:
             raise ValueError("alpha sweep needs alphas")
         data = load_sce42(loading_factor=spec.loading_factor,
                           pv_output_factor=spec.pv_output_factor,
                           capacity_constraint=spec.capacity_constraint)
-        jobs = [(_alpha_sweep_job, (data, float(a), spec.delta, spec.ac)) for a in spec.alphas]
+        for a in spec.alphas:
+            rows.extend(_alpha_sweep_job(data, float(a), spec.delta, spec.ac))
     else:
         raise ValueError(f"unknown sweep kind {spec.kind!r}")
-
-    rows = []
-    for fn, args in jobs:
-        res = fn(*args)
-        if isinstance(res, list):
-            rows.extend(res)
-        else:
-            rows.append(res)
     return rows
 
 

@@ -22,6 +22,12 @@ class IndexOutOfRangeError(IndexError):
     pass
 
 
+def _is_index_set(idx: np.ndarray, n: int) -> bool:
+    """True when idx is a 1-D array of distinct matrix indices in 0..n-1."""
+    return (idx.ndim == 1 and np.unique(idx).size == idx.size
+            and (idx.size == 0 or (idx.min() >= 0 and idx.max() < n)))
+
+
 class _PathProducts:
     """v -> A^T diag(w) A v for the path incidence A of a feeder.
 
@@ -92,8 +98,13 @@ class SensitivitySet:
         return _shared_path_sums(self.net.traversal, self.net.traversal.r, self.idx)
 
     def restrict(self, idx) -> "SensitivitySet":
-        """The set on the given matrix indices, copying nothing; 0..n-1 in order gives self."""
+        """The set on the given matrix indices, copying nothing; 0..n-1 in order gives self.
+
+        Raises ValueError unless idx is a 1-D array of distinct indices in 0..n-1.
+        """
         idx = np.asarray(idx, dtype=int)
+        if not _is_index_set(idx, self.n):
+            raise ValueError(f"restrict needs distinct matrix indices in 0..{self.n - 1}")
         if np.array_equal(idx, np.arange(self.n)):
             return self
         return SensitivitySet(net=self.net, idx=self.idx[idx], _paths=self._paths)

@@ -100,47 +100,14 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
-def _build_traversal(net: RadialNetwork) -> Traversal:
-    n = net.n
-    lines = [None] * n
-    for ln in net.lines:
-        lines[ln.to_node - 1] = ln
-    children = net.children()
-    pos = [n] * (n + 1)  # pos[k]: position of node k in the order; the root maps to n
-    order: list[int] = []
-    levels = []
-    level = children[0]
-    while level:
-        start = len(order)
-        for k in level:
-            pos[k] = len(order)
-            order.append(k)
-        levels.append(slice(start, len(order)))
-        level = [c for j in level for c in children[j]]
-    d = [0.0] * (n + 1)  # d[k]: root-path reactance of node k; the root's is 0
-    for k in order:
-        ln = lines[k - 1]
-        d[k] = d[ln.from_node] + ln.x
-    return Traversal(
-        parent=_read_only([ln.from_node for ln in lines], int),
-        order=_read_only(order, int),
-        up=_read_only([pos[lines[k - 1].from_node] for k in order], int),
-        levels=tuple(levels),
-        r=_read_only([ln.r for ln in lines], float),
-        x=_read_only([ln.x for ln in lines], float),
-        d=_read_only(d[1:], float),
-        lines=tuple(lines),
-    )
-
-
 @dataclass(frozen=True)
 class RadialNetwork:
     """A rooted radial feeder with n non-root buses.
 
     ``lines`` must form a spanning tree over nodes {0..n} rooted at 0;
     ``buses[i]`` describes node i+1.  Instances are immutable; parents,
-    line arrays and root paths come from :attr:`traversal`, which validates
-    the network on first use.
+    line arrays and root paths come from :attr:`traversal`, which
+    :func:`validate_tree` builds and caches.
     """
 
     n: int
@@ -148,20 +115,17 @@ class RadialNetwork:
     buses: tuple[BusData, ...]
     v0: float = 1.0
 
-    # -- derived state, filled on first use -----------------------------------
-    _validated: bool = field(default=False, repr=False, compare=False)
+    # -- derived state, filled by validate_tree -------------------------------
     _traversal: Traversal | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_validated", False)
         object.__setattr__(self, "_traversal", None)
 
     @property
     def traversal(self) -> Traversal:
-        """The cached :class:`Traversal`; validates the network first."""
+        """The cached :class:`Traversal`; validates the network on first use."""
         if self._traversal is None:
             validate_tree(self)
-            object.__setattr__(self, "_traversal", _build_traversal(self))
         return self._traversal
 
     @property
@@ -195,15 +159,17 @@ def chain_network(xs, rs=None, buses=None, v0: float = 1.0) -> RadialNetwork:
 
 
 def validate_tree(net: RadialNetwork) -> None:
-    """Check that ``net`` is a valid rooted radial feeder.
+    """Check that ``net`` is a valid rooted radial feeder and cache its traversal.
 
     Raises a :class:`TopologyError` subclass naming the offending node or
     line: NonpositiveReactanceError (x <= 0, r < 0, or either non-finite),
     MultiRootChildError (root degree != 1), CycleError, DisconnectedError.
-    Success is recorded on the network, so a repeat call returns at once;
-    a failure is not, so an invalid network raises on every call.
+    The breadth-first walk that orders the :class:`Traversal` is also the
+    reachability check.  Success is recorded on the network as its
+    traversal, so a repeat call returns at once; a failure is not, so an
+    invalid network raises on every call.
     """
-    if net._validated:
+    if net._traversal is not None:
         return
     n = net.n
     if len(net.buses) != n:
@@ -233,40 +199,60 @@ def validate_tree(net: RadialNetwork) -> None:
     if n > 0 and not root_children:
         raise DisconnectedError("no line leaves the root")
 
-    parent = {}
+    lines: list[Line | None] = [None] * n  # lines[k-1]: the line into node k
     for ln in net.lines:
-        if ln.to_node in parent:
+        if lines[ln.to_node - 1] is not None:
             raise CycleError(f"node {ln.to_node} has two parent lines")
-        parent[ln.to_node] = ln.from_node
+        lines[ln.to_node - 1] = ln
 
-    # Mark every node reachable from the root.  Each node has one parent
-    # line, so each is pushed at most once.
+    # Order the nodes level by level from the root.  Each node has one parent
+    # line, so each is reached at most once, and the walk is the
+    # reachability check.
     children = net.children()
-    reached = [True] + [False] * n
-    stack = [0]
-    while stack:
-        for c in children[stack.pop()]:
-            reached[c] = True
-            stack.append(c)
-    if not all(reached):
+    pos = [n] * (n + 1)  # pos[k]: position of node k in the order; the root maps to n
+    order: list[int] = []
+    levels = []
+    level = children[0]
+    while level:
+        start = len(order)
+        for k in level:
+            pos[k] = len(order)
+            order.append(k)
+        levels.append(slice(start, len(order)))
+        level = [c for j in level for c in children[j]]
+    if len(order) != n:
         # Walk up from the lowest-numbered unreached node; a repeat before
         # reaching the root is a cycle.
         seen = set()
-        k = reached.index(False)
+        k = pos.index(n, 1)
         while k != 0:
             if k in seen:
                 raise CycleError(f"cycle through node {k}")
             seen.add(k)
-            if k not in parent:
+            if lines[k - 1] is None:
                 raise DisconnectedError(f"node {k} has no path to the root")
-            k = parent[k]
+            k = lines[k - 1].from_node
 
     for b in net.buses:
         if b.is_actuator and not (b.q_min <= 0.0 <= b.q_max):
             raise TopologyError(
                 f"actuator box [{b.q_min},{b.q_max}] must contain 0 (zero injection always feasible)"
             )
-    object.__setattr__(net, "_validated", True)
+
+    d = [0.0] * (n + 1)  # d[k]: root-path reactance of node k; the root's is 0
+    for k in order:
+        ln = lines[k - 1]
+        d[k] = d[ln.from_node] + ln.x
+    object.__setattr__(net, "_traversal", Traversal(
+        parent=_read_only([ln.from_node for ln in lines], int),
+        order=_read_only(order, int),
+        up=_read_only([pos[lines[k - 1].from_node] for k in order], int),
+        levels=tuple(levels),
+        r=_read_only([ln.r for ln in lines], float),
+        x=_read_only([ln.x for ln in lines], float),
+        d=_read_only(d[1:], float),
+        lines=tuple(lines),
+    ))
 
 
 @dataclass(frozen=True)

@@ -498,7 +498,8 @@ def posa_report(S, Y, vt=None, want_direction=True):
     M = X+Y and N = X+D+Y are factored once each; the PoSA kernel, M^{-1},
     N^{-1} and the realized gap share the two factors, and the extreme
     eigenvalues come from dense eigvalsh/eigh.  The gap is evaluated as
-    F = q.M.q / 2 + q.dv at both closed-form points, as solve_quadratic does.
+    F = q.M.q / 2 + q.dv at both closed-form points, as
+    solve_quadratic_cholesky does.
     """
     from voltgame.equilibrium import _bounds_report
 

@@ -16,7 +16,7 @@ from voltgame.dynamics import (
     search_alpha_window,
     taking_stepper,
 )
-from voltgame.equilibrium import objective_F, solve_iterative, solve_quadratic
+from voltgame.equilibrium import objective_F, solve_iterative
 from voltgame.experiments import SweepSpec, load_sce42, run_sweep
 from voltgame.sensitivity import (
     build_sensitivity,
@@ -61,8 +61,8 @@ def test_criterion_01_pi_oracle_equivalence():
         for _ in range(50):
             dv = rng.uniform(-1.0, 1.0, net.n)
             vt = OperatingConstants(1.0 + dv, dv)
-            eq = solve_quadratic(S, y, vt, "equilibrium")
-            na = solve_quadratic(S, y, vt, "nash")
+            eq = solve_iterative("F", S, spec, vt)
+            na = solve_iterative("W", S, spec, vt)
             gap = objective_F(S, spec, vt, na.q_a) - objective_F(S, spec, vt, eq.q_star)
             quad = 0.5 * float(dv @ Pi @ dv)
             rel = abs(quad - gap) / abs(quad)

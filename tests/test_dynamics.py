@@ -20,7 +20,7 @@ from voltgame.dynamics import (
     voltage_from_q,
     OperatingConstants,
 )
-from voltgame.equilibrium import solve_iterative, solve_quadratic
+from voltgame.equilibrium import solve_iterative
 from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import BusData, DegreeDistribution, chain_network, random_tree
 
@@ -88,13 +88,13 @@ class TestVoltageModel:
 class TestSteppers:
     def test_equilibrium_is_fixed_point(self):
         _, S, spec, vt = make_instance(1)
-        eq = solve_quadratic(S, spec.y, vt, "equilibrium")
+        eq = solve_iterative("F", S, spec, vt)
         q1 = taking_stepper(S, spec, vt)(eq.q_star)
         assert np.max(np.abs(q1 - eq.q_star)) < 1e-12
 
     def test_nash_is_fixed_point(self):
         _, S, spec, vt = make_instance(2)
-        na = solve_quadratic(S, spec.y, vt, "nash")
+        na = solve_iterative("W", S, spec, vt)
         q1 = anticipating_stepper(S, spec, vt)(na.q_a)
         assert np.max(np.abs(q1 - na.q_a)) < 1e-12
 
@@ -171,7 +171,7 @@ class TestRun:
 
     def test_started_at_equilibrium(self):
         _, S, spec, vt = make_instance(8)
-        eq = solve_quadratic(S, spec.y, vt, "equilibrium")
+        eq = solve_iterative("F", S, spec, vt)
         trace = run(taking_stepper(S, spec, vt), eq.q_star, tol=1e-10)
         assert trace.converged and trace.iterations <= 1
 

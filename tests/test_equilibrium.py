@@ -12,7 +12,6 @@ from voltgame.dynamics import (
     taking_stepper,
 )
 from voltgame.equilibrium import (
-    NotUnconstrainedError,
     chain_upper_bound_range,
     chain_upper_bound_uniform,
     objective_F,
@@ -21,7 +20,6 @@ from voltgame.equilibrium import (
     posa_constrained,
     posa_report,
     solve_iterative,
-    solve_quadratic,
 )
 from voltgame.experiments import load_sce42, restricted_model
 from voltgame.sensitivity import build_sensitivity, x_inverse_analytic
@@ -100,12 +98,17 @@ class TestObjectives:
             objective_W_direct(S.X, y, delta, vt.delta_v_tilde, q), rel=1e-12)
 
 
+def quadratic_equilibria(S, y, vt):
+    """Both equilibria of the pure quadratic instance ControlSpec.quadratic(y)."""
+    spec = ControlSpec.quadratic(y)
+    return solve_iterative("F", S, spec, vt), solve_iterative("W", S, spec, vt)
+
+
 class TestSolveQuadratic:
     def test_zero_offset(self):
         _, S, y, _ = quadratic_instance(5)
         vt0 = OperatingConstants(np.ones(S.n), np.zeros(S.n))
-        eq = solve_quadratic(S, y, vt0, "equilibrium")
-        na = solve_quadratic(S, y, vt0, "nash")
+        eq, na = quadratic_equilibria(S, y, vt0)
         np.testing.assert_allclose(eq.q_star, 0.0, atol=1e-15)
         np.testing.assert_allclose(na.q_a, 0.0, atol=1e-15)
 
@@ -113,26 +116,18 @@ class TestSolveQuadratic:
         x, y, dv = 0.8, 1.1, 0.07
         S = build_sensitivity(chain_network([x]))
         vt = OperatingConstants(np.array([1 + dv]), np.array([dv]))
-        eq = solve_quadratic(S, np.array([y]), vt, "equilibrium")
-        na = solve_quadratic(S, np.array([y]), vt, "nash")
+        eq, na = quadratic_equilibria(S, np.array([y]), vt)
         assert eq.q_star[0] == pytest.approx(-dv / (x + y), rel=1e-14)
         assert na.q_a[0] == pytest.approx(-dv / (2 * x + y), rel=1e-14)
 
     def test_gradient_optimality(self):
         for seed in range(5):
             _, S, y, vt = quadratic_instance(seed)
-            eq = solve_quadratic(S, y, vt, "equilibrium")
-            na = solve_quadratic(S, y, vt, "nash")
+            eq, na = quadratic_equilibria(S, y, vt)
             gF = (S.X + np.diag(y)) @ eq.q_star + vt.delta_v_tilde
             gW = (S.X + np.diag(np.diag(S.X)) + np.diag(y)) @ na.q_a + vt.delta_v_tilde
             assert np.max(np.abs(gF)) < 1e-10
             assert np.max(np.abs(gW)) < 1e-10
-
-    def test_rejects_constrained_spec(self):
-        _, S, y, vt = quadratic_instance(6)
-        spec = ControlSpec(1.0 / y, np.full(S.n, 0.02), np.full(S.n, -1.0), np.full(S.n, 1.0))
-        with pytest.raises(NotUnconstrainedError):
-            solve_quadratic(S, y, vt, "equilibrium", ctrl=spec)
 
 
 class TestSolveIterative:
@@ -141,8 +136,8 @@ class TestSolveIterative:
         spec = ControlSpec.quadratic(y)
         eq_it = solve_iterative("F", S, spec, vt, tol=1e-12)
         na_it = solve_iterative("W", S, spec, vt, tol=1e-12)
-        eq_cf = solve_quadratic(S, y, vt, "equilibrium")
-        na_cf = solve_quadratic(S, y, vt, "nash")
+        eq_cf = oracles.solve_quadratic_cholesky(S, y, vt, "equilibrium")
+        na_cf = oracles.solve_quadratic_cholesky(S, y, vt, "nash")
         assert np.max(np.abs(eq_it.q_star - eq_cf.q_star)) < 1e-8
         assert np.max(np.abs(na_it.q_a - na_cf.q_a)) < 1e-8
 
@@ -196,8 +191,7 @@ class TestPiMatrix:
         for _ in range(50):
             dv = rng.uniform(-1, 1, S.n)
             vt = OperatingConstants(1.0 + dv, dv)
-            eq = solve_quadratic(S, y, vt, "equilibrium")
-            na = solve_quadratic(S, y, vt, "nash")
+            eq, na = quadratic_equilibria(S, y, vt)
             posa = na.F_at_qa - eq.F_value
             quad = 0.5 * dv @ Pi @ dv
             assert quad == pytest.approx(posa, rel=1e-10)

@@ -1,6 +1,10 @@
-"""Every name a public module exports in __all__ exists."""
+"""Every name a public module exports in __all__ exists, and importing the
+package stays cheap: scipy is imported only where a solver first needs it."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,3 +13,15 @@ import pytest
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", ["voltgame", "voltgame.cli"])
+def test_import_loads_no_scipy(module):
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

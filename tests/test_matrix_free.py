@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from voltgame import dynamics
 from voltgame.cli import main
 from voltgame.controls import ControlSpec
-from voltgame.equilibrium import posa_constrained, solve_iterative, solve_quadratic
+from voltgame.equilibrium import posa_constrained, solve_iterative
 from voltgame.experiments import restricted_model
 from voltgame.netio import save_network_json
 from voltgame.sensitivity import build_sensitivity
@@ -123,8 +123,7 @@ def test_equilibria_build_nothing_dense(tmp_path, monkeypatch):
     no_dense_build(monkeypatch)
     for objective in ("F", "W"):
         assert solve_iterative(objective, S, ctrl, vt).residual < 1e-10
-    for which in ("equilibrium", "nash"):
-        solve_quadratic(S, y, vt, which)
+        solve_iterative(objective, S, ControlSpec.quadratic(y), vt)
     assert posa_constrained(S, ctrl, vt) >= -1e-12
     for path, alpha in (("sce42", 9.0), (tree, tree_alpha)):
         for law in ("taking", "anticipating"):

@@ -18,7 +18,7 @@ from voltgame import equilibrium
 from voltgame.cli import main
 from voltgame.controls import ControlSpec
 from voltgame.dynamics import OperatingConstants
-from voltgame.equilibrium import MaxIterError, objective_F, solve_iterative, solve_quadratic
+from voltgame.equilibrium import MaxIterError, objective_F, solve_iterative
 from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import chain_network
 
@@ -167,7 +167,27 @@ class TestSolveQuadratic:
         y = data.draw(cost_coefficients(S.n))
         dv = data.draw(offsets(S.n))
         vt = OperatingConstants(1.0 + dv, dv)
-        for which, point in (("equilibrium", "q_star"), ("nash", "q_a")):
-            got = getattr(solve_quadratic(S, y, vt, which), point)
+        for objective, which, point in (("F", "equilibrium", "q_star"), ("W", "nash", "q_a")):
+            got = getattr(solve_iterative(objective, S, ControlSpec.quadratic(y), vt), point)
             want = getattr(oracles.solve_quadratic_cholesky(S, y, vt, which), point)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+class TestScaleAwareStop:
+    # chains with tiny reactances and costs, where |q| reaches 1e5-1e7: the
+    # stationarity residual of the exact solve is rounding of order eps |q|,
+    # above an absolute 1e-10, so only a stop test scaled by |q| ends there
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_injections_stop_after_the_first_step(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(120, 1455))
+        x = 10.0 ** rng.uniform(-5.0, -3.0, n)
+        y = 10.0 ** rng.uniform(-9.0, -5.0, n)
+        dv = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0.0, 2.0)
+        S = build_sensitivity(chain_network(x))
+        vt = OperatingConstants(1.0 + dv, dv)
+        for objective in ("F", "W"):
+            res = solve_iterative(objective, S, ControlSpec.quadratic(y), vt, max_iter=50)
+            q = res.q_star if objective == "F" else res.q_a
+            assert res.iterations == 1
+            assert res.residual < 1e-10 * max(1.0, float(np.max(np.abs(q))))

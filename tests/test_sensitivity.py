@@ -131,6 +131,16 @@ class TestBuild:
         np.testing.assert_array_equal(sub.idx, [7, 0])
         np.testing.assert_array_equal(sub.X, S.X[np.ix_([7, 0], [7, 0])])
 
+    @pytest.mark.parametrize("idx", [[0, 0], [-1], [4], [[0, 1]]],
+                             ids=["duplicate", "negative", "too-large", "2-D"])
+    def test_restriction_rejects_bad_indices(self, idx):
+        S = build_sensitivity(chain_network([1.0] * 4))
+        with pytest.raises(ValueError, match=r"distinct matrix indices in 0\.\.3$"):
+            S.restrict(idx)
+        # indices of a restricted set address that set, not the feeder
+        with pytest.raises(ValueError, match=r"distinct matrix indices in 0\.\.1$"):
+            S.restrict([3, 1]).restrict([2])
+
 
 class TestLevelBuild:
     # shuffled node labels and line order, so traversal order differs from node order

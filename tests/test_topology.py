@@ -81,7 +81,7 @@ class TestValidate:
         net = RadialNetwork(n=20_000, lines=tuple(Line(k, k + 1, 0.0, 1.0) for k in range(20_000)),
                             buses=(BusData(),) * 20_000)
         validate_tree(net)
-        assert net._validated
+        assert net._traversal is not None
 
     def test_actuator_box_must_contain_zero(self):
         net = RadialNetwork(n=1, lines=(Line(0, 1, 0, 1.0),),
@@ -105,17 +105,18 @@ class TestValidateOnce:
                 sweep_solve(net, np.zeros(3), np.zeros(3))
             with pytest.raises(error):
                 build_sensitivity(net)
+        assert net._traversal is None
 
     def test_success_is_recorded(self):
         net = fig_tree()
-        assert not net._validated
+        assert net._traversal is None
         validate_tree(net)
-        assert net._validated
+        assert net._traversal is not None
 
     def test_replace_starts_unvalidated(self):
         net = fig_tree()
         validate_tree(net)
-        assert not dataclasses.replace(net)._validated
+        assert dataclasses.replace(net)._traversal is None
         bad = dataclasses.replace(net, lines=net.lines[:3] + (Line(0, 4, 0.0, 7.0),))
         with pytest.raises(MultiRootChildError):
             validate_tree(bad)
