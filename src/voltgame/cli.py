@@ -14,8 +14,8 @@ import numpy as np
 
 from . import acflow, dynamics, equilibrium, experiments, netio
 from .controls import ControlSpec
-from .sensitivity import build_sensitivity, x_inverse_analytic
-from .topology import DegreeDistribution, random_tree, validate_tree
+from .sensitivity import build_sensitivity
+from .topology import DegreeDistribution, random_tree, tree_laplacian, validate_tree
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -58,7 +58,7 @@ def cmd_validate(args) -> int:
 def cmd_matrices(args) -> int:
     net, _ = _load(args.net)
     if args.kind == "Xinv":
-        M = x_inverse_analytic(net)
+        M = tree_laplacian(net).toarray()
     else:
         S = build_sensitivity(net)
         M = S.X if args.kind == "X" else S.R

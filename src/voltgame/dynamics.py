@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlSpec, beta
-from .sensitivity import SensitivitySet
+from .sensitivity import SensitivitySet, _index_array
 from .topology import RadialNetwork
 
 
@@ -61,7 +61,7 @@ class OperatingConstants:
     delta_v_tilde: np.ndarray
 
     def restrict(self, idx) -> "OperatingConstants":
-        idx = np.asarray(idx, dtype=int)
+        idx = _index_array(idx)
         return OperatingConstants(self.v_tilde[idx], self.delta_v_tilde[idx])
 
 

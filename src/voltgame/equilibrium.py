@@ -26,7 +26,9 @@ free in the first step, which is then the closed-form solve.
 :func:`tree_posa_report` computes every report from the sparse inverse
 X^{-1} = tree_laplacian(net) of the feeder, in O(n) memory, also for an
 instance restricted to an actuator set A: restriction adds a diagonal that
-is zero off A to X^{-1}, which keeps it a tree matrix.  :func:`posa_report`
+is zero off A to X^{-1}, which keeps it a tree matrix.  The report and the
+solver's face solves share the leaf-first elimination of X^{-1} that the
+feeder keeps with its traversal, built once per feeder.  :func:`posa_report`
 is the same report for a :class:`SensitivitySet`, by way of the feeder and
 actuator set it records.
 """
@@ -39,8 +41,8 @@ import numpy as np
 
 from .controls import ControlSpec
 from .dynamics import OperatingConstants
-from .sensitivity import SensitivitySet, _is_index_set, chain_eigen_bounds
-from .topology import RadialNetwork, _LeafFirst
+from .sensitivity import SensitivitySet, _index_array, _is_index_set, chain_eigen_bounds
+from .topology import RadialNetwork
 
 
 class MaxIterError(RuntimeError):
@@ -120,10 +122,10 @@ def _face_solver(S: SensitivitySet, g: np.ndarray):
     which restores the digits the Woodbury form loses to cancellation when
     g is small next to X.  S.X is never read.
     """
-    tree = _LeafFirst(S.net, S.idx)
+    tree = S.net.traversal.factor
 
     def solve(free: np.ndarray, v: np.ndarray) -> np.ndarray:
-        inverse = tree.inverse(np.where(free, g, np.inf))
+        inverse = tree.inverse(S.idx, np.where(free, g, np.inf))
         q = inverse(v)
         return q + inverse(v - S.matvec(q) - g * q)
 
@@ -280,15 +282,6 @@ def solve_iterative(objective: str, S: SensitivitySet, ctrl: ControlSpec,
     )
 
 
-def optimality_residual(objective: str, S: SensitivitySet, ctrl: ControlSpec,
-                        vt: OperatingConstants, q: np.ndarray) -> float:
-    """Stationarity measure: sup-norm distance to the coordinate minimizers."""
-    q = np.asarray(q, dtype=float)
-    s = S.matvec(q)
-    return float(np.max(np.abs(q - _coordinate_minimizers(objective, S, ctrl, s, q,
-                                                          vt.delta_v_tilde))))
-
-
 @dataclass(frozen=True)
 class PosaReport:
     """Worst-case PoSA with its spectral bounds, all in the same 1/2-units.
@@ -418,7 +411,7 @@ def tree_posa_report(net: RadialNetwork, y, *, actuators=None,
     F(q_e) = q_e.dv / 2 and F(q_n) = q_n.dv / 2 - sum_A d q_n^2 / 2.
     """
     n = net.n
-    buses = np.arange(n) if actuators is None else np.asarray(actuators, dtype=int)
+    buses = np.arange(n) if actuators is None else _index_array(actuators)
     if buses.size == 0 or not _is_index_set(buses, n):
         raise ValueError(f"actuators must be distinct matrix indices in 0..{n - 1}")
     k = buses.size
@@ -432,21 +425,22 @@ def tree_posa_report(net: RadialNetwork, y, *, actuators=None,
     dv = None if vt is None else np.asarray(vt.delta_v_tilde, dtype=float)
     if dv is not None and dv.shape != (k,):
         raise ValueError(f"need one voltage offset per bus ({k}), got shape {dv.shape}")
-    tree = _LeafFirst(net, None if np.array_equal(buses, np.arange(n)) else buses)
+    tree = net.traversal.factor
     d_vec = net.traversal.d[buses]
     g_N = d_vec + y
-    Minv = tree.inverse(y)
-    Ninv = tree.inverse(g_N)
-    if tree.whole:
-        lam_min_X = tree.lambda_min(np.zeros(n), *tree.x_bracket,
-                                    _lambda_min_estimate(tree.L.dot, n))
+    Minv = tree.inverse(buses, y)
+    Ninv = tree.inverse(buses, g_N)
+    if np.array_equal(buses, np.arange(n)):
+        lam_min_X = tree.lambda_min(buses, np.zeros(n), *tree.leaf_first.x_bracket,
+                                    _lambda_min_estimate(tree.leaf_first.L.dot, n))
     else:
-        lam_min_X = tree.lambda_min(np.zeros(k), tree.x_bracket[0], float(np.min(d_vec)))
+        lam_min_X = tree.lambda_min(buses, np.zeros(k), tree.leaf_first.x_bracket[0],
+                                    float(np.min(d_vec)))
 
     def lam_min(g, inverse):
         # Weyl brackets lambda_min(X_AA + G) by lambda_min(X_AA) + min/max g,
         # and each diagonal entry d_i + g_i bounds it from above
-        return tree.lambda_min(g, lam_min_X + float(np.min(g)),
+        return tree.lambda_min(buses, g, lam_min_X + float(np.min(g)),
                                min(float(np.min(d_vec + g)), lam_min_X + float(np.max(g))),
                                _lambda_min_estimate(inverse, k))
 
@@ -519,7 +513,7 @@ def chain_upper_bound_range(n: int, a: float, b: float, d: float, y: float) -> f
 __all__ = [
     "EquilibriumResult", "NashResult", "PosaReport",
     "objective_F", "objective_W", "solve_iterative",
-    "optimality_residual", "posa_report", "tree_posa_report",
+    "posa_report", "tree_posa_report",
     "posa_constrained", "chain_upper_bound_uniform",
     "chain_upper_bound_range", "MaxIterError", "BoundOrderingError",
 ]

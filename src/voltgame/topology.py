@@ -1,6 +1,12 @@
 """Radial feeder topology: rooted trees, their traversal, random generation,
-and the sparse tree algebra of X^{-1} that the equilibrium solvers and the
-PoSA report share.
+and the tree algebra of the reactance matrix X.
+
+Each validated feeder has one tree factor, kept with its traversal and
+built in two parts on first use: the triangular factor of C = I - Par in
+traversal order, which gives X and R products and their dense blocks, and
+the leaf-first elimination of the sparse X^{-1}, which gives the Woodbury
+solves and inertia counts that the equilibrium solvers and the PoSA report
+share.
 
 Node 0 is the substation (fixed voltage) and must have exactly one direct
 child; every other node has exactly one parent line.  All matrix-facing
@@ -11,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,6 +100,11 @@ class Traversal:
     x: np.ndarray
     d: np.ndarray
     lines: tuple[Line, ...]
+
+    @cached_property
+    def factor(self) -> "_TreeFactor":
+        """The feeder's one :class:`_TreeFactor`; its parts are built on first use."""
+        return _TreeFactor(self)
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -350,13 +363,17 @@ def tree_laplacian(net: RadialNetwork):
     plus 1/x01 of the root line on the diagonal entry of the root's child.
     Off the diagonal it is nonzero only at tree-adjacent pairs.
     """
+    tr = net.traversal
+    return _laplacian(tr.x, tr.parent)
+
+
+def _laplacian(x: np.ndarray, parent: np.ndarray):
     from scipy.sparse import csr_array
 
-    tr = net.traversal
-    n = net.n
-    w = 1.0 / tr.x
+    n = x.size
+    w = 1.0 / x
     child = np.arange(n)
-    parent = tr.parent - 1
+    parent = parent - 1
     inner = parent >= 0
     diag = w + np.bincount(parent[inner], weights=w[inner], minlength=n)
     rows = np.concatenate([child, child[inner], parent[inner]])
@@ -368,47 +385,82 @@ def tree_laplacian(net: RadialNetwork):
 _CERTIFY_ULPS = 2  # first half-width of the bracket certified around an estimate
 
 
-class _LeafFirst:
-    """X^{-1} + P^T diag(s) P of a feeder with the buses in leaf-first order.
+class _TreeFactor:
+    """The tree algebra of X for one validated feeder, as ``net.traversal.factor``.
 
-    P selects the actuator set A (matrix indices ``idx``, every bus when
-    none is given), so the added diagonal is zero off A.  Position k holds
-    matrix index ``perm[k]``; the order is the reverse of the traversal
-    order, so every bus comes after all its children and Gaussian
-    elimination in this order creates no fill.  The pivot of bus i is then
-    a_i + s_i - sum_c w_c^2 / p_c over its children c, where a = diag(X^{-1})
-    and w_c = 1/x_c is the weight of the line into c.  Vectors indexed by A
-    (g, h, v below) follow the order of ``idx``.
+    It has two parts, each built on first use and then kept:
+
+    - traversal order: C = I - Par (Par[k, up[k]] = 1) is unit lower
+      triangular, so splu factors it with no fill, and the path incidence A
+      (A[e, i] = 1 when the line into e is on the root path of i) is
+      C^{-T}.  So X = A^T diag(x) A and R = A^T diag(r) A are a subtree sum,
+      a scaling and a root-path sum (:meth:`path_sums`).
+    - leaf-first order, the traversal order reversed: every bus comes after
+      all its children, so Gaussian elimination of X^{-1} plus a diagonal
+      creates no fill.  The pivot of bus i is a_i + s_i - sum_c w_c^2 / p_c
+      over its children c, for a = diag(X^{-1}) and w_c = 1/x_c the weight of
+      the line into c.  It gives Woodbury solves and inertia counts on X_AA
+      for an actuator set A, which the methods take as matrix indices
+      ``act`` (bus k -> k-1); vectors indexed by A (g, h, v) follow ``act``.
     """
 
-    def __init__(self, net: RadialNetwork, idx: np.ndarray | None = None):
-        tr = net.traversal
-        n = net.n
-        self.n = n
-        self.perm = tr.order[::-1] - 1
-        pos = np.empty(n, dtype=int)
-        pos[self.perm] = np.arange(n)
-        self.whole = idx is None
-        self._act = pos if idx is None else pos[idx]  # leaf-first positions of A
-        L = tree_laplacian(net)
-        self.L = L[self.perm][:, self.perm].tocsc()
-        self.a = L.diagonal()[self.perm]
-        # lambda_max(X^{-1}) lies between its largest diagonal entry and its
-        # largest absolute row sum (Gershgorin); 1/lambda_max(X^{-1}) = lambda_min(X)
-        self.x_bracket = (1.0 / float(np.max(abs(L).sum(axis=1))), 1.0 / float(np.max(self.a)))
-        parent = tr.parent[self.perm] - 1
-        self._up = np.where(parent >= 0, pos[parent], n).tolist()  # n: the root, a dummy slot
-        w2 = (1.0 / tr.x[self.perm]) ** 2
-        self._w2 = w2.tolist()
-        self._pivmin = np.finfo(float).tiny * max(1.0, float(np.max(w2)))
+    def __init__(self, tr: Traversal):
+        # the arrays it needs, and no reference back to tr, which holds the factor
+        self._order, self._up, self._parent, self._x = tr.order, tr.up, tr.parent, tr.x
+        self.n = n = tr.order.size
+        self.pos = np.empty(n, dtype=int)  # pos[i]: traversal position of matrix index i
+        self.pos[tr.order - 1] = np.arange(n)
+        self.x, self.r = tr.x[tr.order - 1], tr.r[tr.order - 1]  # in traversal order
 
-    def _padded_diagonal(self, s: np.ndarray) -> np.ndarray:
-        """diag(X^{-1} + P^T diag(s) P) in leaf-first order."""
-        diag = self.a.copy()
-        diag[self._act] += s
+    @cached_property
+    def _paths(self):
+        from scipy.sparse import csc_array, identity
+        from scipy.sparse.linalg import splu
+
+        n, up = self.n, self._up
+        k = np.flatnonzero(up < n)
+        C = identity(n, format="csc") - csc_array((np.ones(k.size), (k, up[k])), shape=(n, n))
+        return splu(C, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+    def path_sums(self, w: np.ndarray, at: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Rows and columns at traversal positions ``at`` of A^T diag(w) A, applied to v.
+
+        w is in traversal order; v is a vector, or a block of columns with w
+        as a column.  Two triangular solves with C, in O(n) per column.
+        """
+        b = np.zeros((self.n,) + v.shape[1:])
+        b[at] = v
+        b = self._paths.solve(b, trans="T")
+        b *= w
+        return self._paths.solve(b)[at]
+
+    @cached_property
+    def leaf_first(self) -> SimpleNamespace:
+        """X^{-1} in leaf-first order as CSC ``L`` with diagonal ``a``; ``up``, the
+        leaf-first position of each bus's parent (n for the root, a dummy slot),
+        ``w2`` = 1/x^2 and the pivot guard ``pivmin`` for the elimination; and
+        ``x_bracket``, the Gershgorin bracket of lambda_min(X)."""
+        n = self.n
+        perm = self._order[::-1] - 1  # leaf-first position k holds matrix index perm[k]
+        L = _laplacian(self._x, self._parent)
+        a = L.diagonal()[perm]
+        w2 = (1.0 / self._x[perm]) ** 2
+        up = self._up[::-1]
+        return SimpleNamespace(
+            L=L[perm][:, perm].tocsc(), a=a, up=np.where(up < n, n - 1 - up, n).tolist(),
+            w2=w2.tolist(), pivmin=np.finfo(float).tiny * max(1.0, float(np.max(w2))),
+            # lambda_max(X^{-1}) lies between its largest diagonal entry and its
+            # largest absolute row sum; 1/lambda_max(X^{-1}) = lambda_min(X)
+            x_bracket=(1.0 / float(np.max(abs(L).sum(axis=1))), 1.0 / float(np.max(a))),
+        )
+
+    def _padded_diagonal(self, act: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """diag(X^{-1} + P^T diag(s) P) in leaf-first order, for P selecting A."""
+        diag = self.leaf_first.a.copy()
+        diag[self.n - 1 - self.pos[act]] += s
         return diag
 
-    def count_below(self, g: np.ndarray, sigma: float) -> int:
+    def count_below(self, act: np.ndarray, g: np.ndarray, sigma: float) -> int:
         """Number of eigenvalues of X_AA + diag(g) below sigma.
 
         With h = g - sigma, the inertia of [[diag(h), P], [P^T, -X^{-1}]]
@@ -421,9 +473,10 @@ class _LeafFirst:
         h = g - sigma
         if not h.all():     # sigma is some g_i: count below the next float instead
             h = g - np.nextafter(sigma, np.inf)
-        piv = self._padded_diagonal(1.0 / h).tolist()
+        piv = self._padded_diagonal(act, 1.0 / h).tolist()
         piv.append(0.0)
-        up, w2, pivmin = self._up, self._w2, self._pivmin
+        lf = self.leaf_first
+        up, w2, pivmin = lf.up, lf.w2, lf.pivmin
         neg = 0
         for k in range(self.n):
             p = piv[k]
@@ -434,7 +487,7 @@ class _LeafFirst:
             piv[up[k]] -= w2[k] / p
         return int(np.count_nonzero(h < 0.0)) - neg
 
-    def lambda_min(self, g: np.ndarray, lo: float, hi: float,
+    def lambda_min(self, act: np.ndarray, g: np.ndarray, lo: float, hi: float,
                    estimate: float | None = None) -> float:
         """Smallest eigenvalue of X_AA + diag(g), given 0 < lo <= it <= hi.
 
@@ -452,14 +505,14 @@ class _LeafFirst:
             w0 = _CERTIFY_ULPS * math.ulp(estimate)
             w = w0
             while lo < estimate - w:
-                if not self.count_below(g, estimate - w):
+                if not self.count_below(act, g, estimate - w):
                     lo = estimate - w
                     break
                 hi = estimate - w
                 w *= 16.0
             w = w0
             while estimate + w < hi:
-                if self.count_below(g, estimate + w):
+                if self.count_below(act, g, estimate + w):
                     hi = estimate + w
                     break
                 lo = estimate + w
@@ -468,12 +521,12 @@ class _LeafFirst:
             mid = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
             if not lo < mid < hi:
                 return lo
-            if self.count_below(g, mid):
+            if self.count_below(act, g, mid):
                 hi = mid
             else:
                 lo = mid
 
-    def inverse(self, g: np.ndarray):
+    def inverse(self, act: np.ndarray, g: np.ndarray):
         """v -> (X_AA + diag(g))^{-1} v, for g > 0, by the Woodbury identity
 
             (P X P^T + G)^{-1} v = G^{-1} v - G^{-1} P z,
@@ -486,16 +539,16 @@ class _LeafFirst:
         from scipy.sparse.linalg import splu
 
         ginv = 1.0 / g
-        K = self.L.copy()
-        K.setdiag(self._padded_diagonal(ginv))
+        K = self.leaf_first.L.copy()
+        K.setdiag(self._padded_diagonal(act, ginv))
         lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
-        act, n = self._act, self.n
+        at, n = self.n - 1 - self.pos[act], self.n
 
         def solve(v: np.ndarray) -> np.ndarray:
             u = ginv * v
             b = np.zeros(n)
-            b[act] = u
-            return u - ginv * lu.solve(b)[act]
+            b[at] = u
+            return u - ginv * lu.solve(b)[at]
 
         return solve

@@ -329,11 +329,79 @@ def path_intersection(net, i, j):
     return common
 
 
+def uniform_chain_eigenvalues(n, a):
+    """Eigenvalues of the inverse reactance matrix of a uniform chain.
+
+    Returns (2/a)(1 + cos(2 k pi / (2n+1))) for k = 1..n, which is
+    descending; the reciprocal of the last entry is the largest eigenvalue
+    of X itself.
+    """
+    from voltgame.sensitivity import IndexOutOfRangeError
+
+    if n < 1:
+        raise IndexOutOfRangeError("n must be >= 1")
+    if a <= 0:
+        raise ValueError("reactance must be positive")
+    k = np.arange(1, n + 1)
+    return (2.0 / a) * (1.0 + np.cos(2.0 * k * np.pi / (2 * n + 1)))
+
+
+def shared_path_sums(net, weight="x", idx=None):
+    """X (or R) on the matrix indices idx (every bus when None), built level by level.
+
+    M[a, b] is the total weight on the lines shared by the root paths of
+    idx[a]+1 and idx[b]+1.  The shared path of two nodes ends at their
+    lowest common ancestor, so a node's entry with a shallower node is its
+    parent's, its entry with another node of its own level is that of the
+    two parents, and only the diagonal, its own root-path sum, is new;
+    entries with deeper nodes come from their rows by symmetry.  Filled one
+    depth level at a time in traversal order, with a zero row and column at
+    position n for the root, then the rows and columns of idx are taken.
+    Every off-diagonal entry is copied, never recomputed, so M is exactly
+    symmetric.
+    """
+    tr = net.traversal
+    w = getattr(tr, weight)
+    idx = np.arange(net.n) if idx is None else np.asarray(idx)
+    n = tr.order.size
+    up = tr.up
+    s = np.zeros(n + 1)  # root-path sums in traversal order; s[n] is the root's 0
+    M = np.zeros((n + 1, n + 1))
+    for lv in tr.levels:
+        a = lv.start
+        u = up[lv]
+        s[lv] = s[u] + w[tr.order[lv] - 1]
+        M[lv, :a] = M[u, :a]
+        M[:a, lv] = M[lv, :a].T
+        block = M[np.ix_(u, u)]
+        np.fill_diagonal(block, s[lv])
+        M[lv, lv] = block
+    node = np.empty(n, dtype=int)
+    node[tr.order - 1] = np.arange(n)  # node[i]: traversal position of node i+1
+    return M[np.ix_(node[idx], node[idx])]
+
+
+def optimality_residual(objective, S, ctrl, vt, q):
+    """Stationarity measure of F or W: sup-norm distance to the coordinate minimizers.
+
+    Coordinate i of the objective, the others fixed, is
+    (y_i + c d_i) q_i^2 / 2 + b_i q_i + delta_i |q_i| / 2 on the box, with
+    c = 1 for F and 2 for W and b = X q - d q + dv; its minimizer is the
+    soft-thresholded stationary point, projected.
+    """
+    q = np.asarray(q, dtype=float)
+    b = S.matvec(q) - S.d * q + vt.delta_v_tilde
+    curv = ctrl.y + (S.d if objective == "F" else 2.0 * S.d)
+    shrunk = np.sign(b) * np.maximum(np.abs(b) - 0.5 * ctrl.delta, 0.0)
+    t = np.clip(-shrunk / curv, ctrl.q_min, ctrl.q_max)
+    return float(np.max(np.abs(q - t)))
+
+
 def inverse_tree_laplacian(net):
     """Dense tree_laplacian without the root line: every row sums to zero.
 
     Adding 1/x01 to the entry of the root's child yields the exact inverse of
-    the reactance matrix (see voltgame.sensitivity.x_inverse_analytic).
+    the reactance matrix, which is tree_laplacian itself.
     """
     from voltgame.topology import tree_laplacian
 

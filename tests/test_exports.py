@@ -1,5 +1,6 @@
 """Every name a public module exports in __all__ exists, and importing the
-package stays cheap: scipy is imported only where a solver first needs it."""
+package or validating a feeder stays cheap: scipy is imported only where a
+solver first needs it."""
 
 import importlib
 import os
@@ -15,9 +16,14 @@ def test_all_names_resolve(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-@pytest.mark.parametrize("module", ["voltgame", "voltgame.cli"])
-def test_import_loads_no_scipy(module):
-    code = (f"import sys, {module}\n"
+@pytest.mark.parametrize("statement", [
+    "import voltgame",
+    "import voltgame.cli",
+    # the tree factor stays lazy: validating a feeder builds its traversal only
+    "from voltgame.topology import chain_network; chain_network([1.0, 2.0]).traversal",
+], ids=["voltgame", "voltgame.cli", "traversal"])
+def test_import_loads_no_scipy(statement):
+    code = (f"import sys\n{statement}\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -33,7 +33,7 @@ def no_dense_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("dense X or R built")
 
-    monkeypatch.setattr("voltgame.sensitivity._shared_path_sums", refuse)
+    monkeypatch.setattr("voltgame.sensitivity._dense_block", refuse)
 
 
 def assert_products_match(S, rng):

@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voltgame.dynamics import OperatingConstants
+from voltgame.equilibrium import tree_posa_report
 from voltgame.sensitivity import (
     IndexOutOfRangeError,
     build_sensitivity,
     chain_eigen_bounds,
-    uniform_chain_eigenvalues,
-    x_inverse_analytic,
 )
 from voltgame.topology import (
     BusData,
@@ -17,6 +19,7 @@ from voltgame.topology import (
     RadialNetwork,
     chain_network,
     random_tree,
+    tree_laplacian,
 )
 
 from oracles import (
@@ -25,6 +28,8 @@ from oracles import (
     path_to_root,
     self_sensitivities,
     sensitivity_by_paths,
+    shared_path_sums,
+    uniform_chain_eigenvalues,
 )
 from strategies import feeders
 
@@ -46,10 +51,13 @@ def star(xs, rs):
 
 
 def assert_exact_build(net):
-    """X and R match the path oracle, are exactly symmetric, diag(X) is traversal.d."""
+    """X and R match the path oracle, equal the level build to the bit, are exactly
+    symmetric, and diag(X) is traversal.d."""
     S = build_sensitivity(net)
     np.testing.assert_allclose(S.X, sensitivity_by_paths(net, "x"), rtol=0, atol=1e-12)
     np.testing.assert_allclose(S.R, sensitivity_by_paths(net, "r"), rtol=0, atol=1e-12)
+    assert np.array_equal(S.X, shared_path_sums(net, "x"))
+    assert np.array_equal(S.R, shared_path_sums(net, "r"))
     assert np.array_equal(S.X, S.X.T) and np.array_equal(S.R, S.R.T)
     assert np.array_equal(np.diag(S.X), net.traversal.d)
     return S
@@ -141,13 +149,56 @@ class TestBuild:
         with pytest.raises(ValueError, match=r"distinct matrix indices in 0\.\.1$"):
             S.restrict([3, 1]).restrict([2])
 
+    @pytest.mark.parametrize("idx", [[True, False], [2.7], np.array([3.0, 1.0])],
+                             ids=["mask", "fraction", "whole-floats"])
+    def test_non_integer_indices_are_rejected(self, idx):
+        # a mask used to be read as the indices [1, 0], and 2.7 as 2
+        net = chain_network([1.0] * 4)
+        with pytest.raises(ValueError, match="integers"):
+            build_sensitivity(net).restrict(idx)
+        with pytest.raises(ValueError, match="integers"):
+            tree_posa_report(net, np.ones(len(idx)), actuators=idx)
+        with pytest.raises(ValueError, match="integers"):
+            OperatingConstants(np.ones(4), np.zeros(4)).restrict(idx)
+
+    def test_any_integer_dtype_and_the_empty_list_are_indices(self):
+        net = chain_network([1.0, 2.0, 0.5, 0.3])
+        S = build_sensitivity(net)
+        idx = np.array([3, 1], dtype=np.int32)
+        np.testing.assert_array_equal(S.restrict(idx).idx, [3, 1])
+        assert tree_posa_report(net, np.ones(2), actuators=idx) == tree_posa_report(
+            net, np.ones(2), actuators=[3, 1])
+        vt = OperatingConstants(np.arange(4.0), -np.arange(4.0)).restrict(idx)
+        np.testing.assert_array_equal(vt.v_tilde, [3.0, 1.0])
+        assert S.restrict([]).n == 0
+
+    def test_small_restriction_of_a_long_chain_builds_a_small_block(self):
+        net = chain_network(np.ones(3000))
+        idx = [0, 1000, 2999]
+        sub = build_sensitivity(net).restrict(idx)
+        sub.matvec(np.ones(3))  # builds the tree factor, outside the trace
+        tracemalloc.start()
+        try:
+            X = sub.X
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # a whole 3 001 x 3 001 level build is 72 MB
+        assert np.array_equal(X, shared_path_sums(net, "x", idx))
+
 
 class TestLevelBuild:
     # shuffled node labels and line order, so traversal order differs from node order
     @settings(max_examples=80, deadline=None)
-    @given(feeders(st.floats(0.0, 1.0), st.floats(1e-3, 2.0)))
-    def test_random_feeders(self, net):
-        assert_exact_build(net)
+    @given(feeders(st.floats(0.0, 1.0), st.floats(1e-3, 2.0)), st.data())
+    def test_random_feeders(self, net, data):
+        S = assert_exact_build(net)
+        idx = data.draw(st.lists(st.integers(0, net.n - 1), min_size=1, max_size=net.n,
+                                 unique=True))
+        sub = build_sensitivity(net).restrict(idx)  # a fresh set, so its X is built anew
+        assert np.array_equal(sub.X, shared_path_sums(net, "x", idx))
+        assert np.array_equal(sub.R, shared_path_sums(net, "r", idx))
+        assert np.array_equal(sub.X, S.X[np.ix_(idx, idx)])
 
     def test_star(self):
         rng = np.random.default_rng(5)
@@ -185,7 +236,7 @@ class TestLevelBuild:
 class TestAnalyticInverse:
     def test_fig_tree_printed_inverse(self):
         a, b, c, d = 2.0, 3.0, 5.0, 7.0
-        Xinv = x_inverse_analytic(fig_tree(a, b, c, d))
+        Xinv = tree_laplacian(fig_tree(a, b, c, d)).toarray()
         assert Xinv[0, 0] == pytest.approx((b + d) / (b * d) + 1 / a)
         expected = np.array([
             [(b + d) / (b * d) + 1 / a, -1 / b, 0, -1 / d],
@@ -197,20 +248,20 @@ class TestAnalyticInverse:
 
     def test_two_bus_chain_hand_inverse(self):
         a, b = 1.3, 0.7
-        Xinv = x_inverse_analytic(chain_network([a, b]))
+        Xinv = tree_laplacian(chain_network([a, b])).toarray()
         np.testing.assert_allclose(Xinv, [[1 / a + 1 / b, -1 / b], [-1 / b, 1 / b]], atol=1e-14)
 
     def test_identity_on_random_trees(self):
         for seed in range(8):
             net = random_tree_for(seed)
             S = build_sensitivity(net)
-            P = x_inverse_analytic(net) @ S.X
+            P = tree_laplacian(net).toarray() @ S.X
             err = np.linalg.norm(P - np.eye(net.n)) / np.sqrt(net.n)
             assert err < 1e-10
 
     def test_row_sums_single_nonzero_at_root_child(self):
         net = random_tree_for(6)
-        Xinv = x_inverse_analytic(net)
+        Xinv = tree_laplacian(net).toarray()
         sums = Xinv @ np.ones(net.n)
         x01 = [ln.x for ln in net.lines if ln.from_node == 0][0]
         assert sums[0] == pytest.approx(1.0 / x01, rel=1e-12)
@@ -218,7 +269,7 @@ class TestAnalyticInverse:
 
     def test_sparsity_is_tree_adjacency(self):
         net = random_tree_for(7)
-        Xinv = x_inverse_analytic(net)
+        Xinv = tree_laplacian(net).toarray()
         adjacent = set()
         for ln in net.lines:
             if ln.from_node != 0:
@@ -233,7 +284,7 @@ class TestChainInverse:
     def test_matches_analytic_on_chain(self):
         xs = [1.1, 0.4, 2.2]
         np.testing.assert_allclose(chain_x_inverse(xs),
-                                   x_inverse_analytic(chain_network(xs)), atol=1e-14)
+                                   tree_laplacian(chain_network(xs)).toarray(), atol=1e-14)
 
     def test_printed_uniform_matrix(self):
         np.testing.assert_allclose(chain_x_inverse([1.0, 1.0, 1.0]),

@@ -2,6 +2,7 @@
 
 import json
 
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 
 import oracles
 from voltgame import cli, equilibrium
+from voltgame.controls import ControlSpec
 from voltgame.dynamics import OperatingConstants
 from voltgame.equilibrium import (
     BoundOrderingError,
     _bounds_report,
     posa_report,
+    solve_iterative,
     tree_posa_report,
 )
 from strategies import feeders
@@ -26,7 +29,7 @@ from voltgame.topology import (
     DegreeDistribution,
     Line,
     RadialNetwork,
-    _LeafFirst,
+    _TreeFactor,
     chain_network,
     random_instance,
     tree_laplacian,
@@ -192,7 +195,7 @@ class TestNoDensePath:
     @pytest.fixture(autouse=True)
     def dense_raises(self, monkeypatch):
         for name in ("scipy.linalg.cho_factor", "numpy.linalg.eigh",
-                     "numpy.linalg.eigvalsh", "voltgame.sensitivity._shared_path_sums"):
+                     "numpy.linalg.eigvalsh", "voltgame.sensitivity._dense_block"):
             monkeypatch.setattr(name, _no_dense)
 
     def test_cli_posa(self, capsys):
@@ -203,6 +206,42 @@ class TestNoDensePath:
     def test_cost_coefficient_sweep(self):
         rows = run_sweep(SweepSpec(kind="cost-coefficient", y_values=[0.05, 0.2]))
         assert [r["y"] for r in rows] == [0.05, 0.2]
+
+
+class TestOneFactorPerFeeder:
+    """The leaf-first part of a feeder's tree factor is built once and shared."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build = _TreeFactor.leaf_first.func
+
+        def counted(tree):
+            built.append(tree)
+            return build(tree)
+
+        prop = cached_property(counted)
+        prop.__set_name__(_TreeFactor, "leaf_first")
+        monkeypatch.setattr(_TreeFactor, "leaf_first", prop)
+        return built
+
+    def test_report_and_solves_on_restrictions(self, builds):
+        net, y = random_instance(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=6), 3)
+        tree_posa_report(net, y)
+        S = build_sensitivity(net)
+        rng = np.random.default_rng(0)
+        for T in (S, S.restrict(np.arange(0, S.n, 2))):
+            dv = rng.uniform(-0.1, 0.1, T.n)
+            vt = OperatingConstants(1.0 + dv, dv)
+            ctrl = ControlSpec(1.0 / y[T.idx], np.full(T.n, 0.02), np.full(T.n, -0.05),
+                               np.full(T.n, 0.05))
+            for objective in ("F", "W"):
+                solve_iterative(objective, T, ctrl, vt)
+        assert len(builds) == 1
+
+    def test_cost_coefficient_sweep(self, builds):
+        run_sweep(SweepSpec(kind="cost-coefficient", y_values=[0.05, 0.2]))
+        assert len(builds) == 1
 
 
 class TestInertiaCount:
@@ -216,14 +255,16 @@ class TestInertiaCount:
         eig = np.linalg.eigvalsh(build_sensitivity(net).X + np.diag(g))
         sigma = data.draw(st.floats(0.5 * eig[0], 1.5 * eig[-1]))
         assume(np.min(np.abs(eig - sigma)) > 1e-9 * eig[-1])   # no eigenvalue within rounding
-        assert _LeafFirst(net).count_below(g, sigma) == np.count_nonzero(eig < sigma)
+        tree = net.traversal.factor
+        assert tree.count_below(np.arange(n), g, sigma) == np.count_nonzero(eig < sigma)
 
     def test_shift_on_a_cost_coefficient(self):
         # sigma equal to some g_i makes diag(1/(g - sigma)) singular
         net = chain_network([1.0, 0.5, 2.0])
         g = np.array([0.3, 0.7, 1.1])
         eig = np.linalg.eigvalsh(build_sensitivity(net).X + np.diag(g))
-        assert _LeafFirst(net).count_below(g, 0.7) == np.count_nonzero(eig < 0.7)
+        assert (net.traversal.factor.count_below(np.arange(3), g, 0.7)
+                == np.count_nonzero(eig < 0.7))
 
 
 def smallest_eigenvalues(net, y):
@@ -236,11 +277,12 @@ def smallest_eigenvalues(net, y):
 
 def full_bracket_bisection(net, y):
     """lambda_min of X, M and N by bisection of the whole Weyl/Gershgorin brackets."""
-    tree = _LeafFirst(net)
+    tree = net.traversal.factor
     d = net.traversal.d
-    lam_x = tree.lambda_min(np.zeros(net.n), *tree.x_bracket)
+    act = np.arange(net.n)
+    lam_x = tree.lambda_min(act, np.zeros(net.n), *tree.leaf_first.x_bracket)
     return (lam_x,) + tuple(
-        tree.lambda_min(g, lam_x + np.min(g), min(np.min(d + g), lam_x + np.max(g)))
+        tree.lambda_min(act, g, lam_x + np.min(g), min(np.min(d + g), lam_x + np.max(g)))
         for g in (y, d + y))
 
 
@@ -283,8 +325,8 @@ class TestLambdaMinEstimate:
         # three whole brackets takes about 160 counts
         net, y = random_instance(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=15), 42)
         assert net.n == 1199
-        with mock.patch.object(_LeafFirst, "count_below", autospec=True,
-                               side_effect=_LeafFirst.count_below) as count:
+        with mock.patch.object(_TreeFactor, "count_below", autospec=True,
+                               side_effect=_TreeFactor.count_below) as count:
             tree_posa_report(net, y)
         assert 6 <= count.call_count <= 40
 
