@@ -13,12 +13,15 @@ accumulates flows leaf-to-root with the previous iterate's currents, then
 propagates voltages root-to-leaf and refreshes the currents, until every
 equation residual is below tolerance.
 
-Both passes walk the depth levels of the network's cached
-:attr:`~voltgame.topology.RadialNetwork.traversal`, one set of numpy calls
-per level, so a pass costs O(depth) numpy calls rather than one Python step
-per bus.  Child sums are added in the same order as a bus-by-bus sweep would
-add them, so the results are bit-identical to it.  The network is validated
-once, on first use of the traversal, not on every solve.
+Both passes are triangular solves with the feeder's one tree factor,
+``net.traversal.factor``, the sparse LU of C = I - Par in traversal order.
+The backward pass is a subtree sum, P = C^{-T}(r ell - p) and
+Q = C^{-T}(x ell - q); the forward pass is a root-path sum,
+v_sq = v0^2 + C^{-1}(z^2 ell - 2 (r P + x Q)).  So a sweep is three O(n)
+solves, whatever the depth of the feeder.  The solves add the sums in
+another order than a bus-by-bus sweep does, so the results agree with it to
+rounding, not bit for bit.  The network is validated once, on first use of
+the traversal, not on every solve.
 
 :func:`closed_loop_ac` runs the local laws against this solver: its stepper
 solves the AC flow and applies :func:`voltgame.dynamics.law_update`, and
@@ -72,63 +75,73 @@ class BranchFlowState:
         return np.sqrt(self.v_sq[1:])
 
 
-def _layout(net: RadialNetwork, p_inj, q_inj):
-    """Per-line arrays in traversal order, so that every depth level is a slice."""
-    t = net.traversal
-    idx = t.order - 1
-    r = t.r[idx]
-    x = t.x[idx]
-    # float_power squares as the scalar ``r ** 2`` does (libm pow); the array
-    # ``r ** 2`` is r * r, which differs from it in the last bit on some inputs.
-    z2 = np.float_power(r, 2) + np.float_power(x, 2)
-    return t, idx, p_inj[idx], q_inj[idx], r, x, z2
+def _squares(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """P^2 + Q^2 with libm pow squares, as the scalar ``P ** 2`` computes them."""
+    return np.float_power(P, 2) + np.float_power(Q, 2)
 
 
-def _residual(t, p, q, r, x, z2, P, Q, ell, v) -> float:
-    """Max absolute equation violation; arrays in traversal order, root voltage last."""
-    n = P.size
+def _residual(f, p, q, P, Q, ell, v, PQ2) -> float:
+    """Max absolute equation violation; arrays in traversal order, root voltage last.
+
+    ``f`` is the feeder's tree factor (up, r, x and z2 in traversal order)
+    and PQ2 = P^2 + Q^2 from :func:`_squares`.
+    """
+    n, up = P.size, f.up
     # bincount adds each bus's children in sibling order, from 0.0, as the
     # scalar sum over children() does, so sums are bit-identical to it.
-    sum_P = np.bincount(t.up, P, n + 1)[:n]
-    sum_Q = np.bincount(t.up, Q, n + 1)[:n]
-    vi = v[t.up]
+    sum_P = np.bincount(up, P, n + 1)[:n]
+    sum_Q = np.bincount(up, Q, n + 1)[:n]
+    vi = v[up]
     violations = np.abs([
-        P - (-p + sum_P + r * ell),
-        Q - (-q + sum_Q + x * ell),
-        v[:n] - (vi - 2.0 * (r * P + x * Q) + z2 * ell),
-        ell * vi - (np.float_power(P, 2) + np.float_power(Q, 2)),
+        P - (-p + sum_P + f.r * ell),
+        Q - (-q + sum_Q + f.x * ell),
+        v[:n] - (vi - 2.0 * (f.r * P + f.x * Q) + f.z2 * ell),
+        ell * vi - PQ2,
     ])
     return float(violations.max(initial=0.0))
 
 
-def _to_state(idx, P, Q, ell, v, residual, iterations) -> BranchFlowState:
-    """Scatter traversal-ordered arrays back to child-node order."""
-    n = idx.size
-    out = np.empty((3, n))
-    out[:, idx] = P, Q, ell
-    v_sq = np.empty(n + 1)
-    v_sq[0] = v[n]
-    v_sq[idx + 1] = v[:n]
-    return BranchFlowState(out[0], out[1], out[2], v_sq, residual, iterations)
+def _to_state(pos, P, Q, ell, v, residual, iterations) -> BranchFlowState:
+    """Gather traversal-ordered arrays back to child-node order, root voltage first."""
+    return BranchFlowState(P[pos], Q[pos], ell[pos], v[np.append(pos.size, pos)],
+                           residual, iterations)
 
 
 def equation_residuals(net: RadialNetwork, p_inj, q_inj, state: BranchFlowState) -> float:
     """Max absolute violation over all four equation families."""
-    t, idx, p, q, r, x, z2 = _layout(net, np.asarray(p_inj, dtype=float),
-                                     np.asarray(q_inj, dtype=float))
+    f = net.traversal.factor
+    idx = f.idx
+    P, Q = state.P[idx], state.Q[idx]
     v = np.append(state.v_sq[idx + 1], state.v_sq[0])
-    return _residual(t, p, q, r, x, z2, state.P[idx], state.Q[idx], state.ell[idx], v)
+    return _residual(f, np.asarray(p_inj, dtype=float)[idx],
+                     np.asarray(q_inj, dtype=float)[idx], P, Q, state.ell[idx], v,
+                     _squares(P, Q))
+
+
+def _start_currents(start: BranchFlowState, n: int) -> np.ndarray:
+    """The squared currents of a warm start, after checking that it fits the feeder."""
+    shapes = (start.P.shape, start.Q.shape, start.ell.shape, start.v_sq.shape)
+    if shapes != ((n,), (n,), (n,), (n + 1,)):
+        raise ValueError(f"start state does not belong to a feeder of {n} buses")
+    if not (np.isfinite(start.v_sq).all() and (start.v_sq > 0).all()):
+        raise ValueError("start state has a non-finite or nonpositive squared voltage")
+    if not (np.isfinite(start.ell).all() and (start.ell >= 0).all()):
+        raise ValueError("start state has a non-finite or negative squared current")
+    return start.ell
 
 
 def sweep_solve(net: RadialNetwork, p_inj, q_inj, tol: float = 1e-8,
-                max_iter: int = 200) -> BranchFlowState:
-    """Backward/forward sweep from a flat start (v_sq = v0^2, ell = 0).
+                max_iter: int = 200, *, start: BranchFlowState | None = None) -> BranchFlowState:
+    """Backward/forward sweep from a flat start (v_sq = v0^2, ell = 0), or from
+    the currents of ``start``, a state of the same feeder.
 
-    Each pass makes one set of numpy calls per depth level of the feeder's
-    cached traversal.  Raises ValueError for injections of the wrong shape
-    or with a non-finite entry, NoConvergenceError with the last residual if
-    max_iter sweeps do not reach tol, and VoltageCollapseError if a squared
-    voltage is driven nonpositive.
+    Each sweep is three triangular solves with the feeder's tree factor.
+    Raises ValueError for injections of the wrong shape or with a non-finite
+    entry, and for a ``start`` of another feeder size or with a non-finite or
+    nonpositive squared voltage (or a non-finite or negative squared
+    current); NoConvergenceError with the last residual if max_iter sweeps
+    do not reach tol; and VoltageCollapseError if a squared voltage is
+    driven nonpositive.
     """
     n = net.n
     p_inj = np.asarray(p_inj, dtype=float)
@@ -139,36 +152,29 @@ def sweep_solve(net: RadialNetwork, p_inj, q_inj, tol: float = 1e-8,
     if not finite.all():
         raise ValueError(f"non-finite injection at bus {int(np.argmin(finite)) + 1}")
 
-    t, idx, p, q, r, x, z2 = _layout(net, p_inj, q_inj)
-    below = t.levels[1:] + (slice(n, n),)  # each level's children; none under the deepest
-
-    P = np.zeros(n)
-    Q = np.zeros(n)
-    ell = np.zeros(n)
+    f = net.traversal.factor
+    idx, up, r, x, z2 = f.idx, f.up, f.r, f.x, f.z2
+    p, q = p_inj[idx], q_inj[idx]
+    ell = np.zeros(n) if start is None else _start_currents(start, n)[idx]
     v = np.full(n + 1, net.v0 ** 2)  # v[k] belongs to order[k]; v[n] is the root's
 
     residual = np.inf
     for it in range(1, max_iter + 1):
-        # backward: accumulate flows leaf-to-root with frozen currents
-        r_ell = r * ell
-        x_ell = x * ell
-        for s, c in zip(reversed(t.levels), reversed(below)):
-            P[s] = -p[s] + np.bincount(t.up[c], P[c], s.stop)[s] + r_ell[s]
-            Q[s] = -q[s] + np.bincount(t.up[c], Q[c], s.stop)[s] + x_ell[s]
-        # forward: propagate voltages root-to-leaf, then refresh the currents
-        drop = 2.0 * (r * P + x * Q)
-        rise = z2 * ell
-        for s in t.levels:
-            v[s] = v[t.up[s]] - drop[s] + rise[s]
+        # backward: flows are subtree sums, with frozen currents
+        P = f.subtree_sums(r * ell - p)
+        Q = f.subtree_sums(x * ell - q)
+        # forward: squared voltages are root-path sums, then refresh the currents
+        v[:n] = v[n] + f.root_path_sums(z2 * ell - 2.0 * (r * P + x * Q))
         collapsed = v[:n] <= 0
         if collapsed.any():
             k = int(np.argmax(collapsed))  # the shallowest, so its parent's voltage is sound
-            raise VoltageCollapseError(f"squared voltage {v[k]:.3e} at bus {t.order[k]}")
-        ell = (np.float_power(P, 2) + np.float_power(Q, 2)) / v[t.up]
+            raise VoltageCollapseError(f"squared voltage {v[k]:.3e} at bus {idx[k] + 1}")
+        PQ2 = _squares(P, Q)
+        ell = PQ2 / v[up]
 
-        residual = _residual(t, p, q, r, x, z2, P, Q, ell, v)
+        residual = _residual(f, p, q, P, Q, ell, v, PQ2)
         if residual < tol:
-            return _to_state(idx, P, Q, ell, v, residual, it)
+            return _to_state(f.pos, P, Q, ell, v, residual, it)
     raise NoConvergenceError(residual, max_iter)
 
 
@@ -184,7 +190,9 @@ def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
     self-sensitivities internally (the controller's model of the grid), fed
     by AC voltage measurements.  ``S`` must be the sensitivity set
     restricted to the actuator buses.  The trace's v_hist holds each step's
-    AC voltages at every bus, one row per step.
+    AC voltages at every bus, one row per step.  Each step's solve starts
+    from the flow the step before it converged to, and the first from a
+    flat profile.
     """
     if stepper not in ("taking", "anticipating"):
         raise ValueError("stepper must be 'taking' or 'anticipating'")
@@ -196,11 +204,14 @@ def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
     q_fixed = np.array([-b.q_c for b in net.buses])
     v_nom = np.array([b.v_nom for b in net.buses])[act]
     v_hist = []
+    state = None
 
     def step(q):
+        nonlocal state
         q_inj = q_fixed.copy()
         q_inj[act] += q
-        v = sweep_solve(net, p_fixed, q_inj, tol=SWEEP_TOL).v
+        state = sweep_solve(net, p_fixed, q_inj, tol=SWEEP_TOL, start=state)
+        v = state.v
         v_hist.append(v)
         return law_update(stepper, ctrl, S.d, v[act] - v_nom, q)
 

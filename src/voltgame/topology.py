@@ -3,10 +3,10 @@ and the tree algebra of the reactance matrix X.
 
 Each validated feeder has one tree factor, kept with its traversal and
 built in two parts on first use: the triangular factor of C = I - Par in
-traversal order, which gives X and R products and their dense blocks, and
-the leaf-first elimination of the sparse X^{-1}, which gives the Woodbury
-solves and inertia counts that the equilibrium solvers and the PoSA report
-share.
+traversal order, which gives X and R products, their dense blocks and the
+passes of the AC branch-flow sweep, and the leaf-first elimination of the
+sparse X^{-1}, which gives the Woodbury solves and inertia counts that the
+equilibrium solvers and the PoSA report share.
 
 Node 0 is the substation (fixed voltage) and must have exactly one direct
 child; every other node has exactly one parent line.  All matrix-facing
@@ -393,8 +393,9 @@ class _TreeFactor:
     - traversal order: C = I - Par (Par[k, up[k]] = 1) is unit lower
       triangular, so splu factors it with no fill, and the path incidence A
       (A[e, i] = 1 when the line into e is on the root path of i) is
-      C^{-T}.  So X = A^T diag(x) A and R = A^T diag(r) A are a subtree sum,
-      a scaling and a root-path sum (:meth:`path_sums`).
+      C^{-T}.  So X = A^T diag(x) A and R = A^T diag(r) A are a subtree sum
+      (:meth:`subtree_sums`), a scaling and a root-path sum
+      (:meth:`root_path_sums`), as are the passes of the AC branch-flow sweep.
     - leaf-first order, the traversal order reversed: every bus comes after
       all its children, so Gaussian elimination of X^{-1} plus a diagonal
       creates no fill.  The pivot of bus i is a_i + s_i - sum_c w_c^2 / p_c
@@ -406,21 +407,41 @@ class _TreeFactor:
 
     def __init__(self, tr: Traversal):
         # the arrays it needs, and no reference back to tr, which holds the factor
-        self._order, self._up, self._parent, self._x = tr.order, tr.up, tr.parent, tr.x
+        self._parent, self._x = tr.parent, tr.x
+        self.up = tr.up  # up[k]: traversal position of the parent of position k, n for the root
         self.n = n = tr.order.size
+        self.idx = tr.order - 1  # idx[k]: matrix index at traversal position k
         self.pos = np.empty(n, dtype=int)  # pos[i]: traversal position of matrix index i
-        self.pos[tr.order - 1] = np.arange(n)
-        self.x, self.r = tr.x[tr.order - 1], tr.r[tr.order - 1]  # in traversal order
+        self.pos[self.idx] = np.arange(n)
+        self.x, self.r = tr.x[self.idx], tr.r[self.idx]  # in traversal order
+
+    @cached_property
+    def z2(self) -> np.ndarray:
+        """Squared line impedances r^2 + x^2 in traversal order.
+
+        float_power squares as the scalar ``r ** 2`` does (libm pow); the
+        array ``r ** 2`` is r * r, which differs from it in the last bit on
+        some inputs.
+        """
+        return np.float_power(self.r, 2) + np.float_power(self.x, 2)
 
     @cached_property
     def _paths(self):
         from scipy.sparse import csc_array, identity
         from scipy.sparse.linalg import splu
 
-        n, up = self.n, self._up
+        n, up = self.n, self.up
         k = np.flatnonzero(up < n)
         C = identity(n, format="csc") - csc_array((np.ones(k.size), (k, up[k])), shape=(n, n))
         return splu(C, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+    def subtree_sums(self, b: np.ndarray) -> np.ndarray:
+        """C^{-T} b: entry k sums b over the subtree of traversal position k."""
+        return self._paths.solve(b, trans="T")
+
+    def root_path_sums(self, b: np.ndarray) -> np.ndarray:
+        """C^{-1} b: entry k sums b over the root path of traversal position k."""
+        return self._paths.solve(b)
 
     def path_sums(self, w: np.ndarray, at: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Rows and columns at traversal positions ``at`` of A^T diag(w) A, applied to v.
@@ -430,9 +451,9 @@ class _TreeFactor:
         """
         b = np.zeros((self.n,) + v.shape[1:])
         b[at] = v
-        b = self._paths.solve(b, trans="T")
+        b = self.subtree_sums(b)
         b *= w
-        return self._paths.solve(b)[at]
+        return self.root_path_sums(b)[at]
 
     @cached_property
     def leaf_first(self) -> SimpleNamespace:
@@ -441,11 +462,11 @@ class _TreeFactor:
         ``w2`` = 1/x^2 and the pivot guard ``pivmin`` for the elimination; and
         ``x_bracket``, the Gershgorin bracket of lambda_min(X)."""
         n = self.n
-        perm = self._order[::-1] - 1  # leaf-first position k holds matrix index perm[k]
+        perm = self.idx[::-1]  # leaf-first position k holds matrix index perm[k]
         L = _laplacian(self._x, self._parent)
         a = L.diagonal()[perm]
         w2 = (1.0 / self._x[perm]) ** 2
-        up = self._up[::-1]
+        up = self.up[::-1]
         return SimpleNamespace(
             L=L[perm][:, perm].tocsc(), a=a, up=np.where(up < n, n - 1 - up, n).tolist(),
             w2=w2.tolist(), pivmin=np.finfo(float).tiny * max(1.0, float(np.max(w2))),

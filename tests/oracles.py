@@ -219,6 +219,52 @@ def sweep_solve_by_bus(net, p_inj, q_inj, tol=1e-8, max_iter=200):
     raise NoConvergenceError(state.residual, max_iter)
 
 
+def sweep_solve_by_level(net, p_inj, q_inj, tol=1e-8, max_iter=200):
+    """Backward/forward sweep from a flat start, one set of numpy calls per depth level.
+
+    Child sums are added in sibling order, as sweep_solve_by_bus adds them,
+    so the two agree bit for bit.
+    """
+    from voltgame.acflow import (NoConvergenceError, VoltageCollapseError, _residual,
+                                 _squares, _to_state)
+
+    n = net.n
+    t = net.traversal
+    f = t.factor
+    idx, r, x = f.idx, f.r, f.x
+    p = np.asarray(p_inj, dtype=float)[idx]
+    q = np.asarray(q_inj, dtype=float)[idx]
+    below = t.levels[1:] + (slice(n, n),)  # each level's children; none under the deepest
+
+    P = np.zeros(n)
+    Q = np.zeros(n)
+    ell = np.zeros(n)
+    v = np.full(n + 1, net.v0 ** 2)  # v[k] belongs to order[k]; v[n] is the root's
+
+    residual = np.inf
+    for it in range(1, max_iter + 1):
+        r_ell = r * ell
+        x_ell = x * ell
+        for s, c in zip(reversed(t.levels), reversed(below)):
+            P[s] = -p[s] + np.bincount(t.up[c], P[c], s.stop)[s] + r_ell[s]
+            Q[s] = -q[s] + np.bincount(t.up[c], Q[c], s.stop)[s] + x_ell[s]
+        drop = 2.0 * (r * P + x * Q)
+        rise = f.z2 * ell
+        for s in t.levels:
+            v[s] = v[t.up[s]] - drop[s] + rise[s]
+        collapsed = v[:n] <= 0
+        if collapsed.any():
+            k = int(np.argmax(collapsed))
+            raise VoltageCollapseError(f"squared voltage {v[k]:.3e} at bus {t.order[k]}")
+        PQ2 = _squares(P, Q)
+        ell = PQ2 / v[t.up]
+
+        residual = _residual(f, p, q, P, Q, ell, v, PQ2)
+        if residual < tol:
+            return _to_state(f.pos, P, Q, ell, v, residual, it)
+    raise NoConvergenceError(residual, max_iter)
+
+
 def random_tree_by_node(dist, seed):
     """Random feeder drawing each node's child count with its own rng.choice."""
     from collections import deque

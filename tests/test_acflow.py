@@ -1,11 +1,14 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import equation_residuals_by_bus, sweep_solve_by_bus
+from oracles import equation_residuals_by_bus, sweep_solve_by_bus, sweep_solve_by_level
 from strategies import feeders
 from voltgame.acflow import (
+    SWEEP_TOL,
     NoConvergenceError,
     VoltageCollapseError,
     closed_loop_ac,
@@ -13,10 +16,18 @@ from voltgame.acflow import (
     sweep_solve,
 )
 from voltgame.controls import ControlSpec
+from voltgame.dynamics import law_update, run
 from voltgame.equilibrium import solve_iterative
 from voltgame.experiments import load_sce42, restricted_model
 from voltgame.sensitivity import build_sensitivity
-from voltgame.topology import BusData, DegreeDistribution, chain_network, random_tree
+from voltgame.topology import (
+    BusData,
+    DegreeDistribution,
+    RadialNetwork,
+    _TreeFactor,
+    chain_network,
+    random_tree,
+)
 
 
 def two_bus_closed_form(r, x, p, q, v0=1.0):
@@ -114,13 +125,26 @@ def loaded_feeders(draw):
 
 
 def assert_same_bits(net, p, q, tol=1e-10):
-    got = sweep_solve(net, p, q, tol=tol)
+    got = sweep_solve_by_level(net, p, q, tol=tol)
     want = sweep_solve_by_bus(net, p, q, tol=tol)
     for name in ("P", "Q", "ell", "v_sq"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.residual == want.residual
     assert got.iterations == want.iterations
     assert equation_residuals(net, p, q, got) == equation_residuals_by_bus(net, p, q, want)
+
+
+def sce42_case():
+    net = load_sce42().net
+    p = np.array([b.p_g - b.p_c for b in net.buses])
+    q = np.array([-b.q_c for b in net.buses])
+    return net, p, q
+
+
+def chain_30_case():
+    rng = np.random.default_rng(3)
+    net = chain_network(rng.uniform(0.002, 0.01, 30), rs=rng.uniform(0.001, 0.008, 30))
+    return net, rng.uniform(-0.02, 0.0, 30), rng.uniform(-0.01, 0.0, 30)
 
 
 class TestMatchesPerBusSweep:
@@ -132,15 +156,78 @@ class TestMatchesPerBusSweep:
         assert_same_bits(*case)
 
     def test_sce42(self):
-        net = load_sce42().net
-        p = np.array([b.p_g - b.p_c for b in net.buses])
-        q = np.array([-b.q_c for b in net.buses])
-        assert_same_bits(net, p, q)
+        assert_same_bits(*sce42_case())
 
     def test_chain_30(self):
-        rng = np.random.default_rng(3)
-        net = chain_network(rng.uniform(0.002, 0.01, 30), rs=rng.uniform(0.001, 0.008, 30))
-        assert_same_bits(net, rng.uniform(-0.02, 0.0, 30), rng.uniform(-0.01, 0.0, 30))
+        assert_same_bits(*chain_30_case())
+
+
+def assert_agrees_with_level_sweep(net, p, q, sweep_slack, tol=1e-10):
+    got = sweep_solve(net, p, q, tol=tol)
+    want = sweep_solve_by_level(net, p, q, tol=tol)
+    for name in ("P", "Q", "ell", "v_sq"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12,
+                                   err_msg=name)
+    assert abs(got.iterations - want.iterations) <= sweep_slack
+    # the residual a solve reports is the residual of the state it returns
+    assert got.residual == equation_residuals(net, p, q, got) < tol
+
+
+class TestMatchesLevelSweep:
+    # the triangular solves sum in another order than the level-wise sweep,
+    # so the two agree to rounding, not bit for bit
+    @settings(max_examples=60, deadline=None)
+    @given(loaded_feeders())
+    def test_random_feeders(self, case):
+        assert_agrees_with_level_sweep(*case, sweep_slack=1)
+
+    def test_sce42(self):
+        assert_agrees_with_level_sweep(*sce42_case(), sweep_slack=0)
+
+    def test_chain_30(self):
+        assert_agrees_with_level_sweep(*chain_30_case(), sweep_slack=0)
+
+
+class TestWarmStart:
+    def test_converged_start_needs_one_sweep(self):
+        net, p, q = sce42_case()
+        flat = sweep_solve(net, p, q, tol=1e-10)
+        warm = sweep_solve(net, p, q, tol=1e-10, start=flat)
+        assert warm.iterations == 1
+        # one more sweep moves a converged state by about its residual
+        for name in ("P", "Q", "ell", "v_sq"):
+            np.testing.assert_allclose(getattr(warm, name), getattr(flat, name), rtol=0,
+                                       atol=1e-10, err_msg=name)
+
+    def test_start_from_nearby_injections(self):
+        net, p, q = chain_30_case()
+        near = sweep_solve(net, 0.99 * p, 0.99 * q, tol=1e-10)
+        flat = sweep_solve(net, p, q, tol=1e-10)
+        warm = sweep_solve(net, p, q, tol=1e-10, start=near)
+        assert warm.iterations < flat.iterations
+        np.testing.assert_allclose(warm.v_sq, flat.v_sq, rtol=0, atol=1e-10)
+
+    def test_start_of_another_feeder_size(self):
+        net, p, q = chain_30_case()
+        other = sweep_solve(chain_network([0.01] * 29), np.zeros(29), np.zeros(29))
+        with pytest.raises(ValueError, match="30 buses"):
+            sweep_solve(net, p, q, start=other)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.5])
+    def test_start_with_bad_squared_voltage(self, bad):
+        net, p, q = chain_30_case()
+        start = sweep_solve(net, p, q)
+        start.v_sq[7] = bad
+        with pytest.raises(ValueError, match="squared voltage"):
+            sweep_solve(net, p, q, start=start)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+    def test_start_with_bad_squared_current(self, bad):
+        net, p, q = chain_30_case()
+        start = sweep_solve(net, p, q)
+        start.ell[4] = bad
+        with pytest.raises(ValueError, match="squared current"):
+            sweep_solve(net, p, q, start=start)
 
 
 def sce_like_chain(alpha=9.0, delta=0.0, depth=6):
@@ -199,8 +286,99 @@ class TestClosedLoop:
         trace = closed_loop_ac(net, S_act, ctrl, law)
         assert trace.q_hist.shape[0] == trace.iterations + 1
         assert trace.v_hist.shape[0] == trace.iterations
+        # each step warm-starts from the flow the step before it converged to
         p = np.array([b.p_g - b.p_c for b in net.buses])
+        state = None
         for q_row, v_row in zip(trace.q_hist, trace.v_hist):
             q_inj = np.array([-b.q_c for b in net.buses])
             q_inj[net.actuator_indices()] += q_row
-            np.testing.assert_array_equal(v_row, sweep_solve(net, p, q_inj, tol=1e-10).v)
+            state = sweep_solve(net, p, q_inj, tol=SWEEP_TOL, start=state)
+            np.testing.assert_array_equal(v_row, state.v)
+            # two solves that each stop below the residual tolerance agree to
+            # about that tolerance, not to rounding (up to 1.6e-11 here)
+            np.testing.assert_allclose(v_row, sweep_solve(net, p, q_inj, tol=SWEEP_TOL).v,
+                                       rtol=0, atol=SWEEP_TOL)
+
+
+def flat_start_loop(net, S_act, ctrl, law, tol, max_iter):
+    """closed_loop_ac as it ran before warm starts: a flat level-wise sweep per step."""
+    act = net.actuator_indices()
+    p = np.array([b.p_g - b.p_c for b in net.buses])
+    q_fixed = np.array([-b.q_c for b in net.buses])
+    v_nom = np.array([b.v_nom for b in net.buses])[act]
+
+    def step(q):
+        q_inj = q_fixed.copy()
+        q_inj[act] += q
+        v = sweep_solve_by_level(net, p, q_inj, tol=SWEEP_TOL).v
+        return law_update(law, ctrl, S_act.d, v[act] - v_nom, q)
+
+    return run(step, np.zeros(act.size), tol=tol, max_iter=max_iter)
+
+
+@st.composite
+def controlled_feeders(draw):
+    """A loaded random feeder with random actuators whose linearized taking
+    iteration contracts: alpha_i = c / (X_AA 1)_i, so every row of
+    diag(alpha) X_AA sums to c < 1."""
+    impedance = st.floats(1e-3, 0.05)
+    shape = draw(feeders(impedance, impedance, max_buses=30))
+    n = shape.n
+    load = st.floats(0.0, 5e-3)
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flags[draw(st.integers(0, n - 1))] = True
+    buses = tuple(BusData(p_c=draw(load), q_c=draw(load), is_actuator=a) for a in flags)
+    net = RadialNetwork(n=n, lines=shape.lines, buses=buses)
+    S_act = build_sensitivity(net).restrict(net.actuator_indices())
+    k = S_act.n
+    alpha = draw(st.floats(0.1, 0.9)) / S_act.matvec(np.ones(k))
+    delta = np.array(draw(st.lists(st.floats(0.0, 0.02), min_size=k, max_size=k)))
+    box = np.array(draw(st.lists(st.floats(1e-3, 0.1), min_size=k, max_size=k)))
+    return net, S_act, ControlSpec(alpha, delta, -box, box)
+
+
+class TestClosedLoopInvariants:
+    TOL = 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(controlled_feeders(), st.sampled_from(["taking", "anticipating"]))
+    def test_converged_loop_solves_the_flow(self, case, law):
+        net, S_act, ctrl = case
+        trace = closed_loop_ac(net, S_act, ctrl, law, tol=self.TOL)
+        flat = flat_start_loop(net, S_act, ctrl, law, tol=self.TOL, max_iter=300)
+        assert (trace.status, trace.iterations) == (flat.status, flat.iterations)
+        np.testing.assert_allclose(trace.q_final, flat.q_final, rtol=0, atol=10 * self.TOL)
+        if trace.converged:
+            p = np.array([b.p_g - b.p_c for b in net.buses])
+            q = np.array([-b.q_c for b in net.buses])
+            q[net.actuator_indices()] += trace.q_final
+            state = sweep_solve(net, p, q, tol=SWEEP_TOL)
+            assert equation_residuals(net, p, q, state) < SWEEP_TOL
+
+
+class TestOneFactorPerFeeder:
+    """One path-sum factor serves a whole AC loop and the solves around it."""
+
+    def test_closed_loop_and_probes(self, monkeypatch):
+        built = []
+        build = _TreeFactor._paths.func
+
+        def counted(tree):
+            built.append(tree)
+            return build(tree)
+
+        prop = cached_property(counted)
+        prop.__set_name__(_TreeFactor, "_paths")
+        monkeypatch.setattr(_TreeFactor, "_paths", prop)
+
+        net, ctrl = sce_like_chain()
+        S_act, _, _ = restricted_model(net)
+        p = np.array([b.p_g - b.p_c for b in net.buses])
+        q = np.array([-b.q_c for b in net.buses])
+        sweep_solve(net, p, q, tol=SWEEP_TOL)
+        for law in ("taking", "anticipating"):
+            trace = closed_loop_ac(net, S_act, ctrl, law)
+            q_final = q.copy()
+            q_final[net.actuator_indices()] += trace.q_final
+            sweep_solve(net, p, q_final, tol=SWEEP_TOL)
+        assert len(built) == 1
