@@ -188,17 +188,17 @@ def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
     :func:`voltgame.dynamics.law_update` to the measured deviation from each
     bus's v_nom.  The anticipating law keeps using the linearized
     self-sensitivities internally (the controller's model of the grid), fed
-    by AC voltage measurements.  ``S`` must be the sensitivity set
-    restricted to the actuator buses.  The trace's v_hist holds each step's
-    AC voltages at every bus, one row per step.  Each step's solve starts
-    from the flow the step before it converged to, and the first from a
-    flat profile.
+    by AC voltage measurements.  ``S`` must be the sensitivity set of
+    ``net`` restricted to its actuator buses, in their order.  The trace's
+    v_hist holds each step's AC voltages at every bus, one row per step.
+    Each step's solve starts from the flow the step before it converged to,
+    and the first from a flat profile.
     """
     if stepper not in ("taking", "anticipating"):
         raise ValueError("stepper must be 'taking' or 'anticipating'")
     act = net.actuator_indices()
-    if S.n != act.size or ctrl.n != act.size:
-        raise ValueError("S and ctrl must be restricted to the actuator buses")
+    if S.net is not net or not np.array_equal(S.idx, act) or ctrl.n != act.size:
+        raise ValueError("S and ctrl must be restricted to the actuator buses of net")
 
     p_fixed = np.array([b.p_g - b.p_c for b in net.buses])
     q_fixed = np.array([-b.q_c for b in net.buses])

@@ -68,8 +68,7 @@ def cmd_matrices(args) -> int:
 
 def cmd_simulate(args) -> int:
     net, ctrl0 = _load(args.net)
-    S = build_sensitivity(net)
-    S_act, vt_act, _ = experiments.restricted_model(net, S)
+    S_act, vt_act, _ = experiments.restricted_model(net)
     ctrl = _ctrl_from_args(net, ctrl0, args)
     # without --max-iter each model keeps its own default step budget
     budget = {} if args.max_iter is None else {"max_iter": args.max_iter}

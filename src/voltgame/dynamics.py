@@ -9,8 +9,8 @@ to the aggregate signal from everyone else.
 measured deviation and the bus's own injection, so the linear steppers here
 and the AC loop in :mod:`voltgame.acflow` share it, and :func:`run` is the
 one closed-loop driver for both models.  Both laws update all buses
-synchronously.  Spectral convergence certificates for each law live in
-:func:`condition_report`.
+synchronously.  :func:`condition_report` gives each law's spectral
+convergence certificate by Lanczos on tree passes, with no dense matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlSpec, beta
-from .sensitivity import SensitivitySet, _index_array
+from .sensitivity import SensitivitySet, _index_array, _is_index_set, _top_eigenpair
 from .topology import RadialNetwork
 
 
@@ -61,7 +61,11 @@ class OperatingConstants:
     delta_v_tilde: np.ndarray
 
     def restrict(self, idx) -> "OperatingConstants":
+        """The constants on idx; ValueError unless it holds distinct indices in 0..n-1."""
         idx = _index_array(idx)
+        n = self.v_tilde.size
+        if not _is_index_set(idx, n):
+            raise ValueError(f"restrict needs distinct matrix indices in 0..{n - 1}")
         return OperatingConstants(self.v_tilde[idx], self.delta_v_tilde[idx])
 
 
@@ -182,28 +186,34 @@ class ConditionReport:
     sufficient_holds: bool
 
 
-def _sigma_max(M: np.ndarray) -> float:
-    # sqrt of the top eigenvalue of M^T M; M itself is not symmetric.
-    w = np.linalg.eigvalsh(M.T @ M)
-    return float(np.sqrt(max(w[-1], 0.0)))
+def _sigma_max(S: SensitivitySet, scale: np.ndarray, mutual: bool) -> float:
+    """sigma_max(diag(scale) A) for A = X, or Xbar = X - diag(d) when mutual.
+
+    The square root of the top eigenvalue of the symmetric operator
+    v -> A (scale^2 * A v), two tree passes per product.
+    """
+    s2 = scale * scale
+    apply = S.mutual_matvec if mutual else S.matvec
+    lam = _top_eigenpair(lambda v: apply(s2 * apply(v)), S.n)
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 def condition_report(S: SensitivitySet, ctrl: ControlSpec) -> ConditionReport:
     """Evaluate both spectral conditions and the row-sum sufficient test.
 
-    The anticipating certificate is always strictly below the taking one,
-    and the sufficient test dominates the anticipating certificate; both
-    orderings are checked before returning, and a violation raises
-    :class:`CertificateOrderingError`.
+    sigma_max(diag(alpha) X) and sigma_max(diag(beta) Xbar), for Xbar =
+    X - diag(d), come from Lanczos on tree passes, and the sufficient test
+    max(beta) max(Xbar 1) from one more pass.  The anticipating certificate
+    is always strictly below the taking one, and the sufficient test
+    dominates the anticipating certificate; both orderings are checked
+    before returning, and a violation raises :class:`CertificateOrderingError`.
     """
     if ctrl.n != S.n:
         raise DimensionMismatchError(f"{ctrl.n} controllers for {S.n} buses")
-    alpha = ctrl.alpha
-    b = beta(alpha, S.d)
-    Xbar = S.X - np.diag(S.d)  # mutual sensitivities only
-    sigma_t = _sigma_max(alpha[:, None] * S.X)
-    sigma_a = _sigma_max(b[:, None] * Xbar)
-    sufficient = float(np.max(b) * np.max(np.sum(Xbar, axis=1)))
+    b = beta(ctrl.alpha, S.d)
+    sigma_t = _sigma_max(S, ctrl.alpha, False)
+    sigma_a = _sigma_max(S, b, True)
+    sufficient = float(np.max(b) * np.max(S.mutual_matvec(np.ones(S.n))))
 
     if not sigma_a < sigma_t + 1e-15:
         raise CertificateOrderingError(
@@ -235,43 +245,3 @@ def taking_stepper(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants)
 def anticipating_stepper(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants):
     """q -> one signal-anticipating update (best response) on the linear model."""
     return _linear_stepper("anticipating", S, ctrl, vt)
-
-
-def search_alpha_window(S: SensitivitySet, margin: float = 0.05,
-                        bisect_tol: float = 1e-10) -> float:
-    """Find a uniform droop slope where only the anticipating law converges.
-
-    Bisects the global slope scale: below 1/lambda_max(X) both spectral
-    certificates hold, so the taking threshold is crossed first.  Returns a
-    slope alpha with sigma(taking) > 1 > sigma(anticipating); raises if the
-    anticipating certificate margin at the taking threshold is too thin.
-    """
-    Xbar = S.X - np.diag(S.d)
-
-    def sig_t(a):
-        return _sigma_max(a * S.X)
-
-    def sig_a(a):
-        b = beta(np.full(S.n, a), S.d)
-        return _sigma_max(b[:, None] * Xbar)
-
-    lo, hi = 1e-9, 1.0
-    while sig_t(hi) < 1.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("taking certificate never crosses 1")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sig_t(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < bisect_tol * hi:
-            break
-    alpha = hi * (1.0 + margin)
-    if not (sig_t(alpha) > 1.0 and sig_a(alpha) < 1.0):
-        raise RuntimeError(
-            f"no slope window found: sigma_taking={sig_t(alpha):.6f}, "
-            f"sigma_anticipating={sig_a(alpha):.6f} at alpha={alpha:.6g}"
-        )
-    return float(alpha)

@@ -41,7 +41,8 @@ import numpy as np
 
 from .controls import ControlSpec
 from .dynamics import OperatingConstants
-from .sensitivity import SensitivitySet, _index_array, _is_index_set, chain_eigen_bounds
+from .sensitivity import (SensitivitySet, _index_array, _is_index_set, _top_eigenpair,
+                          chain_eigen_bounds)
 from .topology import RadialNetwork
 
 
@@ -337,35 +338,10 @@ def _bounds_report(lam_pi: float, lam_min_M: float, lam_min_N: float, lam_min_X:
 
 # -- every report from the sparse X^{-1} of the feeder -----------------------------
 
-_V0_SEED = 0  # seeds ARPACK's start and restart vectors, so a report repeats to the bit
 # ARPACK maxiter of a lambda_min estimate.  Random trees and chains converge
 # within it; where the top of the spectrum is clustered (the uniform chain)
 # an estimate fails, and a small budget keeps the restarts it wastes cheap.
 _ESTIMATE_RESTARTS = 4
-
-
-def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = False):
-    """Largest eigenvalue of the symmetric operator v -> matvec(v), and with
-    ``vector`` also its unit eigenvector, signed so that its entry of largest
-    magnitude is positive.
-
-    ARPACK's Lanczos with seeded start and restart vectors, so a rerun gives
-    the same bits; with maxiter set it raises ArpackNoConvergence after that
-    many restarts.  ARPACK needs n > 1; a 1 x 1 operator is its own eigenvalue.
-    """
-    if n == 1:
-        lam = float(matvec(np.ones(1))[0])
-        return (lam, np.ones(1)) if vector else lam
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    v0 = np.random.default_rng(_V0_SEED).uniform(-1.0, 1.0, n)
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    out = eigsh(op, k=1, which="LA", tol=0, v0=v0, maxiter=maxiter,
-                return_eigenvectors=vector, rng=np.random.default_rng(_V0_SEED))
-    if not vector:
-        return float(out[0])
-    e = out[1][:, 0]
-    return float(out[0][0]), (e if e[np.argmax(np.abs(e))] > 0.0 else -e)
 
 
 def _lambda_min_estimate(inverse, n: int) -> float | None:

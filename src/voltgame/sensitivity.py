@@ -81,6 +81,27 @@ class SensitivitySet:
         return tree.path_sums(tree.r, self._at, p)
 
     @cached_property
+    def _shared(self) -> tuple[np.ndarray, np.ndarray]:
+        # x on the lines whose subtree holds two or more buses of the set, 0
+        # elsewhere, and its root-path sums at the set's buses
+        tree = self.net.traversal.factor
+        count = tree.subtree_sums(np.bincount(self._at, minlength=tree.n).astype(float))
+        w = np.where(count >= 2.0, tree.x, 0.0)
+        return w, tree.root_path_sums(w)[self._at]
+
+    def mutual_matvec(self, q: np.ndarray) -> np.ndarray:
+        """(X - diag(d)) q, the mutual sensitivities applied to q.
+
+        A line whose subtree holds bus i alone of the set adds x q_i to
+        (X q)_i and x to d_i, terms that cancel in X q - d q.  The pass leaves
+        such lines out of both, so a small shared part of i's root path keeps
+        its digits next to a large d_i.
+        """
+        tree = self.net.traversal.factor
+        w, d_shared = self._shared
+        return tree.path_sums(w, self._at, q) - d_shared * q
+
+    @cached_property
     def X(self) -> np.ndarray:
         return _dense_block(self, self.net.traversal.factor.x)
 
@@ -112,6 +133,33 @@ def _dense_block(S: SensitivitySet, w: np.ndarray) -> np.ndarray:
     """
     # a boolean identity takes one byte per entry; placing it casts it to 0.0/1.0
     return S.net.traversal.factor.path_sums(w[:, None], S._at, np.eye(S.n, dtype=bool))
+
+
+_V0_SEED = 0  # seeds ARPACK's start and restart vectors, so a result repeats to the bit
+
+
+def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = False):
+    """Largest eigenvalue of the symmetric operator v -> matvec(v), and with
+    ``vector`` also its unit eigenvector, signed so that its entry of largest
+    magnitude is positive.
+
+    ARPACK's Lanczos with seeded start and restart vectors, so a rerun gives
+    the same bits; with maxiter set it raises ArpackNoConvergence after that
+    many restarts.  ARPACK needs n > 1; a 1 x 1 operator is its own eigenvalue.
+    """
+    if n == 1:
+        lam = float(matvec(np.ones(1))[0])
+        return (lam, np.ones(1)) if vector else lam
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    v0 = np.random.default_rng(_V0_SEED).uniform(-1.0, 1.0, n)
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    out = eigsh(op, k=1, which="LA", tol=0, v0=v0, maxiter=maxiter,
+                return_eigenvectors=vector, rng=np.random.default_rng(_V0_SEED))
+    if not vector:
+        return float(out[0])
+    e = out[1][:, 0]
+    return float(out[0][0]), (e if e[np.argmax(np.abs(e))] > 0.0 else -e)
 
 
 def build_sensitivity(net: RadialNetwork) -> SensitivitySet:

@@ -655,3 +655,89 @@ def posa_report(S, Y, vt=None, want_direction=True):
     return _bounds_report(lam_pi, lam_min_M, lam_min_N, lam_min_X, lam_lower,
                           d=float(np.max(d_vec)), y=float(np.min(Yd)), posa=posa,
                           direction=direction)
+
+
+def _sigma_max(M):
+    # sqrt of the top eigenvalue of M^T M; M itself is not symmetric.
+    w = np.linalg.eigvalsh(M.T @ M)
+    return float(np.sqrt(max(w[-1], 0.0)))
+
+
+def condition_report_dense(S, ctrl):
+    """Both spectral certificates and the row-sum test from the dense X.
+
+    sigma_max(diag(alpha) X) and sigma_max(diag(beta) Xbar) come from dense
+    eigvalsh of the k x k M^T M, and the row sums of Xbar entry by entry.
+    Raises CertificateOrderingError as the library report does.
+    """
+    from voltgame.controls import beta
+    from voltgame.dynamics import (CertificateOrderingError, ConditionReport,
+                                   DimensionMismatchError)
+
+    if ctrl.n != S.n:
+        raise DimensionMismatchError(f"{ctrl.n} controllers for {S.n} buses")
+    alpha = ctrl.alpha
+    b = beta(alpha, S.d)
+    Xbar = S.X - np.diag(S.d)  # mutual sensitivities only
+    sigma_t = _sigma_max(alpha[:, None] * S.X)
+    sigma_a = _sigma_max(b[:, None] * Xbar)
+    sufficient = float(np.max(b) * np.max(np.sum(Xbar, axis=1)))
+
+    if not sigma_a < sigma_t + 1e-15:
+        raise CertificateOrderingError(
+            f"certificate ordering violated: {sigma_a} >= {sigma_t}", sigma_t, sigma_a, sufficient)
+    if sufficient < 1.0 and not sigma_a < 1.0:
+        raise CertificateOrderingError(
+            f"sufficient row-sum test held ({sufficient} < 1) but the spectral test "
+            f"failed ({sigma_a} >= 1)", sigma_t, sigma_a, sufficient)
+
+    return ConditionReport(
+        sigma_taking=sigma_t,
+        sigma_anticipating=sigma_a,
+        sufficient_lhs=sufficient,
+        taking_converges=sigma_t < 1.0,
+        anticipating_converges=sigma_a < 1.0,
+        sufficient_holds=sufficient < 1.0,
+    )
+
+
+def search_alpha_window(S, margin=0.05, bisect_tol=1e-10):
+    """Find a uniform droop slope where only the anticipating law converges.
+
+    Bisects the global slope scale on the dense certificates: below
+    1/lambda_max(X) both hold, so the taking threshold is crossed first.
+    Returns a slope alpha with sigma(taking) > 1 > sigma(anticipating);
+    raises if the anticipating certificate margin at the taking threshold is
+    too thin.
+    """
+    from voltgame.controls import beta
+
+    Xbar = S.X - np.diag(S.d)
+
+    def sig_t(a):
+        return _sigma_max(a * S.X)
+
+    def sig_a(a):
+        b = beta(np.full(S.n, a), S.d)
+        return _sigma_max(b[:, None] * Xbar)
+
+    lo, hi = 1e-9, 1.0
+    while sig_t(hi) < 1.0:
+        hi *= 2.0
+        if hi > 1e12:
+            raise RuntimeError("taking certificate never crosses 1")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sig_t(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < bisect_tol * hi:
+            break
+    alpha = hi * (1.0 + margin)
+    if not (sig_t(alpha) > 1.0 and sig_a(alpha) < 1.0):
+        raise RuntimeError(
+            f"no slope window found: sigma_taking={sig_t(alpha):.6f}, "
+            f"sigma_anticipating={sig_a(alpha):.6f} at alpha={alpha:.6g}"
+        )
+    return float(alpha)

@@ -13,7 +13,6 @@ from voltgame.dynamics import (
     anticipating_stepper,
     condition_report,
     run,
-    search_alpha_window,
     taking_stepper,
 )
 from voltgame.equilibrium import objective_F, solve_iterative
@@ -34,6 +33,7 @@ from oracles import (
     grid_minimize,
     objective_F_direct,
     pi_matrix,
+    search_alpha_window,
     uniform_chain_eigenvalues,
 )
 

@@ -278,6 +278,21 @@ class TestClosedLoop:
         with pytest.raises(ValueError):
             closed_loop_ac(net, S, ctrl, "taking")
 
+    def test_rejects_a_set_of_other_buses(self):
+        # as many buses as the actuators, but not them: the anticipating law
+        # would run on the wrong self-sensitivities
+        data = load_sce42()
+        net, act = data.net, data.net.actuator_indices()
+        S = build_sensitivity(net)
+        ctrl = ControlSpec(np.full(act.size, 9.0), np.full(act.size, 0.02),
+                           data.ctrl.q_min, data.ctrl.q_max)
+        assert not np.array_equal(act, np.arange(act.size))
+        for wrong in (S.restrict(np.arange(act.size)), S.restrict(act[::-1]),
+                      build_sensitivity(load_sce42().net).restrict(act)):
+            with pytest.raises(ValueError, match="actuator buses"):
+                closed_loop_ac(net, wrong, ctrl, "anticipating")
+        assert closed_loop_ac(net, S.restrict(act), ctrl, "anticipating").converged
+
     @pytest.mark.parametrize("law", ["taking", "anticipating"])
     def test_trace_contract(self, law):
         # v_hist[t] is the AC flow at q_hist[t], the measurement that fed step t

@@ -15,16 +15,17 @@ from voltgame.dynamics import (
     condition_report,
     operating_constants,
     run,
-    search_alpha_window,
     taking_stepper,
     voltage_from_q,
     OperatingConstants,
 )
 from voltgame.equilibrium import solve_iterative
+from voltgame.experiments import load_sce42, restricted_model
 from voltgame.sensitivity import build_sensitivity
-from voltgame.topology import BusData, DegreeDistribution, chain_network, random_tree
+from voltgame.topology import (BusData, DegreeDistribution, Line, RadialNetwork, chain_network,
+                               random_tree)
 
-from oracles import cost_scalar
+from oracles import condition_report_dense, cost_scalar, search_alpha_window
 from strategies import feeders
 
 
@@ -224,12 +225,53 @@ class TestConditionReport:
             assert rep.sigma_anticipating <= rep.sufficient_lhs + 1e-12
 
 
+class TestMatchesDenseOracle:
+    # Lanczos on tree passes against dense eigvalsh of M^T M
+    @staticmethod
+    def assert_agrees(S, ctrl):
+        got, want = condition_report(S, ctrl), condition_report_dense(S, ctrl)
+        for field in ("sigma_taking", "sigma_anticipating", "sufficient_lhs"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                       rtol=1e-12, atol=0, err_msg=field)
+
+    @settings(max_examples=60, deadline=None)
+    @given(feeders(st.floats(0.0, 1.0), st.floats(1e-3, 2.0)), st.data())
+    def test_whole_and_restricted_feeders(self, net, data):
+        S = build_sensitivity(net)
+        idx = data.draw(st.lists(st.integers(0, S.n - 1), min_size=1, max_size=S.n,
+                                 unique=True))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for sub in (S, S.restrict(idx[:1]), S.restrict(idx[:2]), S.restrict(idx)):
+            self.assert_agrees(sub, ControlSpec(rng.uniform(0.05, 5.0, sub.n), np.zeros(sub.n),
+                                                np.full(sub.n, -np.inf),
+                                                np.full(sub.n, np.inf)))
+
+    def test_two_deep_leaves_under_a_short_shared_line(self):
+        # buses 6 and 11 end two branches of five 1.7 lines below bus 1, so they
+        # share only its 1e-3 line against d = 8.501: X q - d q would lose the
+        # mutual part of a product to about 1e-12 relative
+        parents = [0, 1, 2, 3, 4, 5, 1, 7, 8, 9, 10]
+        lines = tuple(Line(p, k, 0.0, 1e-3 if k == 1 else 1.7)
+                      for k, p in enumerate(parents, start=1))
+        net = RadialNetwork(n=11, lines=lines, buses=tuple(BusData() for _ in range(11)))
+        self.assert_agrees(build_sensitivity(net).restrict([5, 10]),
+                           ControlSpec.uniform(2, alpha=5.0))
+
+    @pytest.mark.parametrize("alpha", [4.0, 9.0, 20.0, 30.0, 40.0])
+    def test_sce42_actuators(self, alpha):
+        data = load_sce42()
+        S_act, _, _ = restricted_model(data.net)
+        k = S_act.n
+        self.assert_agrees(S_act, ControlSpec(np.full(k, alpha), np.full(k, 0.02),
+                                              data.ctrl.q_min, data.ctrl.q_max))
+
+
 class TestCertificateOrderingError:
     @staticmethod
     def break_sigma(monkeypatch, sigma_taking, sigma_anticipating):
         # condition_report computes the taking certificate first
         values = iter([sigma_taking, sigma_anticipating])
-        monkeypatch.setattr(dynamics, "_sigma_max", lambda M: next(values))
+        monkeypatch.setattr(dynamics, "_sigma_max", lambda *a: next(values))
 
     def test_anticipating_above_taking(self, monkeypatch):
         _, S, spec, _ = make_instance(3, alpha_scale=0.5)

@@ -1,9 +1,11 @@
 """The linear model applied matrix-free: X q and R p as O(n) tree passes.
 
 Products agree with the dense matrices, restricting a set builds nothing,
-and the CLI's linear and AC runs and the equilibrium solvers complete with
-the dense build disabled.
+and the CLI's linear and AC runs, the alpha sweep, the equilibrium solvers
+and the convergence certificates complete with the dense build disabled.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ def no_dense_build(monkeypatch):
 
 
 def assert_products_match(S, rng):
-    """matvec and r_matvec equal the dense products; d equals diag(X) exactly."""
+    """matvec, r_matvec and mutual_matvec equal the dense products; d equals diag(X) exactly."""
     for _ in range(3):
         q = rng.uniform(-1.0, 1.0, S.n)
         want = S.X @ q
@@ -45,6 +47,9 @@ def assert_products_match(S, rng):
                                    atol=1e-12 * max(1.0, float(np.max(np.abs(want)))))
         want = S.R @ q
         np.testing.assert_allclose(S.r_matvec(q), want, rtol=0,
+                                   atol=1e-12 * max(1.0, float(np.max(np.abs(want)))))
+        want = (S.X - np.diag(S.d)) @ q
+        np.testing.assert_allclose(S.mutual_matvec(q), want, rtol=0,
                                    atol=1e-12 * max(1.0, float(np.max(np.abs(want)))))
     assert np.array_equal(S.d, np.diag(S.X))
 
@@ -132,6 +137,33 @@ def test_equilibria_build_nothing_dense(tmp_path, monkeypatch):
                     "--out", str(out)]
             assert main(argv) == 0, argv
             assert '"q"' in out.read_text()
+
+
+@settings(max_examples=30, deadline=None)
+@given(feeders(st.floats(0.0, 1.0), st.floats(1e-3, 2.0)), st.data())
+def test_certificates_build_nothing_dense(net, data):
+    S = build_sensitivity(net)
+    idx = data.draw(st.lists(st.integers(0, S.n - 1), min_size=1, max_size=S.n, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        no_dense_build(mp)
+        for sub in (S, S.restrict(idx)):
+            ctrl = ControlSpec(rng.uniform(0.05, 5.0, sub.n), np.zeros(sub.n),
+                               np.full(sub.n, -np.inf), np.full(sub.n, np.inf))
+            rep = dynamics.condition_report(sub, ctrl)
+            assert rep.sigma_anticipating < rep.sigma_taking
+        assert "X" not in vars(S)
+
+
+@pytest.mark.parametrize("ac", [False, True], ids=["linear", "ac"])
+def test_alpha_sweep_builds_nothing_dense(tmp_path, monkeypatch, ac):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "alpha", "alphas": [4.0, 30.0], "delta": 0.02,
+                                "ac": ac}))
+    out = tmp_path / "sweep.csv"
+    no_dense_build(monkeypatch)
+    assert main(["sweep", str(spec), "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 6  # schema, header and two laws at each slope
 
 
 def test_chain_of_100k_buses_runs_matrix_free(monkeypatch):

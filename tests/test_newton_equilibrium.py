@@ -168,7 +168,9 @@ class TestSolveQuadratic:
         dv = data.draw(offsets(S.n))
         vt = OperatingConstants(1.0 + dv, dv)
         for objective, which, point in (("F", "equilibrium", "q_star"), ("W", "nash", "q_a")):
-            got = getattr(solve_iterative(objective, S, ControlSpec.quadratic(y), vt), point)
+            # as tight as the assertion, not the default 1e-10 * max(1, |q|)
+            res = solve_iterative(objective, S, ControlSpec.quadratic(y), vt, tol=1e-14)
+            got = getattr(res, point)
             want = getattr(oracles.solve_quadratic_cholesky(S, y, vt, which), point)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 

@@ -145,6 +145,8 @@ class TestBuild:
         S = build_sensitivity(chain_network([1.0] * 4))
         with pytest.raises(ValueError, match=r"distinct matrix indices in 0\.\.3$"):
             S.restrict(idx)
+        with pytest.raises(ValueError, match=r"distinct matrix indices in 0\.\.3$"):
+            OperatingConstants(np.ones(4), np.zeros(4)).restrict(idx)
         # indices of a restricted set address that set, not the feeder
         with pytest.raises(ValueError, match=r"distinct matrix indices in 0\.\.1$"):
             S.restrict([3, 1]).restrict([2])
