@@ -38,6 +38,19 @@ class ParseError(ValueError):
     pass
 
 
+def _not_object(value, where):
+    return ParseError(f"{where} must be an object, not {type(value).__name__}")
+
+
+def _table(rows, name):
+    if not isinstance(rows, list):
+        raise ParseError(f"{name!r} must be a list of objects, not {type(rows).__name__}")
+    for k, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise _not_object(row, f"{name}[{k}]")
+    return rows
+
+
 def _num(value, default=None):
     if value is None or value == "":
         return default
@@ -50,10 +63,44 @@ def _bound(value, default):
     return float(value)
 
 
-def _remap_ids(bus_ids, line_rows):
+def _row_error(row, where, labels=(), required=(), optional=()):
+    """The ParseError for a row that failed to read: its first missing label or
+    required number, label that is a list or an object, or number field that
+    float() rejects (an optional one may be missing, null or empty); else None."""
+    for key in labels + required:
+        if key not in row:
+            return ParseError(f"{where} has no {key!r}")
+    for key in labels:
+        if isinstance(row[key], (list, dict)):
+            return ParseError(f"{where}: {key!r} must be a number or a string, "
+                              f"not {json.dumps(row[key])}")
+    for key in required + optional:
+        value = row.get(key)
+        if key in optional and (value is None or value == ""):
+            continue
+        try:
+            float(value)
+        except (TypeError, ValueError):
+            return ParseError(f"{where}: {key!r} must be a number, not {json.dumps(value)}")
+    return None
+
+
+def _remap_ids(bus_rows, line_rows):
     """Map arbitrary labels to dense ids with the substation at 0."""
-    ids = list(bus_ids)
-    child_labels = {row["to"] for row in line_rows}
+    ids = {}  # label -> index of its row
+    for k, row in enumerate(bus_rows):
+        try:
+            first = ids.setdefault(row["id"], k)
+        except (KeyError, TypeError):
+            raise _row_error(row, f"buses[{k}]", labels=("id",)) from None
+        if first != k:
+            raise ParseError(f"buses[{k}] repeats bus id {row['id']!r} of buses[{first}]")
+    child_labels = set()
+    for k, row in enumerate(line_rows):
+        try:
+            child_labels.add(row["to"])
+        except (KeyError, TypeError):
+            raise _row_error(row, f"lines[{k}]", labels=("to",)) from None
     if 0 in ids:
         root = 0
     elif "0" in ids:
@@ -67,29 +114,40 @@ def _remap_ids(bus_ids, line_rows):
     return {label: k for k, label in enumerate(order)}
 
 
+_BUS_NUMBERS = ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max")
+_CONTROL_NUMBERS = ("alpha", "delta", "q_min", "q_max")
+
+
 def _build(v0, bus_rows, line_rows, default_ctrl) -> tuple[RadialNetwork, ControlSpec | None]:
-    mapping = _remap_ids([row["id"] for row in bus_rows], line_rows)
+    bus_rows, line_rows = _table(bus_rows, "buses"), _table(line_rows, "lines")
+    mapping = _remap_ids(bus_rows, line_rows)
     n = len(bus_rows) - 1
 
     buses = [None] * n
-    ctrl_rows = [None] * n
-    for row in bus_rows:
+    ctrl_rows = [None] * n  # (row index, per-bus control override or None)
+    for j, row in enumerate(bus_rows):
         k = mapping[row["id"]]
         if k == 0:
             continue
-        buses[k - 1] = BusData(
-            p_c=_num(row.get("p_c"), 0.0),
-            p_g=_num(row.get("p_g"), 0.0),
-            q_c=_num(row.get("q_c"), 0.0),
-            v_nom=_num(row.get("v_nom"), 1.0),
-            q_min=_bound(row.get("q_min"), -math.inf),
-            q_max=_bound(row.get("q_max"), math.inf),
-            is_actuator=bool(row.get("actuator", True)),
-        )
-        ctrl_rows[k - 1] = row.get("control")
+        try:
+            buses[k - 1] = BusData(
+                p_c=_num(row.get("p_c"), 0.0),
+                p_g=_num(row.get("p_g"), 0.0),
+                q_c=_num(row.get("q_c"), 0.0),
+                v_nom=_num(row.get("v_nom"), 1.0),
+                q_min=_bound(row.get("q_min"), -math.inf),
+                q_max=_bound(row.get("q_max"), math.inf),
+                is_actuator=bool(row.get("actuator", True)),
+            )
+        except (TypeError, ValueError):
+            raise _row_error(row, f"buses[{j}]", optional=_BUS_NUMBERS) from None
+        over = row.get("control")
+        if over is not None and not isinstance(over, dict):
+            raise _not_object(over, f"buses[{j}]['control']")
+        ctrl_rows[k - 1] = (j, over)
 
     lines = []
-    for row in line_rows:
+    for k, row in enumerate(line_rows):
         try:
             lines.append(Line(
                 from_node=mapping[row["from"]],
@@ -97,24 +155,32 @@ def _build(v0, bus_rows, line_rows, default_ctrl) -> tuple[RadialNetwork, Contro
                 r=float(row["r"]),
                 x=float(row["x"]),
             ))
-        except KeyError as exc:
-            raise ParseError(f"line {row!r} references unknown bus {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise (_row_error(row, f"lines[{k}]", labels=("from", "to"), required=("r", "x"))
+                   or ParseError(f"line {row!r} references unknown bus {exc}")) from exc
 
     net = RadialNetwork(n=n, lines=tuple(lines), buses=tuple(buses), v0=float(v0))
     validate_tree(net)
 
     ctrl = None
-    if default_ctrl is not None or any(c is not None for c in ctrl_rows):
-        base = default_ctrl or {}
+    if default_ctrl is not None or any(over is not None for _, over in ctrl_rows):
+        base = {} if default_ctrl is None else default_ctrl
+        if not isinstance(base, dict):
+            raise _not_object(base, "'control'")
         alpha, delta, qmin, qmax = [], [], [], []
         for k, bus in enumerate(buses):
             if not bus.is_actuator:
                 continue
-            over = ctrl_rows[k] or {}
-            alpha.append(_num(over.get("alpha", base.get("alpha")), 0.0))
-            delta.append(_num(over.get("delta", base.get("delta")), 0.0))
-            qmin.append(_bound(over.get("q_min", base.get("q_min")), bus.q_min))
-            qmax.append(_bound(over.get("q_max", base.get("q_max")), bus.q_max))
+            j, over = ctrl_rows[k]
+            over = over or {}
+            try:
+                alpha.append(_num(over.get("alpha", base.get("alpha")), 0.0))
+                delta.append(_num(over.get("delta", base.get("delta")), 0.0))
+                qmin.append(_bound(over.get("q_min", base.get("q_min")), bus.q_min))
+                qmax.append(_bound(over.get("q_max", base.get("q_max")), bus.q_max))
+            except (TypeError, ValueError):
+                raise _row_error({**base, **over}, f"the control of buses[{j}]",
+                                 optional=_CONTROL_NUMBERS) from None
         if alpha:
             ctrl = ControlSpec(np.array(alpha), np.array(delta), np.array(qmin), np.array(qmax))
     return net, ctrl
@@ -130,10 +196,15 @@ def load_network_json(path_or_text) -> tuple[RadialNetwork, ControlSpec | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise _not_object(doc, "the network")
     for key in ("buses", "lines"):
         if key not in doc:
             raise ParseError(f"missing top-level key {key!r}")
-    return _build(doc.get("v0", 1.0), doc["buses"], doc["lines"], doc.get("control"))
+    error = _row_error(doc, "the network", optional=("v0",))
+    if error:
+        raise error
+    return _build(_num(doc.get("v0"), 1.0), doc["buses"], doc["lines"], doc.get("control"))
 
 
 def save_network_json(net: RadialNetwork, ctrl: ControlSpec | None = None) -> str:
@@ -259,8 +330,17 @@ def dump_trace_csv(trace: SimulationTrace, with_voltages: bool = False) -> str:
 def topology_hash(net: RadialNetwork) -> str:
     """Stable short hash of the feeder structure and parameters.
 
-    Each bus is hashed as its fields in sorted-key JSON, the bytes of
-    json.dumps(asdict(bus), sort_keys=True).
+    The hash is the first 16 hex digits of the sha256 of three parts,
+    concatenated: ``v0=<v0:.12g>;n=<n>``, then ``L<from>,<to>,<r:.12g>,<x:.12g>``
+    for each line in order, then each bus's fields in sorted-key JSON, the
+    bytes of json.dumps(asdict(bus), sort_keys=True).  These bytes are a
+    sweep column, so they never change.
+
+    Buses often share one record object (generated feeders use one default
+    record for every bus), so each distinct object is encoded once.  The
+    memo is keyed by object, not by value: records that compare equal can
+    encode differently (0.0, -0.0 and 0 are equal but print as "0.0",
+    "-0.0" and "0"), and NaN fields are unequal to themselves.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
     names = [f.name for f in fields(BusData)]
@@ -268,8 +348,11 @@ def topology_hash(net: RadialNetwork) -> str:
     h.update(f"v0={net.v0:.12g};n={net.n}".encode())
     h.update("".join(f"L{ln.from_node},{ln.to_node},{ln.r:.12g},{ln.x:.12g}"
                      for ln in net.lines).encode())
-    h.update("".join(encode({name: getattr(b, name) for name in names})
-                     for b in net.buses).encode())
+    text = {}  # net keeps every record alive, so no id is reused during the call
+    for b in net.buses:
+        if id(b) not in text:
+            text[id(b)] = encode({name: getattr(b, name) for name in names})
+    h.update("".join([text[id(b)] for b in net.buses]).encode())
     return h.hexdigest()[:16]
 
 

@@ -159,13 +159,17 @@ class RadialNetwork:
 
 
 def chain_network(xs, rs=None, buses=None, v0: float = 1.0) -> RadialNetwork:
-    """Build the linear feeder 0-1-2-...-n with the given line reactances."""
+    """Build the linear feeder 0-1-2-...-n with the given line reactances.
+
+    Without ``buses`` every bus is the one frozen default ``BusData()``
+    record, shared by all of them.
+    """
     xs = list(xs)
     n = len(xs)
     rs = list(rs) if rs is not None else [0.0] * n
     lines = tuple(Line(i, i + 1, rs[i], xs[i]) for i in range(n))
     if buses is None:
-        buses = tuple(BusData() for _ in range(n))
+        buses = (BusData(),) * n
     net = RadialNetwork(n=n, lines=lines, buses=tuple(buses), v0=v0)
     validate_tree(net)
     return net
@@ -313,7 +317,8 @@ def random_tree(dist: DegreeDistribution, seed: int) -> RadialNetwork:
     one depth level draws all its child counts at once: one rng.random()
     per node through the cumulative distribution, which is the draw
     ``rng.choice(counts, p=probs)`` makes, so the trees do not depend on how
-    the draws are batched.
+    the draws are batched.  Every bus is the one frozen default
+    ``BusData()`` record, shared by all of them.
     """
     rng = np.random.default_rng(seed)
     keys = sorted(dist.probabilities)
@@ -337,7 +342,7 @@ def random_tree(dist: DegreeDistribution, seed: int) -> RadialNetwork:
     net = RadialNetwork(
         n=n,
         lines=tuple(Line(f, t, 0.0, x) for t, f, x in zip(range(1, n + 1), parent, xs)),
-        buses=tuple(BusData() for _ in range(n)),
+        buses=(BusData(),) * n,
     )
     validate_tree(net)
     return net

@@ -1,4 +1,5 @@
 from functools import cached_property
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import equation_residuals_by_bus, sweep_solve_by_bus, sweep_solve_by_level
 from strategies import feeders
+from voltgame import acflow
 from voltgame.acflow import (
     SWEEP_TOL,
     NoConvergenceError,
@@ -315,7 +317,7 @@ class TestClosedLoop:
                                        rtol=0, atol=SWEEP_TOL)
 
 
-def flat_start_loop(net, S_act, ctrl, law, tol, max_iter):
+def flat_start_loop(net, S_act, ctrl, law, tol, max_iter, sweep_tol=SWEEP_TOL):
     """closed_loop_ac as it ran before warm starts: a flat level-wise sweep per step."""
     act = net.actuator_indices()
     p = np.array([b.p_g - b.p_c for b in net.buses])
@@ -325,7 +327,7 @@ def flat_start_loop(net, S_act, ctrl, law, tol, max_iter):
     def step(q):
         q_inj = q_fixed.copy()
         q_inj[act] += q
-        v = sweep_solve_by_level(net, p, q_inj, tol=SWEEP_TOL).v
+        v = sweep_solve_by_level(net, p, q_inj, tol=sweep_tol).v
         return law_update(law, ctrl, S_act.d, v[act] - v_nom, q)
 
     return run(step, np.zeros(act.size), tol=tol, max_iter=max_iter)
@@ -354,13 +356,19 @@ def controlled_feeders(draw):
 
 class TestClosedLoopInvariants:
     TOL = 1e-9
+    # Both loops solve each step's flow far below SWEEP_TOL.  At SWEEP_TOL
+    # the warm and flat solves differ by about 1e-11, so a step near TOL can
+    # stop one loop a step before the other.
+    TIGHT_SWEEP_TOL = 1e-14
 
     @settings(max_examples=30, deadline=None)
     @given(controlled_feeders(), st.sampled_from(["taking", "anticipating"]))
     def test_converged_loop_solves_the_flow(self, case, law):
         net, S_act, ctrl = case
-        trace = closed_loop_ac(net, S_act, ctrl, law, tol=self.TOL)
-        flat = flat_start_loop(net, S_act, ctrl, law, tol=self.TOL, max_iter=300)
+        with patch.object(acflow, "SWEEP_TOL", self.TIGHT_SWEEP_TOL):
+            trace = closed_loop_ac(net, S_act, ctrl, law, tol=self.TOL)
+        flat = flat_start_loop(net, S_act, ctrl, law, tol=self.TOL, max_iter=300,
+                               sweep_tol=self.TIGHT_SWEEP_TOL)
         assert (trace.status, trace.iterations) == (flat.status, flat.iterations)
         np.testing.assert_allclose(trace.q_final, flat.q_final, rtol=0, atol=10 * self.TOL)
         if trace.converged:

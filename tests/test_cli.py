@@ -28,6 +28,37 @@ def test_validate_bad_file(tmp_path):
     assert main(["validate", str(p)]) == 2
 
 
+_BUSES = [{"id": 0}, {"id": 1}, {"id": 2}]
+_LINE = {"from": 0, "to": 1, "r": 0.01, "x": 0.02}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"buses": _BUSES, "lines": [_LINE, {"from": 1, "to": 2, "r": 0.01, "x": None}]},
+     "lines[1]: 'x' must be a number, not null"),
+    ({"buses": _BUSES, "lines": [_LINE, {"from": 1, "to": 2, "r": 0.01}]},
+     "lines[1] has no 'x'"),
+    ({"buses": _BUSES, "lines": [_LINE, {"from": 1, "to": 2, "r": 0.01, "x": [1]}]},
+     "lines[1]: 'x' must be a number, not [1]"),
+    ({"buses": [{"id": 0}, {"id": 1}, 5], "lines": [_LINE]},
+     "buses[2] must be an object, not int"),
+    ({"buses": 5, "lines": [_LINE]}, "'buses' must be a list of objects, not int"),
+    ({"buses": [{"id": 0}, {"id": 1}, {"id": 1}], "lines": [_LINE]},
+     "buses[2] repeats bus id 1 of buses[1]"),
+    ({"buses": [{"id": 0}, {"id": 1}, {"p_c": 0.1}], "lines": [_LINE]},
+     "buses[2] has no 'id'"),
+    ({"buses": [{"id": 0}, {"id": 1}, {"id": 2, "p_c": [0.1]}], "lines": [_LINE]},
+     "buses[2]: 'p_c' must be a number, not [0.1]"),
+    ({"buses": _BUSES, "lines": [_LINE, {"from": 1, "to": 3, "r": 0.01, "x": 0.02}]},
+     "line {'from': 1, 'to': 3, 'r': 0.01, 'x': 0.02} references unknown bus 3"),
+], ids=["x-null", "x-missing", "x-list", "bus-row-not-object", "buses-not-list",
+        "duplicate-id", "id-missing", "p_c-list", "unknown-bus"])
+def test_validate_names_the_malformed_row(tmp_path, capsys, doc, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("bad_x", ["NaN", "Infinity"])
 def test_validate_rejects_nonfinite_reactance(tmp_path, bad_x):
     p = tmp_path / "bad.json"

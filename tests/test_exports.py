@@ -21,7 +21,13 @@ def test_all_names_resolve(module):
     "import voltgame.cli",
     # the tree factor stays lazy: validating a feeder builds its traversal only
     "from voltgame.topology import chain_network; chain_network([1.0, 2.0]).traversal",
-], ids=["voltgame", "voltgame.cli", "traversal"])
+    # a sweep job's set-up: generate a feeder, write it, hash it
+    "from voltgame import netio\n"
+    "from voltgame.topology import DegreeDistribution, random_tree\n"
+    "net = random_tree(DegreeDistribution({1: .5, 2: .5}, max_depth=15), 42)\n"
+    "netio.save_network_json(net)\n"
+    "netio.topology_hash(net)",
+], ids=["voltgame", "voltgame.cli", "traversal", "setup-path"])
 def test_import_loads_no_scipy(statement):
     code = (f"import sys\n{statement}\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

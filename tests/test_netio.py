@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -214,6 +215,39 @@ class TestHashMatchesAsdict:
         for bus in (BusData(p_c=-0.0, q_c=1.0), BusData(p_c=0.0, q_c=1)):
             other = chain_network([0.1], buses=[bus])
             assert topology_hash(other) == topology_hash_by_parts(other) != topology_hash(plain)
+
+
+class TestHashBytes:
+    """Hashes recorded before bus records were shared; they are sweep columns."""
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: random_tree(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=15), 42),
+         "f54936edd8ae472e"),
+        (lambda: random_tree(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=10), 5),
+         "ebcb49ac74b369a8"),
+        (lambda: chain_network([0.1, 0.2, 0.3]), "5bac41e379e86cab"),
+        (lambda: load_sce42().net, "91f236c4650ab4e8"),
+    ], ids=["tree-depth15-seed42", "tree-depth10-seed5", "chain3", "sce42"])
+    def test_pinned(self, make, want):
+        assert topology_hash(make()) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.builds(BusData, p_c=FLOATS, p_g=FLOATS, q_c=FLOATS, v_nom=FLOATS,
+                              q_min=FLOATS, q_max=FLOATS, is_actuator=st.booleans()),
+                    min_size=1, max_size=3),
+           st.data())
+    def test_shared_records(self, records, data):
+        # a few record objects, each reused at several buses
+        picks = data.draw(st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=8))
+        shared = tuple(records[k] for k in picks)
+        copied = tuple(dataclasses.replace(b) for b in shared)
+        lines = tuple(Line(k, k + 1, 0.0, 0.1) for k in range(len(shared)))
+
+        def feeder(buses):
+            return RadialNetwork(n=len(buses), lines=lines, buses=buses)
+
+        assert topology_hash(feeder(shared)) == topology_hash_by_parts(feeder(shared))
+        assert topology_hash(feeder(shared)) == topology_hash(feeder(copied))
 
 
 class TestHashAndReport:

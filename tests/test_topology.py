@@ -243,6 +243,14 @@ class TestRandomTree:
         net2, y2 = random_instance(dist, seed=9)
         assert np.array_equal(y, y2) and net2.lines == net.lines
 
+    def test_generated_buses_share_one_default_record(self):
+        dist = DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=8)
+        for net in (random_tree(dist, seed=42), chain_network([0.1, 0.2, 0.3])):
+            assert len({id(b) for b in net.buses}) == 1
+            assert net.buses[0] == BusData()
+        own = [BusData(), BusData(p_c=0.1), BusData()]
+        assert all(a is b for a, b in zip(chain_network([0.1, 0.2, 0.3], buses=own).buses, own))
+
     def test_bad_distribution(self):
         with pytest.raises(InvalidDistributionError):
             DegreeDistribution({1: 0.6, 2: 0.6}, max_depth=3)
