@@ -1,7 +1,8 @@
 """Command-line front end.
 
 All data output (CSV/JSON) goes to stdout or --out; diagnostics go to
-stderr.  Exit code 0 only on full success.
+stderr.  Exit code 0 only on full success.  Traces and matrix dumps are
+written row by row, so their text is never held whole.
 """
 
 from __future__ import annotations
@@ -18,12 +19,18 @@ from .sensitivity import build_sensitivity
 from .topology import DegreeDistribution, random_tree, tree_laplacian, validate_tree
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(write, out: str | None) -> None:
+    """Call write(fh) on --out or on stdout.  --out is opened only here, after
+    the command's computation, so a command that fails creates no file."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
+
+
+def _emit_text(text: str, out: str | None) -> None:
+    _emit(lambda fh: fh.write(text), out)
 
 
 def _load(path: str):
@@ -62,7 +69,7 @@ def cmd_matrices(args) -> int:
     else:
         S = build_sensitivity(net)
         M = S.X if args.kind == "X" else S.R
-    _emit(netio.dump_matrix_csv(M, args.kind), args.out)
+    _emit(lambda fh: netio.write_matrix_csv(fh, M, args.kind), args.out)
     return 0
 
 
@@ -80,7 +87,7 @@ def cmd_simulate(args) -> int:
         trace = dynamics.run(step, np.zeros(S_act.n), tol=args.tol, **budget,
                              voltage_fn=(lambda q: dynamics.voltage_from_q(S_act, q, vt_act))
                              if args.voltages else None)
-    _emit(netio.dump_trace_csv(trace, with_voltages=args.voltages), args.out)
+    _emit(lambda fh: netio.write_trace_csv(fh, trace, with_voltages=args.voltages), args.out)
     print(f"{args.law}: {trace.status} after {trace.iterations} steps "
           f"(residual {trace.final_residual:.3e})", file=sys.stderr)
     return 0 if trace.converged else 3
@@ -102,7 +109,7 @@ def cmd_equilibrium(args) -> int:
     }
     if args.law == "anticipating":
         doc["W"] = res.W_value
-    _emit(json.dumps(doc, indent=1) + "\n", args.out)
+    _emit_text(json.dumps(doc, indent=1) + "\n", args.out)
     return 0
 
 
@@ -112,18 +119,18 @@ def cmd_posa(args) -> int:
     if args.y is not None:
         y = np.full(S_act.n, args.y)
         report = equilibrium.posa_report(S_act, y, vt=vt_act)
-        _emit(netio.report_json(report, net=net) + "\n", args.out)
+        _emit_text(netio.report_json(report, net=net) + "\n", args.out)
         return 0
     ctrl = _ctrl_from_args(net, ctrl0, args)
     if ctrl.unconstrained_quadratic:
         report = equilibrium.posa_report(S_act, ctrl.y, vt=vt_act)
-        _emit(netio.report_json(report, net=net) + "\n", args.out)
+        _emit_text(netio.report_json(report, net=net) + "\n", args.out)
     else:
         posa = equilibrium.posa_constrained(S_act, ctrl, vt_act)
         doc = {"posa": posa, "n": net.n, "topology_hash": netio.topology_hash(net),
                "note": "deadband/box constraints active; spectral bounds need "
                        "an unconstrained quadratic instance (pass --y)"}
-        _emit(json.dumps(doc, indent=1) + "\n", args.out)
+        _emit_text(json.dumps(doc, indent=1) + "\n", args.out)
     return 0
 
 
@@ -131,7 +138,7 @@ def cmd_sweep(args) -> int:
     with open(args.spec) as fh:
         spec = experiments.SweepSpec.from_json(fh.read())
     rows = experiments.run_sweep(spec)
-    _emit(experiments.sweep_csv(rows), args.out)
+    _emit_text(experiments.sweep_csv(rows), args.out)
     print(f"{len(rows)} rows", file=sys.stderr)
     return 0
 
@@ -141,7 +148,7 @@ def cmd_random_tree(args) -> int:
     x_range = tuple(float(v) for v in args.x_range.split(","))
     dist = DegreeDistribution(probabilities=probs, max_depth=args.depth, x_range=x_range)
     net = random_tree(dist, args.seed)
-    _emit(netio.save_network_json(net) + "\n", args.out)
+    _emit_text(netio.save_network_json(net) + "\n", args.out)
     print(f"{net.n} buses (seed {args.seed})", file=sys.stderr)
     return 0
 
@@ -149,7 +156,7 @@ def cmd_random_tree(args) -> int:
 def cmd_sce42(args) -> int:
     data = experiments.load_sce42(loading_factor=args.loading,
                                   capacity_constraint=not args.no_capacity)
-    _emit(netio.save_network_json(data.net, data.ctrl) + "\n", args.out)
+    _emit_text(netio.save_network_json(data.net, data.ctrl) + "\n", args.out)
     print(f"SCE feeder: {data.net.n + 1} buses, PVs at {data.pv_buses}", file=sys.stderr)
     return 0
 

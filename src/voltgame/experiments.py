@@ -14,7 +14,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -144,6 +144,41 @@ def restricted_model(net: RadialNetwork, S: SensitivitySet | None = None):
     return S.restrict(idx), vt.restrict(idx), idx
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _is_child_probs(value) -> bool:
+    if not (isinstance(value, dict) and all(map(_is_number, value.values()))):
+        return False
+    try:
+        [int(k) for k in value]
+    except ValueError:
+        return False
+    return True
+
+
+# SweepSpec field annotation -> (test of a JSON value, what the value must be)
+_SPEC_JSON_TYPES = {
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda value: isinstance(value, bool), "true or false"),
+    "list": (_is_numbers, "a list of numbers"),
+    "dict": (_is_child_probs, "an object of integer child counts to numbers"),
+    "tuple | None": (lambda value: value is None or (_is_numbers(value) and len(value) == 2),
+                     "null or two numbers"),
+}
+
+
 @dataclass
 class SweepSpec:
     """Declarative description of one experiment sweep.
@@ -180,7 +215,24 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
-        doc = json.loads(text)
+        """Parse a spec; a ParseError names the first unknown key, or the key
+        and value of the first field of the wrong JSON type."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError(f"the sweep spec must be an object, not {type(doc).__name__}")
+        if "kind" not in doc:
+            raise ParseError("the sweep spec has no 'kind'")
+        types = {f.name: f.type for f in fields(cls)}
+        for key, value in doc.items():
+            if key not in types:
+                raise ParseError(f"the sweep spec has an unknown key {key!r}")
+            valid, what = _SPEC_JSON_TYPES[types[key]]
+            if not valid(value):
+                raise ParseError(f"the sweep spec's {key!r} must be {what}, "
+                                 f"not {json.dumps(value)}")
         if "dist_probs" in doc:
             doc["dist_probs"] = {int(k): float(v) for k, v in doc["dist_probs"].items()}
         for key in ("x_range", "y_range"):

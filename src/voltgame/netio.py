@@ -14,6 +14,13 @@ Bus ids may be arbitrary labels; they are remapped to dense 0..n on load
 (the root is the bus labelled 0 if present, otherwise the unique bus that is
 never a line's child end).  Infinite box limits serialize as null in JSON
 and as "inf"/"-inf" in CSV.
+
+Traces and matrix dumps grow with n times their rows, so each has one
+streaming writer, `write_trace_csv(fh, ...)` and `write_matrix_csv(fh, ...)`,
+that writes its header and then one row at a time to a text file; that is
+the format's only formatting path.  `dump_trace_csv` and `dump_matrix_csv`
+return the same bytes as one string.  The bytes are a contract: every float
+is printed with %.17g, trace rows end with "\r\n" and matrix rows with "\n".
 """
 
 from __future__ import annotations
@@ -237,30 +244,37 @@ _BUS_COLUMNS = ["id", "p_c", "p_g", "q_c", "v_nom", "q_min", "q_max", "actuator"
 _LINE_COLUMNS = ["from", "to", "r", "x"]
 
 
+def _csv_number(value):
+    """A CSV cell as a float, or None when it is missing or empty."""
+    return None if value is None or value == "" else float(value)
+
+
 def load_network_csv(buses_path, lines_path) -> tuple[RadialNetwork, ControlSpec | None]:
     """Load from a buses.csv / lines.csv pair sharing the JSON column names."""
-    def read_rows(path, int_cols):
+    def read_rows(path, columns):
+        """The rows of a CSV file, each column in `columns` converted by its
+        (convert, what) pair; a missing or bad value names path:line and column."""
         with open(path, newline="") as fh:
             rows = []
-            for lineno, raw in enumerate(csv.DictReader(fh), start=2):
-                try:
-                    row = dict(raw)
-                    for col in int_cols:
-                        row[col] = int(row[col])
-                    rows.append(row)
-                except (KeyError, ValueError) as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            for lineno, row in enumerate(csv.DictReader(fh), start=2):
+                for col, (convert, what) in columns.items():
+                    value = row.get(col)
+                    try:
+                        row[col] = convert(value)
+                    except (TypeError, ValueError):
+                        raise ParseError(f"{path}:{lineno}: column {col!r} must be {what}, "
+                                         f"not {'nothing' if value is None else repr(value)}"
+                                         ) from None
+                rows.append(row)
         return rows
 
-    bus_rows = read_rows(buses_path, ["id"])
+    label = (int, "an integer")
+    number = (float, "a number")
+    bus_rows = read_rows(buses_path, {"id": label, **dict.fromkeys(
+        _BUS_NUMBERS, (_csv_number, "a number or empty"))})
     for row in bus_rows:
         row["actuator"] = str(row.get("actuator", "true")).strip().lower() in ("1", "true", "yes")
-        for col in ("q_min", "q_max"):
-            if row.get(col, "") != "":
-                row[col] = float(row[col])
-            else:
-                row[col] = None
-    line_rows = read_rows(lines_path, ["from", "to"])
+    line_rows = read_rows(lines_path, {"from": label, "to": label, "r": number, "x": number})
     return _build(1.0, bus_rows, line_rows, None)
 
 
@@ -282,11 +296,20 @@ def save_network_csv(net: RadialNetwork) -> tuple[str, str]:
     return bus_buf.getvalue(), line_buf.getvalue()
 
 
+def write_matrix_csv(fh, M: np.ndarray, kind: str) -> None:
+    """Write a dense matrix dump to the text file fh, one row at a time.
+
+    The header is `# n=<n> kind=<X|R|Xinv>`; then np.savetxt writes each row
+    as %.17g values joined by "," and ended by "\n" (golden files).
+    """
+    fh.write(f"# n={M.shape[0]} kind={kind}\n")
+    np.savetxt(fh, M, delimiter=",", fmt="%.17g")
+
+
 def dump_matrix_csv(M: np.ndarray, kind: str) -> str:
-    """Dense matrix dump with a `# n=<n> kind=<X|R|Xinv>` header (golden files)."""
+    """The bytes write_matrix_csv writes, as one string."""
     buf = io.StringIO()
-    buf.write(f"# n={M.shape[0]} kind={kind}\n")
-    np.savetxt(buf, M, delimiter=",", fmt="%.17g")
+    write_matrix_csv(buf, M, kind)
     return buf.getvalue()
 
 
@@ -300,8 +323,9 @@ def load_matrix_csv(text: str) -> tuple[np.ndarray, str]:
     return M, kind
 
 
-def dump_trace_csv(trace: SimulationTrace, with_voltages: bool = False) -> str:
-    """Trace as CSV rows (t, residual, q_1..q_n[, v_1..v_n]).
+def write_trace_csv(fh, trace: SimulationTrace, with_voltages: bool = False) -> None:
+    """Write a trace as CSV rows (t, residual, q_1..q_n[, v_1..v_n]) to the text
+    file fh, one row at a time, so no more than a row is held as text.
 
     Each float is printed with %.17g and each row ends with "\r\n", as
     csv.writer would write them; no field ever needs quoting.
@@ -312,18 +336,23 @@ def dump_trace_csv(trace: SimulationTrace, with_voltages: bool = False) -> str:
     header = ["t", "residual"] + [f"q_{i}" for i in range(1, k + 1)]
     if v_hist is not None:
         header += [f"v_{i}" for i in range(1, v_hist.shape[1] + 1)]
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\r\n")
+    fh.write(",".join(header) + "\r\n")
     q_fmt = ",%.17g" * k
     v_fmt = "" if v_hist is None else ",%.17g" * v_hist.shape[1]
     v_steps = 0 if v_hist is None else v_hist.shape[0]
     residuals = trace.residuals
     for t in range(q_hist.shape[0]):
-        buf.write(f"{t}," if t == 0 else f"{t},{residuals[t - 1]:.17g}")
-        buf.write(q_fmt % tuple(q_hist[t].tolist()))
+        fh.write(f"{t}," if t == 0 else f"{t},{residuals[t - 1]:.17g}")
+        fh.write(q_fmt % tuple(q_hist[t].tolist()))
         if t < v_steps:
-            buf.write(v_fmt % tuple(v_hist[t].tolist()))
-        buf.write("\r\n")
+            fh.write(v_fmt % tuple(v_hist[t].tolist()))
+        fh.write("\r\n")
+
+
+def dump_trace_csv(trace: SimulationTrace, with_voltages: bool = False) -> str:
+    """The bytes write_trace_csv writes, as one string."""
+    buf = io.StringIO()
+    write_trace_csv(buf, trace, with_voltages)
     return buf.getvalue()
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from voltgame import netio
 from voltgame.cli import main
 from voltgame.netio import load_matrix_csv, load_network_json, save_network_json
 from voltgame.topology import chain_network, BusData
@@ -112,6 +113,44 @@ def test_simulate_ac_uses_its_own_step_budget(capsys):
     assert "max_iter after 300 steps" in capsys.readouterr().err
 
 
+def _spy(monkeypatch, name):
+    """The arguments after fh of each call to netio.<name>, which still writes."""
+    calls = []
+    write = getattr(netio, name)
+
+    def spy(fh, *args, **kwargs):
+        calls.append((args, kwargs))
+        write(fh, *args, **kwargs)
+
+    monkeypatch.setattr(netio, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv, writer, dump", [
+    (["simulate", "sce42", "--law", "taking", "--alpha", "9", "--delta", "0.02"],
+     "write_trace_csv", netio.dump_trace_csv),
+    (["simulate", "sce42", "--law", "anticipating", "--alpha", "9", "--delta", "0.02",
+      "--voltages"], "write_trace_csv", netio.dump_trace_csv),
+    (["simulate", "sce42", "--law", "taking", "--alpha", "9", "--delta", "0.02", "--ac"],
+     "write_trace_csv", netio.dump_trace_csv),
+    (["matrices", "sce42", "--kind", "X"], "write_matrix_csv", netio.dump_matrix_csv),
+    (["matrices", "sce42", "--kind", "R"], "write_matrix_csv", netio.dump_matrix_csv),
+    (["matrices", "sce42", "--kind", "Xinv"], "write_matrix_csv", netio.dump_matrix_csv),
+], ids=["simulate", "simulate-voltages", "simulate-ac", "matrices-X", "matrices-R",
+        "matrices-Xinv"])
+def test_streamed_output_matches_the_dump(tmp_path, capsys, monkeypatch, argv, writer, dump):
+    calls = _spy(monkeypatch, writer)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert len(calls) == 2
+    args, kwargs = calls[0]
+    want = dump(*args, **kwargs).encode()
+    assert out.read_bytes() == want
+    assert stdout.encode() == want
+
+
 def test_equilibrium_json(net_file, capsys):
     assert main(["equilibrium", net_file, "--law", "taking", "--alpha", "3.0"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -160,6 +199,40 @@ def test_sweep_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("# voltgame-schema=1")
     assert "posa_max" in out.splitlines()[1]
+
+
+_CHAIN = {"kind": "chain-size", "sizes": [4]}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({**_CHAIN, "foo": 1}, "the sweep spec has an unknown key 'foo'"),
+    ({"sizes": [4]}, "the sweep spec has no 'kind'"),
+    ([_CHAIN], "the sweep spec must be an object, not list"),
+    ({**_CHAIN, "x_range": 5}, "the sweep spec's 'x_range' must be null or two numbers, not 5"),
+    ({**_CHAIN, "x_range": [0, 1, 2]},
+     "the sweep spec's 'x_range' must be null or two numbers, not [0, 1, 2]"),
+    ({**_CHAIN, "x_range": [0, 1], "repetitions": "2"},
+     "the sweep spec's 'repetitions' must be an integer, not \"2\""),
+    ({**_CHAIN, "x": True}, "the sweep spec's 'x' must be a number, not true"),
+    ({**_CHAIN, "sizes": [None]},
+     "the sweep spec's 'sizes' must be a list of numbers, not [null]"),
+    ({"kind": "alpha", "alphas": [9.0], "ac": 1},
+     "the sweep spec's 'ac' must be true or false, not 1"),
+    ({"kind": "random-tree-depth", "depths": [3], "dist_probs": {"a": 1}},
+     "the sweep spec's 'dist_probs' must be an object of integer child counts to numbers, "
+     "not {\"a\": 1}"),
+    ({"kind": "random-tree-depth", "depths": [3], "dist_probs": {"1": "0.5"}},
+     "the sweep spec's 'dist_probs' must be an object of integer child counts to numbers, "
+     "not {\"1\": \"0.5\"}"),
+], ids=["unknown-key", "kind-missing", "not-object", "range-int", "range-three", "reps-string",
+        "x-bool", "sizes-null", "ac-int", "probs-key", "probs-string"])
+def test_sweep_names_the_malformed_spec(tmp_path, capsys, spec, message):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_sce42_keyword_network(capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from voltgame.netio import (
     save_network_csv,
     save_network_json,
     topology_hash,
+    write_matrix_csv,
+    write_trace_csv,
 )
 from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import (
@@ -113,6 +116,26 @@ class TestNetworkCsv:
         assert net2.lines == net.lines
         assert net2.buses == net.buses
 
+    @pytest.mark.parametrize("table, column, value, want", [
+        (0, "q_min", "abc", "column 'q_min' must be a number or empty, not 'abc'"),
+        (0, "q_max", "1e", "column 'q_max' must be a number or empty, not '1e'"),
+        (0, "p_c", "x", "column 'p_c' must be a number or empty, not 'x'"),
+        (0, "id", "two", "column 'id' must be an integer, not 'two'"),
+        (1, "r", "", "column 'r' must be a number, not ''"),
+        (1, "to", "2.5", "column 'to' must be an integer, not '2.5'"),
+    ], ids=["q_min", "q_max", "p_c", "id", "r", "to"])
+    def test_bad_cell_names_file_line_and_column(self, tmp_path, table, column, value, want):
+        texts = list(save_network_csv(sample_net()))
+        rows = [row.split(",") for row in texts[table].split("\r\n")]
+        rows[2][rows[0].index(column)] = value          # the row on line 3
+        texts[table] = "\r\n".join(",".join(row) for row in rows)
+        paths = [tmp_path / "buses.csv", tmp_path / "lines.csv"]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_network_csv(*paths)
+        assert str(info.value) == f"{paths[table]}:3: {want}"
+
 
 class TestMatrixDump:
     def test_header_and_roundtrip(self):
@@ -137,6 +160,41 @@ class TestTraceCsv:
         assert len(lines) == trace.q_hist.shape[0] + 1
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == ""
+
+
+def traced_peak(path, write):
+    """The tracemalloc peak, in bytes, while write(fh) writes the file at path."""
+    tracemalloc.start()
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWritersHoldOneRow:
+    """Written to a file, a trace or matrix costs about one row of text, not the
+    whole output (its dump_* string would cost twice the file).  The peak over
+    the file size falls with the row count, not the width, so the sizes are kept
+    small: tracemalloc makes each write about ten times slower."""
+
+    def test_trace(self, tmp_path):
+        rng = np.random.default_rng(0)
+        q = rng.standard_normal((200, 500))
+        trace = SimulationTrace(q_hist=q, residuals=rng.random(199), status="max_iter",
+                                iterations=199, v_hist=1.0 + 0.01 * q)
+        path = tmp_path / "trace.csv"
+        peak = traced_peak(path, lambda fh: write_trace_csv(fh, trace, with_voltages=True))
+        assert path.stat().st_size > 3e6
+        assert peak < 0.1 * path.stat().st_size
+
+    def test_matrix(self, tmp_path):
+        M = np.random.default_rng(0).standard_normal((300, 300))
+        path = tmp_path / "X.csv"
+        peak = traced_peak(path, lambda fh: write_matrix_csv(fh, M, "X"))
+        assert path.stat().st_size > 1.5e6
+        assert peak < 0.1 * path.stat().st_size
 
 
 def linear_trace(net, ctrl, law):
