@@ -3,7 +3,7 @@ price of signal-anticipation with its spectral bounds."""
 
 from .controls import ControlSpec
 from .dynamics import OperatingConstants, SimulationTrace, operating_constants
-from .equilibrium import PosaReport, posa_report, tree_posa_report
+from .equilibrium import PosaReport, posa_report
 from .sensitivity import SensitivitySet, build_sensitivity
 from .topology import BusData, DegreeDistribution, Line, RadialNetwork, random_tree, validate_tree
 
@@ -13,6 +13,5 @@ __all__ = [
     "BusData", "ControlSpec", "DegreeDistribution", "Line",
     "OperatingConstants", "PosaReport", "RadialNetwork",
     "SensitivitySet", "SimulationTrace", "build_sensitivity",
-    "operating_constants", "posa_report", "random_tree", "tree_posa_report",
-    "validate_tree",
+    "operating_constants", "posa_report", "random_tree", "validate_tree",
 ]

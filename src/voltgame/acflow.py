@@ -196,13 +196,13 @@ def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
     """
     if stepper not in ("taking", "anticipating"):
         raise ValueError("stepper must be 'taking' or 'anticipating'")
-    act = net.actuator_indices()
+    bus = net.bus_arrays
+    act = bus.actuators
     if S.net is not net or not np.array_equal(S.idx, act) or ctrl.n != act.size:
         raise ValueError("S and ctrl must be restricted to the actuator buses of net")
 
-    p_fixed = np.array([b.p_g - b.p_c for b in net.buses])
-    q_fixed = np.array([-b.q_c for b in net.buses])
-    v_nom = np.array([b.v_nom for b in net.buses])[act]
+    q_fixed = -bus.q_c
+    v_nom = bus.v_nom[act]
     v_hist = []
     state = None
 
@@ -210,7 +210,7 @@ def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
         nonlocal state
         q_inj = q_fixed.copy()
         q_inj[act] += q
-        state = sweep_solve(net, p_fixed, q_inj, tol=SWEEP_TOL, start=state)
+        state = sweep_solve(net, bus.p, q_inj, tol=SWEEP_TOL, start=state)
         v = state.v
         v_hist.append(v)
         return law_update(stepper, ctrl, S.d, v[act] - v_nom, q)

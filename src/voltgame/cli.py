@@ -41,14 +41,11 @@ def _load(path: str):
 
 
 def _ctrl_from_args(net, ctrl, args) -> ControlSpec:
-    act = net.actuator_indices()
     if getattr(args, "alpha", None) is not None:
-        return ControlSpec(
-            alpha=np.full(act.size, args.alpha),
-            delta=np.full(act.size, getattr(args, "delta", 0.0) or 0.0),
-            q_min=np.array([net.buses[i].q_min for i in act]),
-            q_max=np.array([net.buses[i].q_max for i in act]),
-        )
+        bus = net.bus_arrays
+        act = bus.actuators
+        return ControlSpec.uniform(act.size, args.alpha, getattr(args, "delta", 0.0) or 0.0,
+                                   bus.q_min[act], bus.q_max[act])
     if ctrl is None:
         raise SystemExit("no control block in the network file; pass --alpha")
     return ctrl

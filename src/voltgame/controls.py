@@ -84,7 +84,9 @@ class ControlSpec:
 
     @classmethod
     def uniform(cls, n: int, alpha: float, delta: float = 0.0,
-                q_min: float = -math.inf, q_max: float = math.inf) -> "ControlSpec":
+                q_min: float | np.ndarray = -math.inf,
+                q_max: float | np.ndarray = math.inf) -> "ControlSpec":
+        """One slope and deadband at n actuators; each box limit is a number or n numbers."""
         ones = np.ones(n)
         return cls(alpha * ones, delta * ones, q_min * ones, q_max * ones)
 

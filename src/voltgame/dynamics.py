@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlSpec, beta
-from .sensitivity import SensitivitySet, _index_array, _is_index_set, _top_eigenpair
+from .sensitivity import SensitivitySet, _top_eigenpair
 from .topology import RadialNetwork
 
 
@@ -60,22 +60,12 @@ class OperatingConstants:
     v_tilde: np.ndarray
     delta_v_tilde: np.ndarray
 
-    def restrict(self, idx) -> "OperatingConstants":
-        """The constants on idx; ValueError unless it holds distinct indices in 0..n-1."""
-        idx = _index_array(idx)
-        n = self.v_tilde.size
-        if not _is_index_set(idx, n):
-            raise ValueError(f"restrict needs distinct matrix indices in 0..{n - 1}")
-        return OperatingConstants(self.v_tilde[idx], self.delta_v_tilde[idx])
-
 
 def operating_constants(net: RadialNetwork, S: SensitivitySet) -> OperatingConstants:
     """v_tilde = v0 + R(p_g - p_c) - X q_c over all non-root buses; S covers them all."""
-    p = np.array([b.p_g - b.p_c for b in net.buses])
-    qc = np.array([b.q_c for b in net.buses])
-    vnom = np.array([b.v_nom for b in net.buses])
-    vt = net.v0 + S.r_matvec(p) - S.matvec(qc)
-    return OperatingConstants(v_tilde=vt, delta_v_tilde=vt - vnom)
+    b = net.bus_arrays
+    vt = net.v0 + S.r_matvec(b.p) - S.matvec(b.q_c)
+    return OperatingConstants(v_tilde=vt, delta_v_tilde=vt - b.v_nom)
 
 
 def voltage_from_q(S: SensitivitySet, q: np.ndarray, vt: OperatingConstants) -> np.ndarray:

@@ -23,14 +23,13 @@ at every step.  Pure quadratic costs are the ControlSpec.quadratic(y)
 instance: with no deadband and no box, every bus with a non-zero offset is
 free in the first step, which is then the closed-form solve.
 
-:func:`tree_posa_report` computes every report from the sparse inverse
-X^{-1} = tree_laplacian(net) of the feeder, in O(n) memory, also for an
-instance restricted to an actuator set A: restriction adds a diagonal that
-is zero off A to X^{-1}, which keeps it a tree matrix.  The report and the
-solver's face solves share the leaf-first elimination of X^{-1} that the
-feeder keeps with its traversal, built once per feeder.  :func:`posa_report`
-is the same report for a :class:`SensitivitySet`, by way of the feeder and
-actuator set it records.
+:func:`posa_report` computes every report for a :class:`SensitivitySet`
+from the sparse inverse X^{-1} = tree_laplacian(net) of its feeder, in O(n)
+memory, also when the set is an actuator set A smaller than the feeder:
+restriction adds a diagonal that is zero off A to X^{-1}, which keeps it a
+tree matrix.  The report and the solver's face solves share the leaf-first
+elimination of X^{-1} that the feeder keeps with its traversal, built once
+per feeder.
 """
 
 from __future__ import annotations
@@ -41,9 +40,7 @@ import numpy as np
 
 from .controls import ControlSpec
 from .dynamics import OperatingConstants
-from .sensitivity import (SensitivitySet, _index_array, _is_index_set, _top_eigenpair,
-                          chain_eigen_bounds)
-from .topology import RadialNetwork
+from .sensitivity import SensitivitySet, _top_eigenpair, chain_eigen_bounds
 
 
 class MaxIterError(RuntimeError):
@@ -360,14 +357,13 @@ def _lambda_min_estimate(inverse, n: int) -> float | None:
     return 1.0 / theta if theta > 0.0 else None
 
 
-def tree_posa_report(net: RadialNetwork, y, *, actuators=None,
-                     vt: OperatingConstants | None = None,
-                     want_direction: bool = False) -> PosaReport:
-    """All PoSA bounds of a feeder restricted to an actuator set, from the sparse X^{-1}.
+def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
+                want_direction: bool = True) -> PosaReport:
+    """All PoSA bounds of the actuator set S of a feeder, from the sparse X^{-1}.
 
-    actuators holds the distinct matrix indices (bus k -> k-1) of the set A,
-    every bus when None; X_AA, y and the operating constants vt follow its
-    order.  y holds one finite, positive cost coefficient per actuator.  No
+    S.idx holds the matrix indices (bus k -> k-1) of the set A, which must
+    not be empty; X_AA, Y and the operating constants vt follow its order.
+    Y holds one finite, positive cost coefficient per actuator.  No
     n x n array is formed: solves with M = X_AA+Y and N = X_AA+D+Y go
     through the Woodbury identity on X^{-1} plus a diagonal that is zero off
     A, factored once each.  The largest eigenvalues of the PoSA kernel
@@ -386,12 +382,11 @@ def tree_posa_report(net: RadialNetwork, y, *, actuators=None,
     F(q_n) - F(q_e) at q_e = -M^{-1} dv and q_n = -N^{-1} dv, where
     F(q_e) = q_e.dv / 2 and F(q_n) = q_n.dv / 2 - sum_A d q_n^2 / 2.
     """
+    net, buses, k = S.net, S.idx, S.n
     n = net.n
-    buses = np.arange(n) if actuators is None else _index_array(actuators)
-    if buses.size == 0 or not _is_index_set(buses, n):
-        raise ValueError(f"actuators must be distinct matrix indices in 0..{n - 1}")
-    k = buses.size
-    y = np.asarray(y, dtype=float)
+    if k == 0:
+        raise ValueError("the PoSA report needs a non-empty set of actuators")
+    y = np.asarray(Y, dtype=float)
     if y.shape != (k,):
         raise ValueError(f"need one cost coefficient per bus ({k}), got shape {y.shape}")
     bad = np.flatnonzero(~(np.isfinite(y) & (y > 0)))
@@ -402,7 +397,7 @@ def tree_posa_report(net: RadialNetwork, y, *, actuators=None,
     if dv is not None and dv.shape != (k,):
         raise ValueError(f"need one voltage offset per bus ({k}), got shape {dv.shape}")
     tree = net.traversal.factor
-    d_vec = net.traversal.d[buses]
+    d_vec = S.d
     g_N = d_vec + y
     Minv = tree.inverse(buses, y)
     Ninv = tree.inverse(buses, g_N)
@@ -445,12 +440,6 @@ def tree_posa_report(net: RadialNetwork, y, *, actuators=None,
                           direction=direction)
 
 
-def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
-                want_direction: bool = True) -> PosaReport:
-    """:func:`tree_posa_report` on the feeder and actuator set S was built for."""
-    return tree_posa_report(S.net, Y, actuators=S.idx, vt=vt, want_direction=want_direction)
-
-
 def posa_constrained(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants,
                      tol: float = 1e-10) -> float:
     """Realized PoSA under deadbands/boxes, via the iterative solvers."""
@@ -468,9 +457,7 @@ def chain_upper_bound_uniform(n: int, a: float, y: float) -> float:
     """
     if n < 1 or a <= 0 or y <= 0:
         raise ValueError("need n >= 1, a > 0, y > 0")
-    lam, _ = chain_eigen_bounds(n, a, a, k=n)
-    d = a * n
-    return 0.5 * d * d / ((lam + d + y) ** 2 * (y + lam))
+    return chain_upper_bound_range(n, a, a, d=a * n, y=y)
 
 
 def chain_upper_bound_range(n: int, a: float, b: float, d: float, y: float) -> float:
@@ -489,7 +476,7 @@ def chain_upper_bound_range(n: int, a: float, b: float, d: float, y: float) -> f
 __all__ = [
     "EquilibriumResult", "NashResult", "PosaReport",
     "objective_F", "objective_W", "solve_iterative",
-    "posa_report", "tree_posa_report",
+    "posa_report",
     "posa_constrained", "chain_upper_bound_uniform",
     "chain_upper_bound_range", "MaxIterError", "BoundOrderingError",
 ]

@@ -2,9 +2,9 @@
 
 A sweep runs its jobs one after another and emits their rows in job order,
 so a fixed spec and seed reproduce the CSV byte for byte.  Every PoSA row
-comes from :func:`voltgame.equilibrium.tree_posa_report` on the sparse
-X^{-1}: whole feeders for the chain-size and random-tree-depth kinds, the
-SCE feeder restricted to its actuators for the cost-coefficient kind.
+comes from :func:`voltgame.equilibrium.posa_report` on the sparse X^{-1}:
+whole feeders for the chain-size and random-tree-depth kinds, the SCE
+feeder restricted to its actuators for the cost-coefficient kind.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from .topology import (
 V_BASE_KV = 12.35
 S_BASE_KVA = 1000.0
 Z_BASE_OHM = 152.52
+POWER_FACTOR = 0.9   # lagging, of every SCE 42 load
+V0 = 1.0             # substation voltage, per unit
+ALPHA = 9.0          # droop slope of every SCE 42 actuator
+DELTA = 0.02         # droop deadband width of every SCE 42 actuator
 
 
 @dataclass(frozen=True)
@@ -55,15 +59,14 @@ def _read_data_csv(name: str, path=None):
 
 
 def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
-               loading_factor: float = 1.0, power_factor: float = 0.9,
-               pv_output_factor: float = 0.5, capacity_constraint: bool = True,
-               alpha: float = 9.0, delta: float = 0.02,
-               min_x_ohm: float = 0.001, v0: float = 1.0) -> Sce42Dataset:
-    """Build the SCE 42-bus feeder in per-unit with droop defaults.
+               loading_factor: float = 1.0, pv_output_factor: float = 0.5,
+               capacity_constraint: bool = True, min_x_ohm: float = 0.001) -> Sce42Dataset:
+    """Build the SCE 42-bus feeder in per-unit, with droop slope ALPHA and
+    deadband DELTA at every actuator and the substation at V0.
 
     Table bus 1 (the substation) maps to internal id 0, so table bus k is
     node k-1 everywhere downstream.  Loads are peak MVA split by
-    ``power_factor`` (lagging) and scaled by ``loading_factor``; PV buses
+    POWER_FACTOR (lagging) and scaled by ``loading_factor``; PV buses
     generate ``pv_output_factor`` of nameplate with the reactive box
     |q| <= sqrt(cap^2 - p_g^2) when ``capacity_constraint`` is set.
     Reactances are floored at ``min_x_ohm`` (the published table lists one
@@ -92,7 +95,7 @@ def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
             raise ParseError(f"pv row {k}: {exc}") from exc
 
     s_base_mva = S_BASE_KVA / 1000.0
-    pf_angle = math.acos(power_factor)
+    pf_angle = math.acos(POWER_FACTOR)
     n = 41
     lines = []
     for k, row in enumerate(line_rows, start=2):
@@ -108,7 +111,7 @@ def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
     pv_caps = []
     for bus in range(2, 43):
         mva = peak.get(bus, 0.0) * loading_factor / s_base_mva
-        p_c = mva * power_factor
+        p_c = mva * POWER_FACTOR
         q_c = mva * math.sin(pf_angle)
         if bus in pv:
             cap = pv[bus] / s_base_mva
@@ -120,16 +123,12 @@ def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
         else:
             buses.append(BusData(p_c=p_c, q_c=q_c, is_actuator=False))
 
-    net = RadialNetwork(n=n, lines=tuple(lines), buses=tuple(buses), v0=v0)
+    net = RadialNetwork(n=n, lines=tuple(lines), buses=tuple(buses), v0=V0)
     validate_tree(net)
 
-    act = net.actuator_indices()
-    ctrl = ControlSpec(
-        alpha=np.full(act.size, alpha),
-        delta=np.full(act.size, delta),
-        q_min=np.array([net.buses[i].q_min for i in act]),
-        q_max=np.array([net.buses[i].q_max for i in act]),
-    )
+    bus = net.bus_arrays
+    act = bus.actuators
+    ctrl = ControlSpec.uniform(act.size, ALPHA, DELTA, bus.q_min[act], bus.q_max[act])
     pv_tuple = tuple(sorted(pv))
     return Sce42Dataset(net=net, ctrl=ctrl, pv_buses=pv_tuple,
                         pv_capacity_pu=tuple(pv[b] / s_base_mva for b in pv_tuple))
@@ -141,7 +140,8 @@ def restricted_model(net: RadialNetwork, S: SensitivitySet | None = None):
         S = build_sensitivity(net)
     vt = dynamics.operating_constants(net, S)
     idx = net.actuator_indices()
-    return S.restrict(idx), vt.restrict(idx), idx
+    vt_act = dynamics.OperatingConstants(vt.v_tilde[idx], vt.delta_v_tilde[idx])
+    return S.restrict(idx), vt_act, idx
 
 
 def _is_int(value) -> bool:
@@ -265,7 +265,7 @@ def _chain_size_job(spec: SweepSpec, n: int, rep: int, seed: int) -> dict:
         ylo, yhi = spec.y_range if spec.y_range else spec.x_range
         ys = yhi - (yhi - ylo) * rng.random(n)
     net = chain_network(xs)
-    report = equilibrium.tree_posa_report(net, ys)
+    report = equilibrium.posa_report(build_sensitivity(net), ys, want_direction=False)
     row = {"kind": "chain-size", "n": n, "rep": rep, "seed": seed}
     row.update(_posa_row(report))
     if spec.x_range is None:
@@ -295,7 +295,8 @@ def _tree_depth_job(spec: SweepSpec, depth: int, rep: int, seed: int) -> dict:
             raise RuntimeError(f"cannot draw a tree under {spec.max_nodes} nodes at depth {depth}")
     row = {"kind": "random-tree-depth", "depth": depth, "rep": rep, "seed": seed,
            "redraws": redraws, "n": net.n, "topology_hash": topology_hash(net)}
-    row.update(_posa_row(equilibrium.tree_posa_report(net, ys)))
+    row.update(_posa_row(equilibrium.posa_report(build_sensitivity(net), ys,
+                                                 want_direction=False)))
     return row
 
 
@@ -305,10 +306,7 @@ def _cost_sweep_job(data: Sce42Dataset, y_value: float, delta: float) -> dict:
     row = {"kind": "cost-coefficient", "y": y_value, "n": k}
     row.update(_posa_row(equilibrium.posa_report(S_act, np.full(k, y_value), vt=vt_act,
                                                  want_direction=False)))
-    ctrl = ControlSpec(
-        alpha=np.full(k, 1.0 / y_value), delta=np.full(k, delta),
-        q_min=data.ctrl.q_min, q_max=data.ctrl.q_max,
-    )
+    ctrl = ControlSpec.uniform(k, 1.0 / y_value, delta, data.ctrl.q_min, data.ctrl.q_max)
     row["posa_constrained"] = equilibrium.posa_constrained(S_act, ctrl, vt_act)
     return row
 
@@ -316,8 +314,7 @@ def _cost_sweep_job(data: Sce42Dataset, y_value: float, delta: float) -> dict:
 def _alpha_sweep_job(data: Sce42Dataset, alpha: float, delta: float, ac: bool) -> list[dict]:
     S_act, vt_act, _ = restricted_model(data.net)
     k = S_act.n
-    ctrl = ControlSpec(alpha=np.full(k, alpha), delta=np.full(k, delta),
-                       q_min=data.ctrl.q_min, q_max=data.ctrl.q_max)
+    ctrl = ControlSpec.uniform(k, alpha, delta, data.ctrl.q_min, data.ctrl.q_max)
     cond = dynamics.condition_report(S_act, ctrl)
     rows = []
     for law in ("taking", "anticipating"):

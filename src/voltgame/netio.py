@@ -385,7 +385,7 @@ def topology_hash(net: RadialNetwork) -> str:
     return h.hexdigest()[:16]
 
 
-def report_json(report, net: RadialNetwork | None = None, seed=None, extra=None) -> str:
+def report_json(report, net: RadialNetwork | None = None, seed=None) -> str:
     """PoSA report plus instance metadata as JSON."""
     doc = {
         "posa_max": report.posa_max,
@@ -405,6 +405,4 @@ def report_json(report, net: RadialNetwork | None = None, seed=None, extra=None)
         doc["topology_hash"] = topology_hash(net)
     if seed is not None:
         doc["seed"] = seed
-    if extra:
-        doc.update(extra)
     return json.dumps(doc, indent=1)

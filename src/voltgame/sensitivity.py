@@ -48,15 +48,23 @@ def _index_array(idx) -> np.ndarray:
 class SensitivitySet:
     """X and R of a feeder's actuator set (immutable, share freely).
 
-    idx holds the set's matrix indices (bus k -> k-1) in matrix order; X and
-    R are the feeder's matrices on idx.  No n x n array is stored: matvec and
-    r_matvec are O(n) passes of the feeder's tree factor, d = diag(X) comes
-    from the traversal, and the dense X and R are built on first access only,
-    by the same passes on the identity columns of idx, in O(n k) for k buses.
+    idx holds the set's distinct matrix indices (bus k -> k-1), checked on
+    construction; X and R are the feeder's matrices on idx, in its order.
+    No n x n array is stored: matvec and r_matvec are O(n) passes of the
+    feeder's tree factor, d = diag(X) comes from the traversal, and the
+    dense X and R are built on first access only, by the same passes on the
+    identity columns of idx, in O(n k) for k buses.
     """
 
     net: RadialNetwork = field(repr=False)
     idx: np.ndarray
+
+    def __post_init__(self):
+        idx = _index_array(self.idx)
+        if not _is_index_set(idx, self.net.n):
+            raise ValueError(f"a SensitivitySet needs distinct matrix indices "
+                             f"in 0..{self.net.n - 1}")
+        object.__setattr__(self, "idx", idx)
 
     @property
     def n(self) -> int:

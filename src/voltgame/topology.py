@@ -83,23 +83,20 @@ class Traversal:
     """Root-outward structure of a validated feeder, built once per network.
 
     ``order`` lists the non-root nodes level by level from the root, the
-    children of each node in :meth:`RadialNetwork.children` order, so the
-    nodes d+1 lines below the root are the contiguous run ``order[levels[d]]``.
+    children of each node in :meth:`RadialNetwork.children` order.
     ``up[k]`` is the position in ``order`` of the parent of ``order[k]``, and
-    n when that parent is the root.  ``parent``, ``r``, ``x``, ``d`` and
-    ``lines`` are indexed by child node: entry i-1 belongs to node i and the
-    line into it.  ``d`` is the total reactance of the root path of each
-    node, the diagonal of the reactance matrix X.  The arrays are read-only.
+    n when that parent is the root.  ``parent``, ``r``, ``x`` and ``d`` are
+    indexed by child node: entry i-1 belongs to node i and the line into it.
+    ``d`` is the total reactance of the root path of each node, the diagonal
+    of the reactance matrix X.  The arrays are read-only.
     """
 
     parent: np.ndarray
     order: np.ndarray
     up: np.ndarray
-    levels: tuple[slice, ...]
     r: np.ndarray
     x: np.ndarray
     d: np.ndarray
-    lines: tuple[Line, ...]
 
     @cached_property
     def factor(self) -> "_TreeFactor":
@@ -120,7 +117,8 @@ class RadialNetwork:
     ``lines`` must form a spanning tree over nodes {0..n} rooted at 0;
     ``buses[i]`` describes node i+1.  Instances are immutable; parents,
     line arrays and root paths come from :attr:`traversal`, which
-    :func:`validate_tree` builds and caches.
+    :func:`validate_tree` builds and caches, and the bus data from
+    :attr:`bus_arrays`, built on first use.
     """
 
     n: int
@@ -153,9 +151,23 @@ class RadialNetwork:
             ch[ln.from_node].append(ln.to_node)
         return ch
 
+    @cached_property
+    def bus_arrays(self) -> SimpleNamespace:
+        """The bus records as read-only arrays, entry i for node i+1: net active
+        injection ``p`` = p_g - p_c, ``q_c``, ``v_nom``, ``q_min`` and ``q_max``;
+        and ``actuators``, the matrix indices of the actuator buses."""
+        cols = np.array([(b.p_g - b.p_c, b.q_c, b.v_nom, b.q_min, b.q_max) for b in self.buses],
+                        dtype=float).reshape(-1, 5).T.copy()
+        cols.flags.writeable = False
+        p, q_c, v_nom, q_min, q_max = cols
+        return SimpleNamespace(
+            p=p, q_c=q_c, v_nom=v_nom, q_min=q_min, q_max=q_max,
+            actuators=_read_only(np.flatnonzero([b.is_actuator for b in self.buses]), int),
+        )
+
     def actuator_indices(self) -> np.ndarray:
         """Matrix indices (0-based, node k -> k-1) of the actuator buses."""
-        return np.array([i for i, b in enumerate(self.buses) if b.is_actuator], dtype=int)
+        return self.bus_arrays.actuators
 
 
 def chain_network(xs, rs=None, buses=None, v0: float = 1.0) -> RadialNetwork:
@@ -180,7 +192,10 @@ def validate_tree(net: RadialNetwork) -> None:
 
     Raises a :class:`TopologyError` subclass naming the offending node or
     line: NonpositiveReactanceError (x <= 0, r < 0, or either non-finite),
-    MultiRootChildError (root degree != 1), CycleError, DisconnectedError.
+    MultiRootChildError (root degree != 1), CycleError, DisconnectedError;
+    and a TopologyError for a non-finite root voltage v0, naming the bus and
+    field for a non-finite load, generation or nominal voltage, or for an
+    actuator box that excludes 0.
     The breadth-first walk that orders the :class:`Traversal` is also the
     reachability check.  Success is recorded on the network as its
     traversal, so a repeat call returns at once; a failure is not, so an
@@ -228,14 +243,11 @@ def validate_tree(net: RadialNetwork) -> None:
     children = net.children()
     pos = [n] * (n + 1)  # pos[k]: position of node k in the order; the root maps to n
     order: list[int] = []
-    levels = []
     level = children[0]
     while level:
-        start = len(order)
         for k in level:
             pos[k] = len(order)
             order.append(k)
-        levels.append(slice(start, len(order)))
         level = [c for j in level for c in children[j]]
     if len(order) != n:
         # Walk up from the lowest-numbered unreached node; a repeat before
@@ -250,7 +262,16 @@ def validate_tree(net: RadialNetwork) -> None:
                 raise DisconnectedError(f"node {k} has no path to the root")
             k = lines[k - 1].from_node
 
-    for b in net.buses:
+    if not math.isfinite(net.v0):
+        raise TopologyError(f"the root voltage v0={net.v0} is not finite")
+    for k, b in enumerate(net.buses, start=1):
+        # a non-finite field makes the sum non-finite; one test per bus is a
+        # third of the cost of four
+        if not math.isfinite(b.p_c + b.p_g + b.q_c + b.v_nom):
+            for name in ("p_c", "p_g", "q_c", "v_nom"):
+                value = getattr(b, name)
+                if not math.isfinite(value):
+                    raise TopologyError(f"bus {k} has non-finite {name}={value}")
         if b.is_actuator and not (b.q_min <= 0.0 <= b.q_max):
             raise TopologyError(
                 f"actuator box [{b.q_min},{b.q_max}] must contain 0 (zero injection always feasible)"
@@ -264,11 +285,9 @@ def validate_tree(net: RadialNetwork) -> None:
         parent=_read_only([ln.from_node for ln in lines], int),
         order=_read_only(order, int),
         up=_read_only([pos[lines[k - 1].from_node] for k in order], int),
-        levels=tuple(levels),
         r=_read_only([ln.r for ln in lines], float),
         x=_read_only([ln.x for ln in lines], float),
         d=_read_only(d[1:], float),
-        lines=tuple(lines),
     ))
 
 

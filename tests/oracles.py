@@ -27,6 +27,23 @@ def root_path_lines(net, i):
     return set(path)
 
 
+def child_lines(net):
+    """The lines of net, entry i-1 the line into node i."""
+    by_child = {ln.to_node: ln for ln in net.lines}
+    return tuple(by_child[k] for k in range(1, net.n + 1))
+
+
+def traversal_levels(t):
+    """The depth levels of a Traversal as slices of its order, from ``order``
+    and ``up``: the nodes d+1 lines below the root are ``order[levels[d]]``."""
+    n, up = t.order.size, t.up.tolist()
+    depth = [0] * n + [-1]  # depth[n] belongs to the root
+    for k in range(n):
+        depth[k] = depth[up[k]] + 1  # parents come before their children in order
+    starts = [k for k in range(n) if k == 0 or depth[k] != depth[k - 1]]
+    return tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [n]))
+
+
 def sensitivity_by_paths(net, weight="x"):
     """X (or R) entry by entry from the shared-path definition."""
     by_pair = {(ln.from_node, ln.to_node): getattr(ln, weight) for ln in net.lines}
@@ -234,7 +251,8 @@ def sweep_solve_by_level(net, p_inj, q_inj, tol=1e-8, max_iter=200):
     idx, r, x = f.idx, f.r, f.x
     p = np.asarray(p_inj, dtype=float)[idx]
     q = np.asarray(q_inj, dtype=float)[idx]
-    below = t.levels[1:] + (slice(n, n),)  # each level's children; none under the deepest
+    levels = traversal_levels(t)
+    below = levels[1:] + (slice(n, n),)  # each level's children; none under the deepest
 
     P = np.zeros(n)
     Q = np.zeros(n)
@@ -245,12 +263,12 @@ def sweep_solve_by_level(net, p_inj, q_inj, tol=1e-8, max_iter=200):
     for it in range(1, max_iter + 1):
         r_ell = r * ell
         x_ell = x * ell
-        for s, c in zip(reversed(t.levels), reversed(below)):
+        for s, c in zip(reversed(levels), reversed(below)):
             P[s] = -p[s] + np.bincount(t.up[c], P[c], s.stop)[s] + r_ell[s]
             Q[s] = -q[s] + np.bincount(t.up[c], Q[c], s.stop)[s] + x_ell[s]
         drop = 2.0 * (r * P + x * Q)
         rise = f.z2 * ell
-        for s in t.levels:
+        for s in levels:
             v[s] = v[t.up[s]] - drop[s] + rise[s]
         collapsed = v[:n] <= 0
         if collapsed.any():
@@ -346,7 +364,7 @@ def path_to_root(net, i):
 
     if not 1 <= i <= net.n:
         raise UnknownNodeError(f"node {i} not in 1..{net.n}")
-    lines = net.traversal.lines
+    lines = child_lines(net)
     path = []
     k = i
     while k != 0:
@@ -413,7 +431,7 @@ def shared_path_sums(net, weight="x", idx=None):
     up = tr.up
     s = np.zeros(n + 1)  # root-path sums in traversal order; s[n] is the root's 0
     M = np.zeros((n + 1, n + 1))
-    for lv in tr.levels:
+    for lv in traversal_levels(tr):
         a = lv.start
         u = up[lv]
         s[lv] = s[u] + w[tr.order[lv] - 1]

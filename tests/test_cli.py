@@ -69,6 +69,32 @@ def test_validate_rejects_nonfinite_reactance(tmp_path, bad_x):
     assert main(["validate", str(p)]) == 2
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("p_c", float("nan"), "bus 3 has non-finite p_c=nan"),
+    ("p_c", float("inf"), "bus 3 has non-finite p_c=inf"),
+    ("v0", float("nan"), "the root voltage v0=nan is not finite"),
+], ids=["p_c-NaN", "p_c-Infinity", "v0-NaN"])
+@pytest.mark.parametrize("argv", [["validate"], ["equilibrium", "--law", "taking"],
+                                  ["posa", "--y", "0.1"]], ids=lambda argv: argv[0])
+def test_non_finite_feeder_data_is_an_error(tmp_path, capsys, argv, field, bad, message):
+    # a NaN load or v0 used to pass validation and give q = 0, "F": NaN or
+    # "posa": NaN with exit 0
+    p = tmp_path / "sce42.json"
+    assert main(["sce42", "--out", str(p)]) == 0
+    doc = json.loads(p.read_text())
+    if field == "v0":
+        doc["v0"] = bad
+    else:
+        assert doc["buses"][3]["id"] == 3
+        doc["buses"][3][field] = bad
+    p.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([argv[0], str(p)] + argv[1:]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
 def test_matrices_roundtrip(net_file, tmp_path):
     out = tmp_path / "X.csv"
     assert main(["matrices", net_file, "--kind", "X", "--out", str(out)]) == 0

@@ -164,6 +164,5 @@ class TestTreeBackendSweeps:
         def dense(*args, **kwargs):
             raise AssertionError("dense path called")
 
-        monkeypatch.setattr("voltgame.experiments.build_sensitivity", dense)
-        monkeypatch.setattr("voltgame.equilibrium.posa_report", dense)
+        monkeypatch.setattr("voltgame.sensitivity._dense_block", dense)
         assert run_sweep(spec)

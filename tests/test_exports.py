@@ -16,6 +16,17 @@ def test_all_names_resolve(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+def test_package_exports_are_pinned():
+    import voltgame
+
+    assert voltgame.__all__ == [
+        "BusData", "ControlSpec", "DegreeDistribution", "Line",
+        "OperatingConstants", "PosaReport", "RadialNetwork",
+        "SensitivitySet", "SimulationTrace", "build_sensitivity",
+        "operating_constants", "posa_report", "random_tree", "validate_tree",
+    ]
+
+
 @pytest.mark.parametrize("statement", [
     "import voltgame",
     "import voltgame.cli",

@@ -6,15 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    child_lines,
     depth,
     inverse_tree_laplacian,
     path_intersection,
     path_to_root,
     random_tree_by_node,
     reactances,
+    traversal_levels,
 )
 from voltgame.acflow import sweep_solve
 from voltgame.sensitivity import build_sensitivity
+from voltgame.experiments import load_sce42
 from voltgame.topology import (
     BusData,
     CycleError,
@@ -25,6 +28,7 @@ from voltgame.topology import (
     MultiRootChildError,
     NonpositiveReactanceError,
     RadialNetwork,
+    TopologyError,
     UnknownNodeError,
     chain_network,
     random_instance,
@@ -89,6 +93,27 @@ class TestValidate:
         with pytest.raises(Exception):
             validate_tree(net)
 
+    @pytest.mark.parametrize("field", ["p_c", "p_g", "q_c", "v_nom"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bus_data_names_bus_and_field(self, field, value):
+        buses = (BusData(),) * 2 + (BusData(**{field: value}),)
+        net = RadialNetwork(n=3, lines=tuple(Line(k, k + 1, 0.0, 1.0) for k in range(3)),
+                            buses=buses)
+        with pytest.raises(TopologyError, match=f"^bus 3 has non-finite {field}={value}$"):
+            validate_tree(net)
+        assert net._traversal is None
+
+    @pytest.mark.parametrize("v0", [np.nan, np.inf])
+    def test_non_finite_root_voltage(self, v0):
+        net = RadialNetwork(n=1, lines=(Line(0, 1, 0.0, 1.0),), buses=(BusData(),), v0=v0)
+        with pytest.raises(TopologyError, match=f"^the root voltage v0={v0} is not finite$"):
+            validate_tree(net)
+
+    def test_huge_finite_bus_data_passes(self):
+        # the fields' sum overflows, but each field is finite
+        net = chain_network([1.0], buses=[BusData(p_c=-1e308, p_g=1e308, q_c=1e308)])
+        assert net.traversal.d.tolist() == [1.0]
+
 
 class TestValidateOnce:
     # success is cached on the network; failure is not
@@ -130,11 +155,11 @@ class TestTraversal:
                  Line(1, 2, 0.0, 3.0))
         net = RadialNetwork(n=4, lines=lines, buses=tuple(BusData() for _ in range(4)))
         t = net.traversal
-        assert [t.order[s].tolist() for s in t.levels] == [[1], [4, 2], [3]]
+        assert [t.order[s].tolist() for s in traversal_levels(t)] == [[1], [4, 2], [3]]
         assert t.up.tolist() == [4, 0, 0, 2]
         assert t.parent.tolist() == [0, 1, 2, 1]
         np.testing.assert_array_equal(t.x, [2.0, 3.0, 5.0, 7.0])
-        assert [ln.to_node for ln in t.lines] == [1, 2, 3, 4]
+        assert [ln.to_node for ln in child_lines(net)] == [1, 2, 3, 4]
 
     def test_cached_and_read_only(self):
         net = fig_tree()
@@ -144,6 +169,54 @@ class TestTraversal:
         xs = reactances(net)
         xs[0] = 1.0  # a copy: the cache is unchanged
         assert net.traversal.x[0] == 2.0
+
+
+class TestBusArrays:
+    BUSES = (
+        BusData(p_c=0.0, p_g=-0.0, q_c=-0.0, v_nom=1.02, q_min=-0.0, q_max=0.5),
+        BusData(p_c=0.25, p_g=0.1, q_c=0.05, is_actuator=False),
+        BusData(p_c=-0.0, p_g=0.0, q_c=0.0, q_min=-np.inf, q_max=np.inf),
+    )
+    FIELDS = ("p", "q_c", "v_nom", "q_min", "q_max")
+
+    def net(self, buses=BUSES):
+        return chain_network([1.0, 2.0, 3.0], buses=buses)
+
+    def test_equal_the_records_signs_and_infinities_included(self):
+        b = self.net().bus_arrays
+        want = {
+            "p": [bus.p_g - bus.p_c for bus in self.BUSES],
+            "q_c": [bus.q_c for bus in self.BUSES],
+            "v_nom": [bus.v_nom for bus in self.BUSES],
+            "q_min": [bus.q_min for bus in self.BUSES],
+            "q_max": [bus.q_max for bus in self.BUSES],
+        }
+        for name in self.FIELDS:
+            got = getattr(b, name)
+            assert got.dtype == float and got.tolist() == want[name], name
+            assert np.signbit(got).tolist() == np.signbit(want[name]).tolist(), name
+        assert np.signbit(b.p).tolist() == [True, True, False]  # -0.0 - 0.0 is -0.0
+        assert b.actuators.tolist() == [0, 2]
+
+    def test_read_only(self):
+        b = self.net().bus_arrays
+        for name in self.FIELDS + ("actuators",):
+            with pytest.raises(ValueError):
+                getattr(b, name)[0] = 1
+
+    def test_built_once_and_fresh_after_replace(self):
+        net = self.net()
+        assert net.bus_arrays is net.bus_arrays
+        assert net.actuator_indices() is net.bus_arrays.actuators
+        loaded = dataclasses.replace(net, buses=(BusData(p_c=0.5, is_actuator=False),) * 3)
+        assert loaded.bus_arrays is not net.bus_arrays
+        assert loaded.bus_arrays.p.tolist() == [-0.5] * 3
+        assert loaded.actuator_indices().size == 0
+        assert net.bus_arrays.p.tolist() == [0.0, -0.15, 0.0]
+
+    def test_sce42_actuators(self):
+        net = load_sce42().net
+        assert net.actuator_indices().tolist() == [0, 10, 24, 27, 29]
 
 
 class TestPaths:

@@ -1,4 +1,4 @@
-"""The tree-sparse PoSA report against the dense oracle posa_report."""
+"""The tree-sparse PoSA report, posa_report, against the dense oracle oracles.posa_report."""
 
 import json
 
@@ -19,11 +19,10 @@ from voltgame.equilibrium import (
     _bounds_report,
     posa_report,
     solve_iterative,
-    tree_posa_report,
 )
 from strategies import feeders
 from voltgame.experiments import SweepSpec, load_sce42, run_sweep
-from voltgame.sensitivity import build_sensitivity
+from voltgame.sensitivity import SensitivitySet, build_sensitivity
 from voltgame.topology import (
     BusData,
     DegreeDistribution,
@@ -54,8 +53,12 @@ def assert_close(got, want, names):
         assert abs(g - w) <= RTOL * max(1.0, abs(w)), (name, g, w)
 
 
+def whole_feeder_report(net, y):
+    return posa_report(build_sensitivity(net), y, want_direction=False)
+
+
 def assert_matches_dense(net, y):
-    got = tree_posa_report(net, y)
+    got = whole_feeder_report(net, y)
     assert_close(got, oracles.posa_report(build_sensitivity(net), y, want_direction=False),
                  BOUND_FIELDS)
     assert got.posa is None and got.worst_direction is None
@@ -70,10 +73,9 @@ def pi_top_gap(S, y):
 def assert_restricted_matches_dense(net, idx, y, dv):
     S = build_sensitivity(net).restrict(idx)
     vt = OperatingConstants(1.0 + dv, dv)
-    got = tree_posa_report(net, y, actuators=idx, vt=vt, want_direction=True)
+    got = posa_report(S, y, vt=vt)
     want = oracles.posa_report(S, y, vt=vt)
     assert_close(got, want, BOUND_FIELDS + ("posa",))
-    assert_close(posa_report(S, y, vt=vt), want, BOUND_FIELDS + ("posa",))
     e = got.worst_direction
     assert np.linalg.norm(e) == pytest.approx(1.0, rel=1e-12)
     assert e[np.argmax(np.abs(e))] > 0
@@ -101,22 +103,22 @@ class TestMatchesDense:
     def test_rejects_bad_costs(self):
         net = chain_network([1.0, 2.0])
         with pytest.raises(ValueError, match="positive"):
-            tree_posa_report(net, np.array([1.0, 0.0]))
+            whole_feeder_report(net, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="per bus"):
-            tree_posa_report(net, np.ones(3))
+            whole_feeder_report(net, np.ones(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_costs(self, bad):
         net = chain_network([1.0, 2.0, 0.5])
         y = np.array([1.0, bad, bad])
         with pytest.raises(ValueError, match="bus 2 has"):
-            tree_posa_report(net, y)
+            whole_feeder_report(net, y)
 
     def test_repeats_to_the_bit(self):
         rng = np.random.default_rng(4)
         net = chain_network(rng.uniform(1e-2, 200.0, 400))
         y = rng.uniform(1e-2, 100.0, 400)
-        assert tree_posa_report(net, y) == tree_posa_report(net, y)
+        assert whole_feeder_report(net, y) == whole_feeder_report(net, y)
 
     def test_repeats_on_a_star_with_a_rounding_noise_lower_bound(self):
         # the top eigenvalue of M^-1 - 2 N^-1 is 0 up to rounding here, and
@@ -124,7 +126,7 @@ class TestMatchesDense:
         lines = tuple(Line(0 if k == 1 else 1, k, 0.0, 0.5) for k in range(1, 6))
         net = RadialNetwork(n=5, lines=lines, buses=tuple(BusData() for _ in range(5)))
         y = np.full(5, 0.5)
-        reports = [tree_posa_report(net, y) for _ in range(20)]
+        reports = [whole_feeder_report(net, y) for _ in range(20)]
         for name in BOUND_FIELDS:
             assert len({getattr(r, name) for r in reports}) == 1, name
 
@@ -157,30 +159,35 @@ class TestActuatorSubsets:
         rng = np.random.default_rng(3)
         net = chain_network(rng.uniform(1e-2, 200.0, 60))
         y = rng.uniform(1e-2, 100.0, 60)
-        assert tree_posa_report(net, y, actuators=np.arange(60)) == tree_posa_report(net, y)
+        every_bus = SensitivitySet(net=net, idx=np.arange(60))
+        assert posa_report(every_bus, y, want_direction=False) == whole_feeder_report(net, y)
 
     @pytest.mark.parametrize("idx", [[], [0, 0], [-1], [3], [[0, 1]]])
     def test_rejects_bad_actuator_sets(self, idx):
-        with pytest.raises(ValueError, match="actuators"):
-            tree_posa_report(chain_network([1.0, 2.0, 0.5]), np.ones(1), actuators=idx)
+        # the empty set reaches the report; the others fail to form a set
+        S = build_sensitivity(chain_network([1.0, 2.0, 0.5]))
+        with pytest.raises(ValueError, match="actuators" if idx == [] else
+                           r"distinct matrix indices in 0\.\.2$"):
+            posa_report(S.restrict(idx), np.ones(1))
 
     def test_bad_cost_names_the_bus(self):
-        net = chain_network([1.0, 2.0, 0.5])
+        S = build_sensitivity(chain_network([1.0, 2.0, 0.5])).restrict([0, 2])
         with pytest.raises(ValueError, match="bus 3 has"):
-            tree_posa_report(net, np.array([1.0, -1.0]), actuators=[0, 2])
+            posa_report(S, np.array([1.0, -1.0]))
 
     def test_rejects_offsets_of_the_wrong_length(self):
         vt = OperatingConstants(np.ones(3), np.zeros(3))
+        S = build_sensitivity(chain_network([1.0, 2.0, 0.5])).restrict([0, 2])
         with pytest.raises(ValueError, match="voltage offset"):
-            tree_posa_report(chain_network([1.0, 2.0, 0.5]), np.ones(2), actuators=[0, 2], vt=vt)
+            posa_report(S, np.ones(2), vt=vt)
 
     def test_factors_m_and_n_once_each(self):
         import scipy.sparse.linalg as sla
 
-        net = chain_network([1.0, 2.0, 0.5, 0.3])
+        S = build_sensitivity(chain_network([1.0, 2.0, 0.5, 0.3])).restrict([1, 3])
         vt = OperatingConstants(np.ones(2), np.array([0.1, -0.2]))
         with mock.patch.object(sla, "splu", wraps=sla.splu) as factor:
-            r = tree_posa_report(net, np.ones(2), actuators=[1, 3], vt=vt, want_direction=True)
+            r = posa_report(S, np.ones(2), vt=vt)
         assert factor.call_count == 2
         assert r.posa is not None and r.worst_direction is not None
 
@@ -227,8 +234,8 @@ class TestOneFactorPerFeeder:
 
     def test_report_and_solves_on_restrictions(self, builds):
         net, y = random_instance(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=6), 3)
-        tree_posa_report(net, y)
         S = build_sensitivity(net)
+        posa_report(S, y)
         rng = np.random.default_rng(0)
         for T in (S, S.restrict(np.arange(0, S.n, 2))):
             dv = rng.uniform(-0.1, 0.1, T.n)
@@ -268,9 +275,9 @@ class TestInertiaCount:
 
 
 def smallest_eigenvalues(net, y):
-    """lambda_min of X, M and N as tree_posa_report passes them on."""
+    """lambda_min of X, M and N as posa_report passes them on."""
     with mock.patch.object(equilibrium, "_bounds_report", wraps=_bounds_report) as spy:
-        tree_posa_report(net, y)
+        whole_feeder_report(net, y)
     args = spy.call_args.args
     return args[3], args[1], args[2]
 
@@ -327,7 +334,7 @@ class TestLambdaMinEstimate:
         assert net.n == 1199
         with mock.patch.object(_TreeFactor, "count_below", autospec=True,
                                side_effect=_TreeFactor.count_below) as count:
-            tree_posa_report(net, y)
+            whole_feeder_report(net, y)
         assert 6 <= count.call_count <= 40
 
 
