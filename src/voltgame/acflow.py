@@ -87,8 +87,8 @@ def _residual(f, p, q, P, Q, ell, v, PQ2) -> float:
     and PQ2 = P^2 + Q^2 from :func:`_squares`.
     """
     n, up = P.size, f.up
-    # bincount adds each bus's children in sibling order, from 0.0, as the
-    # scalar sum over children() does, so sums are bit-identical to it.
+    # bincount adds each bus's children in sibling (line) order, from 0.0,
+    # as a scalar sum over them does, so sums are bit-identical to it.
     sum_P = np.bincount(up, P, n + 1)[:n]
     sum_Q = np.bincount(up, Q, n + 1)[:n]
     vi = v[up]

@@ -54,7 +54,7 @@ def _ctrl_from_args(net, ctrl, args) -> ControlSpec:
 def cmd_validate(args) -> int:
     net, _ = _load(args.net)
     validate_tree(net)
-    print(f"ok: root + {net.n} buses, {len(net.lines)} lines, hash {netio.topology_hash(net)}",
+    print(f"ok: root + {net.n} buses, {net.to_node.size} lines, hash {netio.topology_hash(net)}",
           file=sys.stderr)
     return 0
 

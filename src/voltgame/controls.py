@@ -43,7 +43,10 @@ class ControlSpec:
     """Per-actuator droop parameters as aligned arrays.
 
     Index k refers to the k-th actuator of whatever bus subset the caller is
-    working on; all dynamics and equilibrium code consumes this form.
+    working on; all dynamics and equilibrium code consumes this form.  The
+    slopes and deadbands are finite and the box limits are not NaN (an
+    infinite limit is no limit); a ValueError names the first actuator
+    index that breaks this.
     """
 
     alpha: np.ndarray
@@ -57,6 +60,14 @@ class ControlSpec:
         k = self.alpha.size
         if any(getattr(self, f).size != k for f in ("delta", "q_min", "q_max")):
             raise ValueError("control arrays must share one length")
+        for what, name, ok in (
+                ("droop slopes must be finite", "alpha", np.isfinite(self.alpha)),
+                ("deadband widths must be finite", "delta", np.isfinite(self.delta)),
+                ("box limits must not be NaN", "q_min", ~np.isnan(self.q_min)),
+                ("box limits must not be NaN", "q_max", ~np.isnan(self.q_max))):
+            if not ok.all():
+                k = int(np.argmin(ok))
+                raise ValueError(f"{what}: actuator {k} has {name}={getattr(self, name)[k]}")
         if np.any(self.alpha <= 0):
             raise ZeroSlopeError("ControlSpec covers actuators only; alpha must be > 0")
         if np.any(self.delta < 0):

@@ -246,8 +246,6 @@ def solve_iterative(objective: str, S: SensitivitySet, ctrl: ControlSpec,
     """
     if objective not in ("F", "W"):
         raise ValueError("objective must be 'F' or 'W'")
-    if not np.all(np.isfinite(ctrl.alpha)):
-        raise ValueError("droop slopes must be finite: the face solve needs costs y = 1/alpha > 0")
     pb = _Problem(objective, S, ctrl, vt)
     dv = pb.dv
     q = np.zeros(S.n) if q0 is None else ctrl.project(np.asarray(q0, dtype=float))
@@ -339,19 +337,22 @@ def _bounds_report(lam_pi: float, lam_min_M: float, lam_min_N: float, lam_min_X:
 # within it; where the top of the spectrum is clustered (the uniform chain)
 # an estimate fails, and a small budget keeps the restarts it wastes cheap.
 _ESTIMATE_RESTARTS = 4
+# ARPACK tol of a lambda_min estimate.  Bisection certifies the last bits,
+# so an estimate needs only half of them.
+_ESTIMATE_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def _lambda_min_estimate(inverse, n: int) -> float | None:
     """1/theta, for theta the top Ritz value of the inverse operator.
 
-    Lanczos gets a budget of _ESTIMATE_RESTARTS restarts; it returns None
-    when that is not enough, which happens where the top of the spectrum is
-    clustered (the uniform chain).
+    Lanczos gets a budget of _ESTIMATE_RESTARTS restarts at the relative
+    accuracy _ESTIMATE_TOL; it returns None when that is not enough, which
+    happens where the top of the spectrum is clustered (the uniform chain).
     """
     from scipy.sparse.linalg import ArpackNoConvergence
 
     try:
-        theta = _top_eigenpair(inverse, n, maxiter=_ESTIMATE_RESTARTS)
+        theta = _top_eigenpair(inverse, n, maxiter=_ESTIMATE_RESTARTS, tol=_ESTIMATE_TOL)
     except ArpackNoConvergence:
         return None
     return 1.0 / theta if theta > 0.0 else None

@@ -26,7 +26,6 @@ from .sensitivity import SensitivitySet, build_sensitivity
 from .topology import (
     BusData,
     DegreeDistribution,
-    Line,
     RadialNetwork,
     chain_network,
     random_instance,
@@ -34,6 +33,7 @@ from .topology import (
 )
 
 V_BASE_KV = 12.35
+MIN_X_OHM = 0.001    # floor of every SCE 42 line reactance (the table lists one zero-X line)
 S_BASE_KVA = 1000.0
 Z_BASE_OHM = 152.52
 POWER_FACTOR = 0.9   # lagging, of every SCE 42 load
@@ -60,7 +60,7 @@ def _read_data_csv(name: str, path=None):
 
 def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
                loading_factor: float = 1.0, pv_output_factor: float = 0.5,
-               capacity_constraint: bool = True, min_x_ohm: float = 0.001) -> Sce42Dataset:
+               capacity_constraint: bool = True) -> Sce42Dataset:
     """Build the SCE 42-bus feeder in per-unit, with droop slope ALPHA and
     deadband DELTA at every actuator and the substation at V0.
 
@@ -69,8 +69,7 @@ def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
     POWER_FACTOR (lagging) and scaled by ``loading_factor``; PV buses
     generate ``pv_output_factor`` of nameplate with the reactive box
     |q| <= sqrt(cap^2 - p_g^2) when ``capacity_constraint`` is set.
-    Reactances are floored at ``min_x_ohm`` (the published table lists one
-    zero-X line).
+    Reactances are floored at MIN_X_OHM.
     """
     line_rows = _read_data_csv("sce42_lines.csv", lines_path)
     load_rows = _read_data_csv("sce42_loads.csv", loads_path)
@@ -97,15 +96,14 @@ def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
     s_base_mva = S_BASE_KVA / 1000.0
     pf_angle = math.acos(POWER_FACTOR)
     n = 41
-    lines = []
+    lines = []  # (from, to, r, x) of each line
     for k, row in enumerate(line_rows, start=2):
         try:
-            f, t = int(row["from"]), int(row["to"])
-            r = float(row["r_ohm"]) / Z_BASE_OHM
-            x = max(float(row["x_ohm"]), min_x_ohm) / Z_BASE_OHM
+            lines.append((int(row["from"]) - 1, int(row["to"]) - 1,
+                          float(row["r_ohm"]) / Z_BASE_OHM,
+                          max(float(row["x_ohm"]), MIN_X_OHM) / Z_BASE_OHM))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"lines row {k}: {exc}") from exc
-        lines.append(Line(from_node=f - 1, to_node=t - 1, r=r, x=x))
 
     buses = []
     pv_caps = []
@@ -123,7 +121,9 @@ def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
         else:
             buses.append(BusData(p_c=p_c, q_c=q_c, is_actuator=False))
 
-    net = RadialNetwork(n=n, lines=tuple(lines), buses=tuple(buses), v0=V0)
+    from_node, to_node, r, x = zip(*lines)
+    net = RadialNetwork(n=n, buses=tuple(buses), v0=V0, from_node=from_node, to_node=to_node,
+                        r=r, x=x)
     validate_tree(net)
 
     bus = net.bus_arrays

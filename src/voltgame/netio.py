@@ -13,7 +13,9 @@ Network JSON schema:
 Bus ids may be arbitrary labels; they are remapped to dense 0..n on load
 (the root is the bus labelled 0 if present, otherwise the unique bus that is
 never a line's child end).  Infinite box limits serialize as null in JSON
-and as "inf"/"-inf" in CSV.
+and as "inf"/"-inf" in CSV.  Lines are read column by column into the
+network's line arrays, and written, and hashed by `topology_hash`, from
+them; a bad line row is named by a second, row-by-row pass.
 
 Traces and matrix dumps grow with n times their rows, so each has one
 streaming writer, `write_trace_csv(fh, ...)` and `write_matrix_csv(fh, ...)`,
@@ -36,7 +38,7 @@ import numpy as np
 
 from .controls import ControlSpec
 from .dynamics import SimulationTrace
-from .topology import BusData, Line, RadialNetwork, validate_tree
+from .topology import BusData, RadialNetwork, validate_tree
 
 SCHEMA_COMMENT = "# voltgame-schema=1"
 
@@ -121,6 +123,17 @@ def _remap_ids(bus_rows, line_rows):
     return {label: k for k, label in enumerate(order)}
 
 
+def _raise_line_error(line_rows, mapping):
+    """Raise the ParseError of the first line row that does not read: a
+    missing, list or object label, a bad r or x, or a label that names no bus."""
+    for k, row in enumerate(line_rows):
+        try:
+            mapping[row["from"]], mapping[row["to"]], float(row["r"]), float(row["x"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise (_row_error(row, f"lines[{k}]", labels=("from", "to"), required=("r", "x"))
+                   or ParseError(f"line {row!r} references unknown bus {exc}")) from exc
+
+
 _BUS_NUMBERS = ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max")
 _CONTROL_NUMBERS = ("alpha", "delta", "q_min", "q_max")
 
@@ -153,20 +166,18 @@ def _build(v0, bus_rows, line_rows, default_ctrl) -> tuple[RadialNetwork, Contro
             raise _not_object(over, f"buses[{j}]['control']")
         ctrl_rows[k - 1] = (j, over)
 
-    lines = []
-    for k, row in enumerate(line_rows):
-        try:
-            lines.append(Line(
-                from_node=mapping[row["from"]],
-                to_node=mapping[row["to"]],
-                r=float(row["r"]),
-                x=float(row["x"]),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise (_row_error(row, f"lines[{k}]", labels=("from", "to"), required=("r", "x"))
-                   or ParseError(f"line {row!r} references unknown bus {exc}")) from exc
+    try:
+        columns = {
+            "from_node": [mapping[row["from"]] for row in line_rows],
+            "to_node": [mapping[row["to"]] for row in line_rows],
+            "r": [float(row["r"]) for row in line_rows],
+            "x": [float(row["x"]) for row in line_rows],
+        }
+    except (KeyError, TypeError, ValueError):
+        _raise_line_error(line_rows, mapping)
+        raise
 
-    net = RadialNetwork(n=n, lines=tuple(lines), buses=tuple(buses), v0=float(v0))
+    net = RadialNetwork(n=n, buses=tuple(buses), v0=float(v0), **columns)
     validate_tree(net)
 
     ctrl = None
@@ -235,9 +246,13 @@ def save_network_json(net: RadialNetwork, ctrl: ControlSpec | None = None) -> st
             }
             act_k += 1
         buses.append(row)
-    lines = [{"from": ln.from_node, "to": ln.to_node, "r": ln.r, "x": ln.x}
-             for ln in net.lines]
+    lines = [{"from": f, "to": t, "r": r, "x": x} for f, t, r, x in _line_columns(net)]
     return json.dumps({"v0": net.v0, "buses": buses, "lines": lines}, indent=1)
+
+
+def _line_columns(net: RadialNetwork):
+    """(from, to, r, x) of each line in line order, as Python numbers."""
+    return zip(net.from_node.tolist(), net.to_node.tolist(), net.r.tolist(), net.x.tolist())
 
 
 _BUS_COLUMNS = ["id", "p_c", "p_g", "q_c", "v_nom", "q_min", "q_max", "actuator"]
@@ -291,8 +306,7 @@ def save_network_csv(net: RadialNetwork) -> tuple[str, str]:
     line_buf = io.StringIO()
     w = csv.writer(line_buf)
     w.writerow(_LINE_COLUMNS)
-    for ln in net.lines:
-        w.writerow([ln.from_node, ln.to_node, ln.r, ln.x])
+    w.writerows(_line_columns(net))
     return bus_buf.getvalue(), line_buf.getvalue()
 
 
@@ -375,17 +389,15 @@ def topology_hash(net: RadialNetwork) -> str:
     names = [f.name for f in fields(BusData)]
     h = hashlib.sha256()
     h.update(f"v0={net.v0:.12g};n={net.n}".encode())
-    h.update("".join(f"L{ln.from_node},{ln.to_node},{ln.r:.12g},{ln.x:.12g}"
-                     for ln in net.lines).encode())
-    text = {}  # net keeps every record alive, so no id is reused during the call
-    for b in net.buses:
-        if id(b) not in text:
-            text[id(b)] = encode({name: getattr(b, name) for name in names})
-    h.update("".join([text[id(b)] for b in net.buses]).encode())
+    h.update("".join(["L%d,%d,%.12g,%.12g" % line for line in _line_columns(net)]).encode())
+    # net keeps every record alive, so no id is reused during the call
+    records = dict(zip(map(id, net.buses), net.buses))
+    text = {key: encode({name: getattr(b, name) for name in names}) for key, b in records.items()}
+    h.update("".join(map(text.__getitem__, map(id, net.buses))).encode())
     return h.hexdigest()[:16]
 
 
-def report_json(report, net: RadialNetwork | None = None, seed=None) -> str:
+def report_json(report, net: RadialNetwork | None = None) -> str:
     """PoSA report plus instance metadata as JSON."""
     doc = {
         "posa_max": report.posa_max,
@@ -403,6 +415,4 @@ def report_json(report, net: RadialNetwork | None = None, seed=None) -> str:
     if net is not None:
         doc["n"] = net.n
         doc["topology_hash"] = topology_hash(net)
-    if seed is not None:
-        doc["seed"] = seed
     return json.dumps(doc, indent=1)

@@ -146,14 +146,17 @@ def _dense_block(S: SensitivitySet, w: np.ndarray) -> np.ndarray:
 _V0_SEED = 0  # seeds ARPACK's start and restart vectors, so a result repeats to the bit
 
 
-def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = False):
+def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = False,
+                   tol: float = 0.0):
     """Largest eigenvalue of the symmetric operator v -> matvec(v), and with
     ``vector`` also its unit eigenvector, signed so that its entry of largest
     magnitude is positive.
 
     ARPACK's Lanczos with seeded start and restart vectors, so a rerun gives
-    the same bits; with maxiter set it raises ArpackNoConvergence after that
-    many restarts.  ARPACK needs n > 1; a 1 x 1 operator is its own eigenvalue.
+    the same bits; it stops at ARPACK's relative accuracy ``tol`` (0, the
+    default, is machine precision), and with maxiter set it raises
+    ArpackNoConvergence after that many restarts.  ARPACK needs n > 1; a
+    1 x 1 operator is its own eigenvalue.
     """
     if n == 1:
         lam = float(matvec(np.ones(1))[0])
@@ -162,7 +165,7 @@ def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = Fa
 
     v0 = np.random.default_rng(_V0_SEED).uniform(-1.0, 1.0, n)
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    out = eigsh(op, k=1, which="LA", tol=0, v0=v0, maxiter=maxiter,
+    out = eigsh(op, k=1, which="LA", tol=tol, v0=v0, maxiter=maxiter,
                 return_eigenvectors=vector, rng=np.random.default_rng(_V0_SEED))
     if not vector:
         return float(out[0])

@@ -8,6 +8,12 @@ passes of the AC branch-flow sweep, and the leaf-first elimination of the
 sparse X^{-1}, which gives the Woodbury solves and inertia counts that the
 equilibrium solvers and the PoSA report share.
 
+A feeder keeps its lines as arrays in line order, and its validation and
+traversal are array passes: O(log depth) passes of ancestor doubling,
+with no Python loop over the lines, so generating and validating a
+feeder of a million buses takes a fraction of a second.  Both parts of
+the tree factor are built from the traversal arrays too.
+
 Node 0 is the substation (fixed voltage) and must have exactly one direct
 child; every other node has exactly one parent line.  All matrix-facing
 code indexes node k at row/column k-1.
@@ -15,8 +21,10 @@ code indexes node k at row/column k-1.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -61,6 +69,9 @@ class Line:
     x: float
 
 
+_LINE_FIELDS = ("from_node", "to_node", "r", "x")
+
+
 @dataclass(frozen=True)
 class BusData:
     """Per-bus loading, limits and controller flag (per-unit).
@@ -83,12 +94,12 @@ class Traversal:
     """Root-outward structure of a validated feeder, built once per network.
 
     ``order`` lists the non-root nodes level by level from the root, the
-    children of each node in :meth:`RadialNetwork.children` order.
-    ``up[k]`` is the position in ``order`` of the parent of ``order[k]``, and
-    n when that parent is the root.  ``parent``, ``r``, ``x`` and ``d`` are
-    indexed by child node: entry i-1 belongs to node i and the line into it.
-    ``d`` is the total reactance of the root path of each node, the diagonal
-    of the reactance matrix X.  The arrays are read-only.
+    children of each node in line order.  ``up[k]`` is the position in
+    ``order`` of the parent of ``order[k]``, and n when that parent is the
+    root.  ``parent``, ``r``, ``x`` and ``d`` are indexed by child node:
+    entry i-1 belongs to node i and the line into it.  ``d`` is the total
+    reactance of the root path of each node, the diagonal of the reactance
+    matrix X.  The arrays are read-only.
     """
 
     parent: np.ndarray
@@ -110,27 +121,59 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RadialNetwork:
     """A rooted radial feeder with n non-root buses.
 
-    ``lines`` must form a spanning tree over nodes {0..n} rooted at 0;
-    ``buses[i]`` describes node i+1.  Instances are immutable; parents,
-    line arrays and root paths come from :attr:`traversal`, which
-    :func:`validate_tree` builds and caches, and the bus data from
-    :attr:`bus_arrays`, built on first use.
+    The lines must form a spanning tree over nodes {0..n} rooted at 0;
+    ``buses[i]`` describes node i+1.  The lines are kept as read-only
+    arrays in line order, ``from_node``, ``to_node``, ``r`` and ``x``; pass
+    them as those keywords, or as a tuple of :class:`Line` records in
+    ``lines``.  :attr:`lines` builds that tuple on demand.  Instances are
+    immutable; parents, line arrays by child and root paths come from
+    :attr:`traversal`, which :func:`validate_tree` builds and caches, and
+    the bus data from :attr:`bus_arrays`, built on first use.
     """
 
     n: int
+    # A field, so dataclasses.replace passes it on; the property below
+    # reads it off the line arrays.
     lines: tuple[Line, ...]
     buses: tuple[BusData, ...]
     v0: float = 1.0
 
-    # -- derived state, filled by validate_tree -------------------------------
-    _traversal: Traversal | None = field(default=None, repr=False, compare=False)
+    def __init__(self, n: int, lines=None, buses=(), v0: float = 1.0, *,
+                 from_node=None, to_node=None, r=None, x=None):
+        columns = (from_node, to_node, r, x)
+        if lines is not None:
+            if any(c is not None for c in columns):
+                raise TypeError("give the lines as Line records or as arrays, not both")
+            lines = tuple(lines)
+            columns = [list(map(operator.attrgetter(name), lines)) for name in _LINE_FIELDS]
+        elif any(c is None for c in columns):
+            raise TypeError("give the lines as Line records or as from_node, to_node, r and x")
+        arrays = [_read_only(c, t) for c, t in zip(columns, (int, int, float, float))]
+        if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
+            raise ValueError("from_node, to_node, r and x must be 1-d and of one length")
+        for name, value in zip(_LINE_FIELDS, arrays):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "buses", tuple(buses))
+        object.__setattr__(self, "v0", v0)
+        object.__setattr__(self, "_traversal", None)  # set by validate_tree
 
-    def __post_init__(self):
-        object.__setattr__(self, "_traversal", None)
+    @property
+    def lines(self) -> tuple[Line, ...]:
+        """The lines as :class:`Line` records, in line order; built on each call."""
+        return tuple(map(Line, self.from_node.tolist(), self.to_node.tolist(),
+                         self.r.tolist(), self.x.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n == other.n and self.v0 == other.v0 and self.buses == other.buses
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in _LINE_FIELDS))
 
     @property
     def traversal(self) -> Traversal:
@@ -143,13 +186,6 @@ class RadialNetwork:
     def parent(self) -> np.ndarray:
         """parent[i] is the parent node of node i+1 (0 means the root)."""
         return self.traversal.parent
-
-    def children(self) -> list[list[int]]:
-        """children[k] lists direct children of node k (k = 0..n)."""
-        ch: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for ln in self.lines:
-            ch[ln.from_node].append(ln.to_node)
-        return ch
 
     @cached_property
     def bus_arrays(self) -> SimpleNamespace:
@@ -176,13 +212,12 @@ def chain_network(xs, rs=None, buses=None, v0: float = 1.0) -> RadialNetwork:
     Without ``buses`` every bus is the one frozen default ``BusData()``
     record, shared by all of them.
     """
-    xs = list(xs)
-    n = len(xs)
-    rs = list(rs) if rs is not None else [0.0] * n
-    lines = tuple(Line(i, i + 1, rs[i], xs[i]) for i in range(n))
+    x = np.array(xs, dtype=float)
+    n = x.size
     if buses is None:
         buses = (BusData(),) * n
-    net = RadialNetwork(n=n, lines=lines, buses=tuple(buses), v0=v0)
+    net = RadialNetwork(n=n, buses=buses, v0=v0, from_node=np.arange(n),
+                        to_node=np.arange(1, n + 1), r=np.zeros(n) if rs is None else rs, x=x)
     validate_tree(net)
     return net
 
@@ -195,76 +230,76 @@ def validate_tree(net: RadialNetwork) -> None:
     MultiRootChildError (root degree != 1), CycleError, DisconnectedError;
     and a TopologyError for a non-finite root voltage v0, naming the bus and
     field for a non-finite load, generation or nominal voltage, or for an
-    actuator box that excludes 0.
-    The breadth-first walk that orders the :class:`Traversal` is also the
-    reachability check.  Success is recorded on the network as its
+    actuator box that excludes 0.  Where several lines are at fault, the
+    first in line order is named.  The line checks are array checks, and
+    :func:`_breadth_first` orders the :class:`Traversal` and checks that
+    every node reaches the root.  Success is recorded on the network as its
     traversal, so a repeat call returns at once; a failure is not, so an
     invalid network raises on every call.
     """
     if net._traversal is not None:
         return
     n = net.n
+    frm, to, r, x = net.from_node, net.to_node, net.r, net.x
     if len(net.buses) != n:
         raise DisconnectedError(f"expected {n} bus records, got {len(net.buses)}")
-    if len(net.lines) != n:
-        raise DisconnectedError(f"expected {n} lines for {n} non-root nodes, got {len(net.lines)}")
+    if to.size != n:
+        raise DisconnectedError(f"expected {n} lines for {n} non-root nodes, got {to.size}")
 
-    for ln in net.lines:
-        if not (math.isfinite(ln.x) and math.isfinite(ln.r)):
-            raise NonpositiveReactanceError(
-                f"line ({ln.from_node},{ln.to_node}) has non-finite r={ln.r} or x={ln.x}"
-            )
-        if ln.x <= 0:
-            raise NonpositiveReactanceError(f"line ({ln.from_node},{ln.to_node}) has x={ln.x}")
-        if ln.r < 0:
-            raise NonpositiveReactanceError(f"line ({ln.from_node},{ln.to_node}) has r={ln.r} < 0")
-        if not (0 <= ln.from_node <= n):
-            raise UnknownNodeError(f"line references unknown node {ln.from_node}")
-        if not (1 <= ln.to_node <= n):
-            raise UnknownNodeError(
-                f"line ({ln.from_node},{ln.to_node}): child end must be a non-root node"
-            )
+    bad = ~(np.isfinite(x) & np.isfinite(r)) | (x <= 0) | (r < 0)
+    bad |= (frm < 0) | (frm > n) | (to < 1) | (to > n)
+    if bad.any():
+        k = int(bad.argmax())
+        f, t, rk, xk = int(frm[k]), int(to[k]), float(r[k]), float(x[k])
+        if not (math.isfinite(xk) and math.isfinite(rk)):
+            raise NonpositiveReactanceError(f"line ({f},{t}) has non-finite r={rk} or x={xk}")
+        if xk <= 0:
+            raise NonpositiveReactanceError(f"line ({f},{t}) has x={xk}")
+        if rk < 0:
+            raise NonpositiveReactanceError(f"line ({f},{t}) has r={rk} < 0")
+        if not 0 <= f <= n:
+            raise UnknownNodeError(f"line references unknown node {f}")
+        raise UnknownNodeError(f"line ({f},{t}): child end must be a non-root node")
 
-    root_children = [ln.to_node for ln in net.lines if ln.from_node == 0]
-    if len(root_children) > 1:
-        raise MultiRootChildError(f"root has children {sorted(root_children)}; exactly one allowed")
-    if n > 0 and not root_children:
+    root_children = to[frm == 0]
+    if root_children.size > 1:
+        raise MultiRootChildError(f"root has children {sorted(root_children.tolist())}; "
+                                  "exactly one allowed")
+    if n > 0 and not root_children.size:
         raise DisconnectedError("no line leaves the root")
 
-    lines: list[Line | None] = [None] * n  # lines[k-1]: the line into node k
-    for ln in net.lines:
-        if lines[ln.to_node - 1] is not None:
-            raise CycleError(f"node {ln.to_node} has two parent lines")
-        lines[ln.to_node - 1] = ln
+    if np.bincount(to, minlength=n + 1).max() > 1:
+        # name the child end of the first line whose child already has a line
+        by_child = np.argsort(to, kind="stable")
+        repeats = by_child[1:][to[by_child[1:]] == to[by_child[:-1]]]
+        raise CycleError(f"node {to[repeats.min()]} has two parent lines")
 
-    # Order the nodes level by level from the root.  Each node has one parent
-    # line, so each is reached at most once, and the walk is the
-    # reachability check.
-    children = net.children()
-    pos = [n] * (n + 1)  # pos[k]: position of node k in the order; the root maps to n
-    order: list[int] = []
-    level = children[0]
-    while level:
-        for k in level:
-            pos[k] = len(order)
-            order.append(k)
-        level = [c for j in level for c in children[j]]
-    if len(order) != n:
-        # Walk up from the lowest-numbered unreached node; a repeat before
-        # reaching the root is a cycle.
+    # Every node now has exactly one parent line: parent[k] is node k's parent.
+    parent = np.zeros(n + 1, dtype=int)
+    parent[to] = frm
+    x_by_child = np.empty(n)
+    x_by_child[to - 1] = x
+    walk = _breadth_first(parent, frm, to, x_by_child)
+    if walk is None:
+        # Walk up from the lowest-numbered node that does not reach the root;
+        # the walk repeats a node, as every node has a parent line.
+        anc = parent
+        for _ in range(parent.size.bit_length()):
+            anc = anc[anc]
+        k = int(np.flatnonzero(anc[1:])[0]) + 1
         seen = set()
-        k = pos.index(n, 1)
-        while k != 0:
-            if k in seen:
-                raise CycleError(f"cycle through node {k}")
+        while k not in seen:
             seen.add(k)
-            if lines[k - 1] is None:
-                raise DisconnectedError(f"node {k} has no path to the root")
-            k = lines[k - 1].from_node
+            k = int(parent[k])
+        raise CycleError(f"cycle through node {k}")
 
     if not math.isfinite(net.v0):
         raise TopologyError(f"the root voltage v0={net.v0} is not finite")
-    for k, b in enumerate(net.buses, start=1):
+    buses = net.buses
+    # generated feeders share one record among all their buses: check it once
+    if buses and all(map(operator.is_, buses, itertools.repeat(buses[0]))):
+        buses = buses[:1]
+    for k, b in enumerate(buses, start=1):
         # a non-finite field makes the sum non-finite; one test per bus is a
         # third of the cost of four
         if not math.isfinite(b.p_c + b.p_g + b.q_c + b.v_nom):
@@ -277,18 +312,91 @@ def validate_tree(net: RadialNetwork) -> None:
                 f"actuator box [{b.q_min},{b.q_max}] must contain 0 (zero injection always feasible)"
             )
 
-    d = [0.0] * (n + 1)  # d[k]: root-path reactance of node k; the root's is 0
-    for k in order:
-        ln = lines[k - 1]
-        d[k] = d[ln.from_node] + ln.x
+    order, up, d = walk
+    r_by_child = np.empty(n)
+    r_by_child[to - 1] = r
     object.__setattr__(net, "_traversal", Traversal(
-        parent=_read_only([ln.from_node for ln in lines], int),
+        parent=_read_only(parent[1:], int),
         order=_read_only(order, int),
-        up=_read_only([pos[lines[k - 1].from_node] for k in order], int),
-        r=_read_only([ln.r for ln in lines], float),
-        x=_read_only([ln.x for ln in lines], float),
-        d=_read_only(d[1:], float),
+        up=_read_only(up, int),
+        r=_read_only(r_by_child, float),
+        x=_read_only(x_by_child, float),
+        d=_read_only(d, float),
     ))
+
+
+def _breadth_first(parent: np.ndarray, frm: np.ndarray, to: np.ndarray, x: np.ndarray):
+    """The traversal of the tree given by ``parent``, or None where some
+    node does not reach the root.
+
+    Returns ``order``, the non-root nodes breadth first from the root with
+    the children of each node in line order (lines ``frm`` -> ``to``);
+    ``up``, the position in ``order`` of each node's parent (n for the
+    root); and ``d``, the root-path sums of the reactances ``x`` (entry i-1
+    for node i), each added from the root down as d(parent) + x.
+
+    The order sorts the nodes by depth and then by preorder, the
+    depth-first order with children in line order: nodes at one depth are
+    in the preorder of their root paths, which is the breadth-first order.
+    The sort key depth * (n+1) + preorder rank is a root-path sum, of n+1
+    plus 1 plus the subtree sizes of the earlier siblings, by ancestor
+    doubling; it is also the reachability check.  Where some node has two
+    children, subtree sizes come from doubling too: the sizes at a
+    distance below 2^k, added over the descendants 2^k lines away.  So
+    both take O(log depth) array passes.  The sums d take one array pass
+    per depth, and one cumulative sum for each run of depths that hold one
+    node each, a path; a chain takes one pass.
+    """
+    n = parent.size - 1
+    rounds = n.bit_length() + 1  # 2^rounds > n + 1, the length of any root path
+    kids = np.argsort(frm, kind="stable")  # the lines grouped by parent, in line order
+    fk = frm[kids]
+    first = np.where(fk != np.r_[-1, fk[:-1]], np.arange(n), 0)
+    np.maximum.accumulate(first, out=first)  # first[j]: the first line of the parent of line j
+    key = np.zeros(n + 1, dtype=int)
+    key[to[kids]] = n + 2  # n+1 for the depth and 1 for the node
+    if not np.array_equal(first, np.arange(n)):  # some node has two children
+        size = np.ones(n + 1)
+        anc = parent
+        for _ in range(rounds):
+            if not anc.any():
+                break
+            size += np.bincount(anc, weights=size, minlength=n + 1)
+            anc = anc[anc]
+        below = size[to[kids]].astype(int)
+        before = np.cumsum(below) - below  # subtree sizes of all earlier lines
+        key[to[kids]] += before - before[first]
+    anc = parent
+    for _ in range(rounds):
+        if not anc.any():
+            break
+        key += key[anc]
+        anc = anc[anc]
+    else:
+        return None
+    order = np.argsort(key[1:]) + 1
+
+    pos = np.empty(n + 1, dtype=int)  # pos[k]: position of node k in order; the root's is n
+    pos[order] = np.arange(n)
+    pos[0] = n
+    up = pos[parent[order]]
+
+    xo = x[order - 1]
+    d = np.zeros(n + 1)  # by position in order; d[n] is the root's 0
+    width = np.bincount(key[1:] // (n + 1))[1:]  # width[j]: the nodes j+1 lines below the root
+    ends = np.cumsum(width)
+    path = width == 1
+    runs = np.flatnonzero(np.r_[True, ~(path[1:] & path[:-1])][:width.size]).tolist()
+    runs.append(width.size)
+    for a, b in zip(runs, runs[1:]):
+        s, e = int(ends[a] - width[a]), int(ends[b - 1])
+        if b - a == 1:
+            d[s:e] = d[up[s:e]] + xo[s:e]
+        else:  # depths a..b-1 hold one node each: a path below d[up[s]]
+            d[s:e] = np.cumsum(np.r_[d[up[s]], xo[s:e]])[1:]
+    d_by_child = np.empty(n)
+    d_by_child[order - 1] = d[:n]
+    return order, up, d_by_child
 
 
 @dataclass(frozen=True)
@@ -355,14 +463,11 @@ def random_tree(dist: DegreeDistribution, seed: int) -> RadialNetwork:
         if not level.size:
             break
 
-    parent = np.concatenate(parents).tolist()
-    n = len(parent)
-    xs = _uniform_half_open(rng, *dist.x_range, size=n).tolist()
-    net = RadialNetwork(
-        n=n,
-        lines=tuple(Line(f, t, 0.0, x) for t, f, x in zip(range(1, n + 1), parent, xs)),
-        buses=(BusData(),) * n,
-    )
+    parent = np.concatenate(parents)
+    n = parent.size
+    net = RadialNetwork(n=n, buses=(BusData(),) * n, from_node=parent,
+                        to_node=np.arange(1, n + 1), r=np.zeros(n),
+                        x=_uniform_half_open(rng, *dist.x_range, size=n))
     validate_tree(net)
     return net
 
@@ -394,6 +499,14 @@ def tree_laplacian(net: RadialNetwork):
 def _laplacian(x: np.ndarray, parent: np.ndarray):
     from scipy.sparse import csr_array
 
+    rows, cols, vals = _laplacian_entries(x, parent)
+    return csr_array((vals, (rows, cols)), shape=(x.size, x.size))
+
+
+def _laplacian_entries(x: np.ndarray, parent: np.ndarray):
+    """Row and column indices and values of the entries of X^{-1}: the
+    diagonal, in matrix index order, then the two entries of each line
+    that does not leave the root."""
     n = x.size
     w = 1.0 / x
     child = np.arange(n)
@@ -403,7 +516,14 @@ def _laplacian(x: np.ndarray, parent: np.ndarray):
     rows = np.concatenate([child, child[inner], parent[inner]])
     cols = np.concatenate([child, parent[inner], child[inner]])
     vals = np.concatenate([diag, -w[inner], -w[inner]])
-    return csr_array((vals, (rows, cols)), shape=(n, n))
+    return rows, cols, vals
+
+
+def _compressed(major, minor, vals, n: int):
+    """(data, indices, indptr) of the n x n compressed sparse matrix with these
+    distinct entries, indices ascending along each major line."""
+    at = np.argsort(major * n + minor)
+    return vals[at], minor[at], np.r_[0, np.cumsum(np.bincount(major, minlength=n))]
 
 
 _CERTIFY_ULPS = 2  # first half-width of the bracket certified around an estimate
@@ -485,18 +605,26 @@ class _TreeFactor:
         leaf-first position of each bus's parent (n for the root, a dummy slot),
         ``w2`` = 1/x^2 and the pivot guard ``pivmin`` for the elimination; and
         ``x_bracket``, the Gershgorin bracket of lambda_min(X)."""
+        from scipy.sparse import csc_array
+
         n = self.n
         perm = self.idx[::-1]  # leaf-first position k holds matrix index perm[k]
-        L = _laplacian(self._x, self._parent)
-        a = L.diagonal()[perm]
+        rows, cols, vals = _laplacian_entries(self._x, self._parent)
+        lf = n - 1 - self.pos  # lf[i]: leaf-first position of matrix index i
+        a = vals[:n][perm]
         w2 = (1.0 / self._x[perm]) ** 2
         up = self.up[::-1]
+        # the absolute row sums add each row's entries in column order, as
+        # scipy sums the rows of the CSR form
+        data, _, indptr = _compressed(rows, cols, np.abs(vals), n)
+        row_sums = np.add.reduceat(data, indptr[:-1])
         return SimpleNamespace(
-            L=L[perm][:, perm].tocsc(), a=a, up=np.where(up < n, n - 1 - up, n).tolist(),
+            L=csc_array(_compressed(lf[cols], lf[rows], vals, n), shape=(n, n)), a=a,
+            up=np.where(up < n, n - 1 - up, n).tolist(),
             w2=w2.tolist(), pivmin=np.finfo(float).tiny * max(1.0, float(np.max(w2))),
             # lambda_max(X^{-1}) lies between its largest diagonal entry and its
             # largest absolute row sum; 1/lambda_max(X^{-1}) = lambda_min(X)
-            x_bracket=(1.0 / float(np.max(abs(L).sum(axis=1))), 1.0 / float(np.max(a))),
+            x_bracket=(1.0 / float(np.max(row_sums)), 1.0 / float(np.max(a))),
         )
 
     def _padded_diagonal(self, act: np.ndarray, s: np.ndarray) -> np.ndarray:

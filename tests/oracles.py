@@ -33,6 +33,100 @@ def child_lines(net):
     return tuple(by_child[k] for k in range(1, net.n + 1))
 
 
+def traversal_by_walk(net):
+    """The feeder's traversal by the per-line checks and one breadth-first
+    walk over children lists, each in line order, with root paths summed
+    node by node from the root.
+
+    Raises the TopologyError that validate_tree raises for a malformed set
+    of lines; a node that does not reach the root is named by walking up
+    from the lowest-numbered one.  Returns parent, order, up, r, x and d
+    as in Traversal.  The bus records are not checked.
+    """
+    from types import SimpleNamespace
+
+    from voltgame.topology import (CycleError, DisconnectedError, MultiRootChildError,
+                                   NonpositiveReactanceError, UnknownNodeError)
+
+    n = net.n
+    if len(net.buses) != n:
+        raise DisconnectedError(f"expected {n} bus records, got {len(net.buses)}")
+    lines_in = net.lines
+    if len(lines_in) != n:
+        raise DisconnectedError(f"expected {n} lines for {n} non-root nodes, got {len(lines_in)}")
+    for ln in lines_in:
+        if not (math.isfinite(ln.x) and math.isfinite(ln.r)):
+            raise NonpositiveReactanceError(
+                f"line ({ln.from_node},{ln.to_node}) has non-finite r={ln.r} or x={ln.x}")
+        if ln.x <= 0:
+            raise NonpositiveReactanceError(f"line ({ln.from_node},{ln.to_node}) has x={ln.x}")
+        if ln.r < 0:
+            raise NonpositiveReactanceError(f"line ({ln.from_node},{ln.to_node}) has r={ln.r} < 0")
+        if not (0 <= ln.from_node <= n):
+            raise UnknownNodeError(f"line references unknown node {ln.from_node}")
+        if not (1 <= ln.to_node <= n):
+            raise UnknownNodeError(
+                f"line ({ln.from_node},{ln.to_node}): child end must be a non-root node")
+    root_children = [ln.to_node for ln in lines_in if ln.from_node == 0]
+    if len(root_children) > 1:
+        raise MultiRootChildError(f"root has children {sorted(root_children)}; exactly one allowed")
+    if n > 0 and not root_children:
+        raise DisconnectedError("no line leaves the root")
+    lines = [None] * n  # lines[k-1]: the line into node k
+    for ln in lines_in:
+        if lines[ln.to_node - 1] is not None:
+            raise CycleError(f"node {ln.to_node} has two parent lines")
+        lines[ln.to_node - 1] = ln
+
+    children = [[] for _ in range(n + 1)]
+    for ln in lines_in:
+        children[ln.from_node].append(ln.to_node)
+    pos = [n] * (n + 1)  # pos[k]: position of node k in the order; the root maps to n
+    order = []
+    level = children[0]
+    while level:
+        for k in level:
+            pos[k] = len(order)
+            order.append(k)
+        level = [c for j in level for c in children[j]]
+    if len(order) != n:
+        seen = set()
+        k = pos.index(n, 1)
+        while k != 0:
+            if k in seen:
+                raise CycleError(f"cycle through node {k}")
+            seen.add(k)
+            if lines[k - 1] is None:
+                raise DisconnectedError(f"node {k} has no path to the root")
+            k = lines[k - 1].from_node
+
+    d = [0.0] * (n + 1)  # d[k]: root-path reactance of node k; the root's is 0
+    for k in order:
+        ln = lines[k - 1]
+        d[k] = d[ln.from_node] + ln.x
+    return SimpleNamespace(
+        parent=np.array([ln.from_node for ln in lines], dtype=int),
+        order=np.array(order, dtype=int),
+        up=np.array([pos[lines[k - 1].from_node] for k in order], dtype=int),
+        r=np.array([ln.r for ln in lines], dtype=float),
+        x=np.array([ln.x for ln in lines], dtype=float),
+        d=np.array(d[1:], dtype=float),
+    )
+
+
+def leaf_first_by_permutation(net):
+    """X^{-1} in leaf-first order and its Gershgorin bound, from the CSR form
+    of X^{-1} by two sparse permutations: (the CSC matrix, its diagonal,
+    1 / the largest absolute row sum of X^{-1})."""
+    from voltgame.topology import tree_laplacian
+
+    t = net.traversal
+    perm = t.order[::-1] - 1  # leaf-first position k holds matrix index perm[k]
+    L = tree_laplacian(net)
+    return (L[perm][:, perm].tocsc(), L.diagonal()[perm],
+            1.0 / float(np.max(abs(L).sum(axis=1))))
+
+
 def traversal_levels(t):
     """The depth levels of a Traversal as slices of its order, from ``order``
     and ``up``: the nodes d+1 lines below the root are ``order[levels[d]]``."""

@@ -271,3 +271,19 @@ def test_sce42_keyword_network(capsys):
 def test_unknown_file_errors(capsys):
     assert main(["validate", "/does/not/exist.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("control, message", [
+    ({"alpha": float("nan"), "delta": 0.02}, "droop slopes must be finite: actuator 0 has alpha=nan"),
+    ({"alpha": 9.0, "delta": float("nan")}, "deadband widths must be finite: actuator 0 has delta=nan"),
+], ids=["alpha-nan", "delta-nan"])
+@pytest.mark.parametrize("command", [["simulate", "--law", "taking"],
+                                     ["equilibrium", "--law", "anticipating"], ["posa"]],
+                         ids=["simulate", "equilibrium", "posa"])
+def test_non_finite_control_exits_2(tmp_path, capsys, control, message, command):
+    doc = json.loads(save_network_json(chain_network([0.02, 0.03], rs=[0.01, 0.01])))
+    doc["control"] = control
+    p = tmp_path / "net.json"
+    p.write_text(json.dumps(doc))  # NaN is written as the bare token NaN
+    assert main([command[0], str(p)] + command[1:]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from voltgame.experiments import SweepSpec, Z_BASE_OHM, load_sce42, run_sweep, sweep_csv
+from voltgame.experiments import MIN_X_OHM, SweepSpec, Z_BASE_OHM, load_sce42, run_sweep, sweep_csv
 from voltgame.netio import ParseError
 from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import validate_tree
@@ -54,9 +54,9 @@ class TestSce42:
         assert all(math.isinf(data2.net.buses[i].q_max) for i in data2.net.actuator_indices())
 
     def test_zero_x_line_floored(self):
-        data = load_sce42(min_x_ohm=0.002)
+        data = load_sce42()
         xs = [ln.x for ln in data.net.lines]
-        assert min(xs) == pytest.approx(0.002 / Z_BASE_OHM)
+        assert min(xs) == pytest.approx(MIN_X_OHM / Z_BASE_OHM)
         S = build_sensitivity(data.net)
         assert np.linalg.eigvalsh(S.X)[0] > 0
 

@@ -130,8 +130,8 @@ class TestGlobalization:
 
     def test_rejects_infinite_slope(self):
         S, ctrl, vt = fallback_instance()
-        ctrl = ControlSpec([np.inf, 1.0], ctrl.delta, ctrl.q_min, ctrl.q_max)
         with pytest.raises(ValueError, match="droop slopes must be finite"):
+            ctrl = ControlSpec([np.inf, 1.0], ctrl.delta, ctrl.q_min, ctrl.q_max)
             solve_iterative("F", S, ctrl, vt)
 
     @pytest.mark.parametrize("law", ["taking", "anticipating"])

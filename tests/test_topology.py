@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from oracles import (
     child_lines,
     depth,
     inverse_tree_laplacian,
+    leaf_first_by_permutation,
     path_intersection,
     path_to_root,
     random_tree_by_node,
     reactances,
+    traversal_by_walk,
     traversal_levels,
 )
+from strategies import feeders
 from voltgame.acflow import sweep_solve
 from voltgame.sensitivity import build_sensitivity
 from voltgame.experiments import load_sce42
@@ -169,6 +173,145 @@ class TestTraversal:
         xs = reactances(net)
         xs[0] = 1.0  # a copy: the cache is unchanged
         assert net.traversal.x[0] == 2.0
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def broom(handle: int, bristles: int, xs) -> RadialNetwork:
+    """A path of `handle` lines from the root, then `bristles` paths of two
+    lines from its end, lines listed bottom up; x from xs."""
+    edges = [(k, k + 1) for k in range(handle)]
+    for b in range(bristles):
+        mid = handle + 1 + 2 * b
+        edges += [(handle, mid), (mid, mid + 1)]
+    lines = tuple(Line(f, t, 0.0, float(x)) for (f, t), x in zip(edges[::-1], xs))
+    return RadialNetwork(n=len(edges), lines=lines, buses=(BusData(),) * len(edges))
+
+
+@st.composite
+def malformed_feeders(draw):
+    """A feeder from `feeders` with one to three of its lines broken."""
+    net = draw(feeders(st.floats(0.0, 1.0), st.floats(1e-3, 2.0), max_buses=30))
+    n = net.n
+    lines = list(net.lines)
+    below = {ln.to_node: [] for ln in lines}
+    for ln in lines:
+        if ln.from_node:
+            below[ln.from_node].append(ln.to_node)
+
+    def descendants(k):
+        out, todo = [], list(below[k])
+        while todo:
+            out.append(todo.pop())
+            todo += below[out[-1]]
+        return out
+
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        ln = lines[k]
+        fault = draw(st.sampled_from(["second parent", "cycle", "unreachable", "root child",
+                                      "unknown node", "x", "r", "non-finite", "missing"]))
+        if fault == "second parent":
+            lines[k] = dataclasses.replace(ln, to_node=draw(st.sampled_from(lines)).to_node)
+        elif fault == "cycle":
+            lines[k] = dataclasses.replace(ln, from_node=ln.to_node)
+        elif fault == "unreachable":  # hang the line's subtree below one of its own nodes
+            lower = descendants(ln.to_node) if ln.to_node in below else []
+            hang = draw(st.sampled_from(lower or [ln.to_node]))
+            lines[k] = dataclasses.replace(ln, from_node=hang)
+        elif fault == "root child":
+            lines[k] = dataclasses.replace(ln, from_node=0)
+        elif fault == "unknown node":
+            end = draw(st.sampled_from(["from_node", "to_node"]))
+            node = draw(st.sampled_from([-1, 0, n + 1] if end == "to_node" else [-1, n + 1]))
+            lines[k] = dataclasses.replace(ln, **{end: node})
+        elif fault == "x":
+            lines[k] = dataclasses.replace(ln, x=draw(st.sampled_from([0.0, -0.0, -1.5])))
+        elif fault == "r":
+            lines[k] = dataclasses.replace(ln, r=draw(st.sampled_from([-1e-9, -2.0])))
+        elif fault == "non-finite":
+            field = draw(st.sampled_from(["r", "x"]))
+            lines[k] = dataclasses.replace(
+                ln, **{field: draw(st.sampled_from([np.nan, np.inf, -np.inf]))})
+        elif len(lines) > 1:
+            del lines[k]
+    return RadialNetwork(n=n, lines=tuple(lines), buses=net.buses)
+
+
+class TestMatchesWalk:
+    # the traversal comes from array passes; the per-line walk they replaced
+    # is the oracle, bit for bit
+    FIELDS = ("order", "up", "parent", "r", "x", "d")
+
+    def assert_matches(self, net):
+        want = traversal_by_walk(net)
+        got = net.traversal
+        for name in self.FIELDS:
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(feeders(st.floats(0.0, 1.0), st.floats(1e-3, 2.0), max_depth=8))
+    def test_shuffled_feeders(self, net):
+        self.assert_matches(net)
+
+    @pytest.mark.parametrize("handle, bristles", [(1, 0), (2, 3), (40, 0), (40, 5), (1, 60)])
+    def test_paths_and_branches(self, handle, bristles):
+        xs = np.random.default_rng(handle + bristles).uniform(1e-3, 2.0, handle + 2 * bristles)
+        self.assert_matches(broom(handle, bristles, xs))
+
+    def test_path_below_a_branch(self):
+        # depths 1, 2, 3, ... hold 1, 2, 1, 1, ... nodes: the path below the
+        # branch adds on to a nonzero root-path sum
+        edges = [(0, 1), (1, 2), (1, 3)] + [(k, k + 1) for k in range(3, 60)]
+        xs = np.random.default_rng(7).uniform(1e-3, 2.0, len(edges))
+        lines = tuple(Line(f, t, 0.0, float(x)) for (f, t), x in zip(edges, xs))
+        self.assert_matches(RadialNetwork(n=len(edges), lines=lines,
+                                          buses=(BusData(),) * len(edges)))
+
+    def test_long_chain_and_generated_trees(self):
+        self.assert_matches(chain_network(np.random.default_rng(3).uniform(1e-3, 2.0, 5000)))
+        for seed in (1, 5, 42):
+            self.assert_matches(random_tree(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=15,
+                                                               x_range=(0.0, 2.0)), seed))
+        self.assert_matches(load_sce42().net)
+
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_feeders())
+    def test_malformed_feeders_raise_as_the_walk(self, net):
+        try:
+            traversal_by_walk(net)
+        except TopologyError as exc:
+            with pytest.raises(TopologyError) as got:
+                validate_tree(net)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            assert net._traversal is None
+        else:
+            self.assert_matches(net)
+
+
+class TestNoObjectPerLine:
+    # A tuple of Line records adds about 224 bytes per line; the line
+    # arrays, the traversal and the validation's temporaries peak at about
+    # 200 bytes per line (numpy 2.4).
+    PEAK_BYTES_PER_LINE = 250
+
+    @pytest.mark.parametrize("build", [
+        lambda: chain_network(np.random.default_rng(0).uniform(1e-3, 2.0, 2**17)),
+        lambda: random_tree(DegreeDistribution({2: 1.0}, max_depth=17), seed=0),
+    ], ids=["chain", "binary-tree"])
+    def test_peak_memory_of_generated_feeders(self, build):
+        tracemalloc.start()
+        try:
+            net = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.n >= 2**17 - 1
+        assert peak < self.PEAK_BYTES_PER_LINE * net.n
 
 
 class TestBusArrays:
@@ -329,6 +472,29 @@ class TestRandomTree:
             DegreeDistribution({1: 0.6, 2: 0.6}, max_depth=3)
         with pytest.raises(InvalidDistributionError):
             DegreeDistribution({}, max_depth=3)
+
+
+class TestLeafFirst:
+    # the leaf-first CSC is built straight from the traversal arrays; the
+    # CSR form permuted twice is the oracle
+    def assert_matches(self, net):
+        lf = net.traversal.factor.leaf_first
+        L, a, x_lower = leaf_first_by_permutation(net)
+        assert same_bits(lf.L.data, L.data)
+        assert np.array_equal(lf.L.indices, L.indices)
+        assert np.array_equal(lf.L.indptr, L.indptr)
+        assert same_bits(lf.a, a)
+        assert same_bits(lf.x_bracket[0], x_lower)
+
+    @settings(max_examples=100, deadline=None)
+    @given(feeders(st.just(0.0), st.floats(1e-3, 2.0), max_depth=8))
+    def test_shuffled_feeders(self, net):
+        self.assert_matches(net)
+
+    def test_fixed_feeders(self):
+        self.assert_matches(fig_tree())
+        self.assert_matches(broom(30, 4, np.linspace(0.1, 2.0, 38)))
+        self.assert_matches(load_sce42().net)
 
 
 class TestInverseTreeLaplacian:
