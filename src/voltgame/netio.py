@@ -13,9 +13,8 @@ Network JSON schema:
 Bus ids may be arbitrary labels; they are remapped to dense 0..n on load
 (the root is the bus labelled 0 if present, otherwise the unique bus that is
 never a line's child end).  Infinite box limits serialize as null in JSON
-and as "inf"/"-inf" in CSV.  Lines are read column by column into the
-network's line arrays, and written, and hashed by `topology_hash`, from
-them; a bad line row is named by a second, row-by-row pass.
+and as "inf"/"-inf" in CSV.  Lines are read row by row into the network's
+line arrays, and written, and hashed by `topology_hash`, from them.
 
 Traces and matrix dumps grow with n times their rows, so each has one
 streaming writer, `write_trace_csv(fh, ...)` and `write_matrix_csv(fh, ...)`,
@@ -123,17 +122,6 @@ def _remap_ids(bus_rows, line_rows):
     return {label: k for k, label in enumerate(order)}
 
 
-def _raise_line_error(line_rows, mapping):
-    """Raise the ParseError of the first line row that does not read: a
-    missing, list or object label, a bad r or x, or a label that names no bus."""
-    for k, row in enumerate(line_rows):
-        try:
-            mapping[row["from"]], mapping[row["to"]], float(row["r"]), float(row["x"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise (_row_error(row, f"lines[{k}]", labels=("from", "to"), required=("r", "x"))
-                   or ParseError(f"line {row!r} references unknown bus {exc}")) from exc
-
-
 _BUS_NUMBERS = ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max")
 _CONTROL_NUMBERS = ("alpha", "delta", "q_min", "q_max")
 
@@ -166,18 +154,19 @@ def _build(v0, bus_rows, line_rows, default_ctrl) -> tuple[RadialNetwork, Contro
             raise _not_object(over, f"buses[{j}]['control']")
         ctrl_rows[k - 1] = (j, over)
 
-    try:
-        columns = {
-            "from_node": [mapping[row["from"]] for row in line_rows],
-            "to_node": [mapping[row["to"]] for row in line_rows],
-            "r": [float(row["r"]) for row in line_rows],
-            "x": [float(row["x"]) for row in line_rows],
-        }
-    except (KeyError, TypeError, ValueError):
-        _raise_line_error(line_rows, mapping)
-        raise
+    from_node, to_node, r, x = [], [], [], []
+    for k, row in enumerate(line_rows):
+        try:
+            from_node.append(mapping[row["from"]])
+            to_node.append(mapping[row["to"]])
+            r.append(float(row["r"]))
+            x.append(float(row["x"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise (_row_error(row, f"lines[{k}]", labels=("from", "to"), required=("r", "x"))
+                   or ParseError(f"line {row!r} references unknown bus {exc}")) from exc
 
-    net = RadialNetwork(n=n, buses=tuple(buses), v0=float(v0), **columns)
+    net = RadialNetwork(n=n, buses=tuple(buses), v0=float(v0),
+                        from_node=from_node, to_node=to_node, r=r, x=x)
     validate_tree(net)
 
     ctrl = None
@@ -390,10 +379,11 @@ def topology_hash(net: RadialNetwork) -> str:
     h = hashlib.sha256()
     h.update(f"v0={net.v0:.12g};n={net.n}".encode())
     h.update("".join(["L%d,%d,%.12g,%.12g" % line for line in _line_columns(net)]).encode())
-    # net keeps every record alive, so no id is reused during the call
-    records = dict(zip(map(id, net.buses), net.buses))
-    text = {key: encode({name: getattr(b, name) for name in names}) for key, b in records.items()}
-    h.update("".join(map(text.__getitem__, map(id, net.buses))).encode())
+    text = {}  # net keeps every record alive, so no id is reused during the call
+    for b in net.buses:
+        if id(b) not in text:
+            text[id(b)] = encode({name: getattr(b, name) for name in names})
+    h.update("".join([text[id(b)] for b in net.buses]).encode())
     return h.hexdigest()[:16]
 
 

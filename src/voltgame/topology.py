@@ -121,6 +121,19 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
+def _node_ids(values) -> np.ndarray:
+    """A node-id column as a read-only int array; an id that is not a whole
+    number (1.5, NaN) raises UnknownNodeError rather than being truncated."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN has no int; the test below names it
+        ids = _read_only(raw, int)
+    if raw.dtype.kind not in "iu":
+        wrong = ids != raw
+        if wrong.any():
+            raise UnknownNodeError(f"line references unknown node {raw[wrong.argmax()]}")
+    return ids
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class RadialNetwork:
     """A rooted radial feeder with n non-root buses.
@@ -152,7 +165,7 @@ class RadialNetwork:
             columns = [list(map(operator.attrgetter(name), lines)) for name in _LINE_FIELDS]
         elif any(c is None for c in columns):
             raise TypeError("give the lines as Line records or as from_node, to_node, r and x")
-        arrays = [_read_only(c, t) for c, t in zip(columns, (int, int, float, float))]
+        arrays = [_node_ids(c) for c in columns[:2]] + [_read_only(c, float) for c in columns[2:]]
         if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
             raise ValueError("from_node, to_node, r and x must be 1-d and of one length")
         for name, value in zip(_LINE_FIELDS, arrays):
@@ -279,19 +292,7 @@ def validate_tree(net: RadialNetwork) -> None:
     parent[to] = frm
     x_by_child = np.empty(n)
     x_by_child[to - 1] = x
-    walk = _breadth_first(parent, frm, to, x_by_child)
-    if walk is None:
-        # Walk up from the lowest-numbered node that does not reach the root;
-        # the walk repeats a node, as every node has a parent line.
-        anc = parent
-        for _ in range(parent.size.bit_length()):
-            anc = anc[anc]
-        k = int(np.flatnonzero(anc[1:])[0]) + 1
-        seen = set()
-        while k not in seen:
-            seen.add(k)
-            k = int(parent[k])
-        raise CycleError(f"cycle through node {k}")
+    order, up, d = _breadth_first(parent, frm, to, x_by_child)
 
     if not math.isfinite(net.v0):
         raise TopologyError(f"the root voltage v0={net.v0} is not finite")
@@ -312,7 +313,6 @@ def validate_tree(net: RadialNetwork) -> None:
                 f"actuator box [{b.q_min},{b.q_max}] must contain 0 (zero injection always feasible)"
             )
 
-    order, up, d = walk
     r_by_child = np.empty(n)
     r_by_child[to - 1] = r
     object.__setattr__(net, "_traversal", Traversal(
@@ -326,8 +326,8 @@ def validate_tree(net: RadialNetwork) -> None:
 
 
 def _breadth_first(parent: np.ndarray, frm: np.ndarray, to: np.ndarray, x: np.ndarray):
-    """The traversal of the tree given by ``parent``, or None where some
-    node does not reach the root.
+    """The traversal of the tree given by ``parent``; raises CycleError
+    where some node does not reach the root.
 
     Returns ``order``, the non-root nodes breadth first from the root with
     the children of each node in line order (lines ``frm`` -> ``to``);
@@ -373,7 +373,14 @@ def _breadth_first(parent: np.ndarray, frm: np.ndarray, to: np.ndarray, x: np.nd
         key += key[anc]
         anc = anc[anc]
     else:
-        return None
+        # Walk up from the lowest-numbered node that does not reach the root;
+        # the walk repeats a node, as every node has a parent line.
+        k = int(np.flatnonzero(anc[1:])[0]) + 1
+        seen = set()
+        while k not in seen:
+            seen.add(k)
+            k = int(parent[k])
+        raise CycleError(f"cycle through node {k}")
     order = np.argsort(key[1:]) + 1
 
     pos = np.empty(n + 1, dtype=int)  # pos[k]: position of node k in order; the root's is n

@@ -85,6 +85,24 @@ class TestValidate:
         with pytest.raises(CycleError, match="cycle through node 3$"):
             validate_tree(net)
 
+    @pytest.mark.parametrize("line, node", [
+        (Line(1.5, 2, 0.0, 1.0), "1.5"),
+        (Line(1, 2.5, 0.0, 1.0), "2.5"),
+        (Line(float("nan"), 2, 0.0, 1.0), "nan"),
+    ])
+    def test_non_integer_node_id_rejected(self, line, node):
+        # the id is named, not truncated to a node that exists
+        with pytest.raises(UnknownNodeError, match=f"^line references unknown node {node}$"):
+            RadialNetwork(n=2, lines=(Line(0, 1, 0.0, 1.0), line), buses=(BusData(),) * 2)
+        with pytest.raises(UnknownNodeError):
+            RadialNetwork(n=2, buses=(BusData(),) * 2, from_node=[0, line.from_node],
+                          to_node=[1, line.to_node], r=[0.0, 0.0], x=[1.0, 1.0])
+
+    def test_whole_float_node_ids_accepted(self):
+        net = RadialNetwork(n=2, lines=(Line(0.0, 1.0, 0.0, 1.0), Line(1.0, 2.0, 0.0, 1.0)),
+                            buses=(BusData(),) * 2)
+        assert net == chain_network([1.0, 1.0])
+
     def test_deep_chain(self):
         net = RadialNetwork(n=20_000, lines=tuple(Line(k, k + 1, 0.0, 1.0) for k in range(20_000)),
                             buses=(BusData(),) * 20_000)
