@@ -115,19 +115,18 @@ def cmd_posa(args) -> int:
     S_act, vt_act, _ = experiments.restricted_model(net)
     if args.y is not None:
         y = np.full(S_act.n, args.y)
-        report = equilibrium.posa_report(S_act, y, vt=vt_act)
-        _emit_text(netio.report_json(report, net=net) + "\n", args.out)
-        return 0
-    ctrl = _ctrl_from_args(net, ctrl0, args)
-    if ctrl.unconstrained_quadratic:
-        report = equilibrium.posa_report(S_act, ctrl.y, vt=vt_act)
-        _emit_text(netio.report_json(report, net=net) + "\n", args.out)
     else:
-        posa = equilibrium.posa_constrained(S_act, ctrl, vt_act)
-        doc = {"posa": posa, "n": net.n, "topology_hash": netio.topology_hash(net),
-               "note": "deadband/box constraints active; spectral bounds need "
-                       "an unconstrained quadratic instance (pass --y)"}
-        _emit_text(json.dumps(doc, indent=1) + "\n", args.out)
+        ctrl = _ctrl_from_args(net, ctrl0, args)
+        if not ctrl.unconstrained_quadratic:
+            posa = equilibrium.posa_constrained(S_act, ctrl, vt_act)
+            doc = {"posa": posa, "n": net.n, "topology_hash": netio.topology_hash(net),
+                   "note": "deadband/box constraints active; spectral bounds need "
+                           "an unconstrained quadratic instance (pass --y)"}
+            _emit_text(json.dumps(doc, indent=1) + "\n", args.out)
+            return 0
+        y = ctrl.y
+    report = equilibrium.posa_report(S_act, y, vt=vt_act)
+    _emit_text(netio.report_json(report, net=net) + "\n", args.out)
     return 0
 
 

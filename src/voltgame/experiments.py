@@ -27,6 +27,7 @@ from .topology import (
     BusData,
     DegreeDistribution,
     RadialNetwork,
+    _uniform_half_open,
     chain_network,
     random_instance,
     validate_tree,
@@ -240,11 +241,6 @@ class SweepSpec:
                 doc[key] = tuple(doc[key])
         return cls(**doc)
 
-    def to_json(self) -> str:
-        doc = {k: v for k, v in self.__dict__.items()}
-        doc["dist_probs"] = {str(k): v for k, v in self.dist_probs.items()}
-        return json.dumps(doc, indent=1)
-
 
 def _posa_row(rep: equilibrium.PosaReport) -> dict:
     return {
@@ -260,10 +256,8 @@ def _chain_size_job(spec: SweepSpec, n: int, rep: int, seed: int) -> dict:
         ys = np.full(n, spec.y)
     else:
         rng = np.random.default_rng(seed)
-        lo, hi = spec.x_range
-        xs = hi - (hi - lo) * rng.random(n)
-        ylo, yhi = spec.y_range if spec.y_range else spec.x_range
-        ys = yhi - (yhi - ylo) * rng.random(n)
+        xs = _uniform_half_open(rng, *spec.x_range, size=n)
+        ys = _uniform_half_open(rng, *(spec.y_range or spec.x_range), size=n)
     net = chain_network(xs)
     report = equilibrium.posa_report(build_sensitivity(net), ys, want_direction=False)
     row = {"kind": "chain-size", "n": n, "rep": rep, "seed": seed}

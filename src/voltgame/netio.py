@@ -1,4 +1,4 @@
-"""File formats: network JSON / CSV pair, matrix dumps, traces, reports.
+"""File formats: network JSON, matrix dumps, traces, reports.
 
 Network JSON schema:
 
@@ -12,21 +12,21 @@ Network JSON schema:
 
 Bus ids may be arbitrary labels; they are remapped to dense 0..n on load
 (the root is the bus labelled 0 if present, otherwise the unique bus that is
-never a line's child end).  Infinite box limits serialize as null in JSON
-and as "inf"/"-inf" in CSV.  Lines are read row by row into the network's
-line arrays, and written, and hashed by `topology_hash`, from them.
+never a line's child end).  An infinite box limit serializes as null, and a
+missing or null one is no limit; a NaN limit is an error.  "actuator" is
+true or false, and true when missing.  Lines are read row by row into the
+network's line arrays, and written, and hashed by `topology_hash`, from them.
 
 Traces and matrix dumps grow with n times their rows, so each has one
 streaming writer, `write_trace_csv(fh, ...)` and `write_matrix_csv(fh, ...)`,
 that writes its header and then one row at a time to a text file; that is
-the format's only formatting path.  `dump_trace_csv` and `dump_matrix_csv`
-return the same bytes as one string.  The bytes are a contract: every float
-is printed with %.17g, trace rows end with "\r\n" and matrix rows with "\n".
+the format's only formatting path.  `dump_trace_csv` alone also returns its
+bytes as one string.  The bytes are a contract: every float is printed with
+%.17g, trace rows end with "\r\n" and matrix rows with "\n".
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -61,12 +61,6 @@ def _table(rows, name):
 
 def _num(value, default=None):
     if value is None or value == "":
-        return default
-    return float(value)
-
-
-def _bound(value, default):
-    if value is None or value == "" or (isinstance(value, float) and math.isnan(value)):
         return default
     return float(value)
 
@@ -137,15 +131,19 @@ def _build(v0, bus_rows, line_rows, default_ctrl) -> tuple[RadialNetwork, Contro
         k = mapping[row["id"]]
         if k == 0:
             continue
+        actuator = row.get("actuator", True)
+        if actuator is not True and actuator is not False:
+            raise ParseError(f"buses[{j}]: 'actuator' must be true or false, "
+                             f"not {json.dumps(actuator)}")
         try:
             buses[k - 1] = BusData(
                 p_c=_num(row.get("p_c"), 0.0),
                 p_g=_num(row.get("p_g"), 0.0),
                 q_c=_num(row.get("q_c"), 0.0),
                 v_nom=_num(row.get("v_nom"), 1.0),
-                q_min=_bound(row.get("q_min"), -math.inf),
-                q_max=_bound(row.get("q_max"), math.inf),
-                is_actuator=bool(row.get("actuator", True)),
+                q_min=_num(row.get("q_min"), -math.inf),
+                q_max=_num(row.get("q_max"), math.inf),
+                is_actuator=actuator,
             )
         except (TypeError, ValueError):
             raise _row_error(row, f"buses[{j}]", optional=_BUS_NUMBERS) from None
@@ -183,8 +181,8 @@ def _build(v0, bus_rows, line_rows, default_ctrl) -> tuple[RadialNetwork, Contro
             try:
                 alpha.append(_num(over.get("alpha", base.get("alpha")), 0.0))
                 delta.append(_num(over.get("delta", base.get("delta")), 0.0))
-                qmin.append(_bound(over.get("q_min", base.get("q_min")), bus.q_min))
-                qmax.append(_bound(over.get("q_max", base.get("q_max")), bus.q_max))
+                qmin.append(_num(over.get("q_min", base.get("q_min")), bus.q_min))
+                qmax.append(_num(over.get("q_max", base.get("q_max")), bus.q_max))
             except (TypeError, ValueError):
                 raise _row_error({**base, **over}, f"the control of buses[{j}]",
                                  optional=_CONTROL_NUMBERS) from None
@@ -244,61 +242,6 @@ def _line_columns(net: RadialNetwork):
     return zip(net.from_node.tolist(), net.to_node.tolist(), net.r.tolist(), net.x.tolist())
 
 
-_BUS_COLUMNS = ["id", "p_c", "p_g", "q_c", "v_nom", "q_min", "q_max", "actuator"]
-_LINE_COLUMNS = ["from", "to", "r", "x"]
-
-
-def _csv_number(value):
-    """A CSV cell as a float, or None when it is missing or empty."""
-    return None if value is None or value == "" else float(value)
-
-
-def load_network_csv(buses_path, lines_path) -> tuple[RadialNetwork, ControlSpec | None]:
-    """Load from a buses.csv / lines.csv pair sharing the JSON column names."""
-    def read_rows(path, columns):
-        """The rows of a CSV file, each column in `columns` converted by its
-        (convert, what) pair; a missing or bad value names path:line and column."""
-        with open(path, newline="") as fh:
-            rows = []
-            for lineno, row in enumerate(csv.DictReader(fh), start=2):
-                for col, (convert, what) in columns.items():
-                    value = row.get(col)
-                    try:
-                        row[col] = convert(value)
-                    except (TypeError, ValueError):
-                        raise ParseError(f"{path}:{lineno}: column {col!r} must be {what}, "
-                                         f"not {'nothing' if value is None else repr(value)}"
-                                         ) from None
-                rows.append(row)
-        return rows
-
-    label = (int, "an integer")
-    number = (float, "a number")
-    bus_rows = read_rows(buses_path, {"id": label, **dict.fromkeys(
-        _BUS_NUMBERS, (_csv_number, "a number or empty"))})
-    for row in bus_rows:
-        row["actuator"] = str(row.get("actuator", "true")).strip().lower() in ("1", "true", "yes")
-    line_rows = read_rows(lines_path, {"from": label, "to": label, "r": number, "x": number})
-    return _build(1.0, bus_rows, line_rows, None)
-
-
-def save_network_csv(net: RadialNetwork) -> tuple[str, str]:
-    bus_buf = io.StringIO()
-    w = csv.writer(bus_buf)
-    w.writerow(_BUS_COLUMNS)
-    w.writerow([0, 0.0, 0.0, 0.0, net.v0, "", "", "false"])
-    for i, b in enumerate(net.buses, start=1):
-        w.writerow([i, b.p_c, b.p_g, b.q_c, b.v_nom,
-                    "" if math.isinf(b.q_min) else b.q_min,
-                    "" if math.isinf(b.q_max) else b.q_max,
-                    "true" if b.is_actuator else "false"])
-    line_buf = io.StringIO()
-    w = csv.writer(line_buf)
-    w.writerow(_LINE_COLUMNS)
-    w.writerows(_line_columns(net))
-    return bus_buf.getvalue(), line_buf.getvalue()
-
-
 def write_matrix_csv(fh, M: np.ndarray, kind: str) -> None:
     """Write a dense matrix dump to the text file fh, one row at a time.
 
@@ -307,23 +250,6 @@ def write_matrix_csv(fh, M: np.ndarray, kind: str) -> None:
     """
     fh.write(f"# n={M.shape[0]} kind={kind}\n")
     np.savetxt(fh, M, delimiter=",", fmt="%.17g")
-
-
-def dump_matrix_csv(M: np.ndarray, kind: str) -> str:
-    """The bytes write_matrix_csv writes, as one string."""
-    buf = io.StringIO()
-    write_matrix_csv(buf, M, kind)
-    return buf.getvalue()
-
-
-def load_matrix_csv(text: str) -> tuple[np.ndarray, str]:
-    lines = text.strip().splitlines()
-    header = lines[0]
-    if not header.startswith("# n="):
-        raise ParseError("matrix dump must start with '# n=<n> kind=<kind>'")
-    kind = header.split("kind=")[1].strip()
-    M = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
-    return M, kind
 
 
 def write_trace_csv(fh, trace: SimulationTrace, with_voltages: bool = False) -> None:

@@ -242,9 +242,10 @@ def validate_tree(net: RadialNetwork) -> None:
     line: NonpositiveReactanceError (x <= 0, r < 0, or either non-finite),
     MultiRootChildError (root degree != 1), CycleError, DisconnectedError;
     and a TopologyError for a non-finite root voltage v0, naming the bus and
-    field for a non-finite load, generation or nominal voltage, or for an
-    actuator box that excludes 0.  Where several lines are at fault, the
-    first in line order is named.  The line checks are array checks, and
+    field for a non-finite load, generation or nominal voltage or a NaN box
+    limit, or naming the bus of an actuator box that excludes 0.  Where
+    several lines are at fault, the first in line order is named.  The line
+    checks are array checks, and
     :func:`_breadth_first` orders the :class:`Traversal` and checks that
     every node reaches the root.  Success is recorded on the network as its
     traversal, so a repeat call returns at once; a failure is not, so an
@@ -308,10 +309,15 @@ def validate_tree(net: RadialNetwork) -> None:
                 value = getattr(b, name)
                 if not math.isfinite(value):
                     raise TopologyError(f"bus {k} has non-finite {name}={value}")
+        # a NaN limit fails the comparison, as does an empty box
+        if not b.q_min <= b.q_max:
+            for name in ("q_min", "q_max"):
+                value = getattr(b, name)
+                if math.isnan(value):
+                    raise TopologyError(f"bus {k} has NaN {name}={value}")
         if b.is_actuator and not (b.q_min <= 0.0 <= b.q_max):
-            raise TopologyError(
-                f"actuator box [{b.q_min},{b.q_max}] must contain 0 (zero injection always feasible)"
-            )
+            raise TopologyError(f"bus {k}: actuator box [{b.q_min},{b.q_max}] must contain 0 "
+                                "(zero injection always feasible)")
 
     r_by_child = np.empty(n)
     r_by_child[to - 1] = r

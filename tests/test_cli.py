@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from voltgame import netio
 from voltgame.cli import main
-from voltgame.netio import load_matrix_csv, load_network_json, save_network_json
+from voltgame.netio import load_network_json, save_network_json, write_matrix_csv
 from voltgame.topology import chain_network, BusData
 
 
@@ -51,8 +52,19 @@ _LINE = {"from": 0, "to": 1, "r": 0.01, "x": 0.02}
      "buses[2]: 'p_c' must be a number, not [0.1]"),
     ({"buses": _BUSES, "lines": [_LINE, {"from": 1, "to": 3, "r": 0.01, "x": 0.02}]},
      "line {'from': 1, 'to': 3, 'r': 0.01, 'x': 0.02} references unknown bus 3"),
+    ({"buses": [{"id": 0}, {"id": 1, "actuator": "false"}], "lines": [_LINE]},
+     "buses[1]: 'actuator' must be true or false, not \"false\""),
+    ({"buses": [{"id": 0}, {"id": 1, "actuator": "no"}], "lines": [_LINE]},
+     "buses[1]: 'actuator' must be true or false, not \"no\""),
+    ({"buses": [{"id": 0}, {"id": 1, "actuator": 1.5}], "lines": [_LINE]},
+     "buses[1]: 'actuator' must be true or false, not 1.5"),
+    ({"buses": [{"id": 0}, {"id": 1, "actuator": None}], "lines": [_LINE]},
+     "buses[1]: 'actuator' must be true or false, not null"),
+    ({"buses": [{"id": 0}, {"id": 1, "q_max": -1}], "lines": [_LINE]},
+     "bus 1: actuator box [-inf,-1.0] must contain 0 (zero injection always feasible)"),
 ], ids=["x-null", "x-missing", "x-list", "bus-row-not-object", "buses-not-list",
-        "duplicate-id", "id-missing", "p_c-list", "unknown-bus"])
+        "duplicate-id", "id-missing", "p_c-list", "unknown-bus", "actuator-string-false",
+        "actuator-string-no", "actuator-float", "actuator-null", "box-excludes-0"])
 def test_validate_names_the_malformed_row(tmp_path, capsys, doc, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -73,7 +85,8 @@ def test_validate_rejects_nonfinite_reactance(tmp_path, bad_x):
     ("p_c", float("nan"), "bus 3 has non-finite p_c=nan"),
     ("p_c", float("inf"), "bus 3 has non-finite p_c=inf"),
     ("v0", float("nan"), "the root voltage v0=nan is not finite"),
-], ids=["p_c-NaN", "p_c-Infinity", "v0-NaN"])
+    ("q_max", float("nan"), "bus 3 has NaN q_max=nan"),
+], ids=["p_c-NaN", "p_c-Infinity", "v0-NaN", "q_max-NaN"])
 @pytest.mark.parametrize("argv", [["validate"], ["equilibrium", "--law", "taking"],
                                   ["posa", "--y", "0.1"]], ids=lambda argv: argv[0])
 def test_non_finite_feeder_data_is_an_error(tmp_path, capsys, argv, field, bad, message):
@@ -98,8 +111,9 @@ def test_non_finite_feeder_data_is_an_error(tmp_path, capsys, argv, field, bad, 
 def test_matrices_roundtrip(net_file, tmp_path):
     out = tmp_path / "X.csv"
     assert main(["matrices", net_file, "--kind", "X", "--out", str(out)]) == 0
-    M, kind = load_matrix_csv(out.read_text())
-    assert kind == "X" and M.shape == (2, 2)
+    assert out.read_text().splitlines()[0] == "# n=2 kind=X"
+    M = np.loadtxt(out, delimiter=",", comments="#", ndmin=2)
+    assert M.shape == (2, 2)
     assert main(["matrices", net_file, "--kind", "Xinv"]) == 0
 
 
@@ -110,9 +124,9 @@ def test_matrices_xinv_builds_no_dense_x(net_file, tmp_path, monkeypatch):
     monkeypatch.setattr("voltgame.cli.build_sensitivity", no_dense)
     out = tmp_path / "Xinv.csv"
     assert main(["matrices", net_file, "--kind", "Xinv", "--out", str(out)]) == 0
-    M, kind = load_matrix_csv(out.read_text())
+    assert out.read_text().splitlines()[0] == "# n=2 kind=Xinv"
+    M = np.loadtxt(out, delimiter=",", comments="#", ndmin=2)
     np.testing.assert_allclose(M @ [[0.02, 0.02], [0.02, 0.05]], np.eye(2), atol=1e-12)
-    assert kind == "Xinv"
 
 
 def test_simulate_taking(net_file, tmp_path):
@@ -152,6 +166,13 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _dump_matrix(M, kind):
+    """The bytes write_matrix_csv writes, as one string."""
+    buf = io.StringIO()
+    write_matrix_csv(buf, M, kind)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("argv, writer, dump", [
     (["simulate", "sce42", "--law", "taking", "--alpha", "9", "--delta", "0.02"],
      "write_trace_csv", netio.dump_trace_csv),
@@ -159,9 +180,9 @@ def _spy(monkeypatch, name):
       "--voltages"], "write_trace_csv", netio.dump_trace_csv),
     (["simulate", "sce42", "--law", "taking", "--alpha", "9", "--delta", "0.02", "--ac"],
      "write_trace_csv", netio.dump_trace_csv),
-    (["matrices", "sce42", "--kind", "X"], "write_matrix_csv", netio.dump_matrix_csv),
-    (["matrices", "sce42", "--kind", "R"], "write_matrix_csv", netio.dump_matrix_csv),
-    (["matrices", "sce42", "--kind", "Xinv"], "write_matrix_csv", netio.dump_matrix_csv),
+    (["matrices", "sce42", "--kind", "X"], "write_matrix_csv", _dump_matrix),
+    (["matrices", "sce42", "--kind", "R"], "write_matrix_csv", _dump_matrix),
+    (["matrices", "sce42", "--kind", "Xinv"], "write_matrix_csv", _dump_matrix),
 ], ids=["simulate", "simulate-voltages", "simulate-ac", "matrices-X", "matrices-R",
         "matrices-Xinv"])
 def test_streamed_output_matches_the_dump(tmp_path, capsys, monkeypatch, argv, writer, dump):
@@ -276,7 +297,9 @@ def test_unknown_file_errors(capsys):
 @pytest.mark.parametrize("control, message", [
     ({"alpha": float("nan"), "delta": 0.02}, "droop slopes must be finite: actuator 0 has alpha=nan"),
     ({"alpha": 9.0, "delta": float("nan")}, "deadband widths must be finite: actuator 0 has delta=nan"),
-], ids=["alpha-nan", "delta-nan"])
+    ({"alpha": 9.0, "delta": 0.02, "q_min": float("nan")},
+     "box limits must not be NaN: actuator 0 has q_min=nan"),
+], ids=["alpha-nan", "delta-nan", "q_min-nan"])
 @pytest.mark.parametrize("command", [["simulate", "--law", "taking"],
                                      ["equilibrium", "--law", "anticipating"], ["posa"]],
                          ids=["simulate", "equilibrium", "posa"])

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -129,7 +131,7 @@ class TestSweeps:
     def test_spec_json_roundtrip(self):
         spec = SweepSpec(kind="random-tree-depth", depths=[3], dist_probs={1: 0.5, 2: 0.5},
                          repetitions=2, seed=3, x_range=(0.0, 5.0), y_range=(0.1, 1.0))
-        spec2 = SweepSpec.from_json(spec.to_json())
+        spec2 = SweepSpec.from_json(json.dumps(dataclasses.asdict(spec)))
         assert spec2 == spec
 
     def test_unknown_kind(self):

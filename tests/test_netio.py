@@ -23,13 +23,9 @@ from voltgame.experiments import load_sce42, restricted_model
 from voltgame.equilibrium import posa_report
 from voltgame.netio import (
     ParseError,
-    dump_matrix_csv,
     dump_trace_csv,
-    load_matrix_csv,
-    load_network_csv,
     load_network_json,
     report_json,
-    save_network_csv,
     save_network_json,
     topology_hash,
     write_matrix_csv,
@@ -104,46 +100,14 @@ class TestNetworkJson:
             load_network_json(json.dumps(doc))
 
 
-class TestNetworkCsv:
-    def test_roundtrip(self, tmp_path):
-        net = sample_net()
-        bus_text, line_text = save_network_csv(net)
-        bp = tmp_path / "buses.csv"
-        lp = tmp_path / "lines.csv"
-        bp.write_text(bus_text)
-        lp.write_text(line_text)
-        net2, _ = load_network_csv(bp, lp)
-        assert net2.lines == net.lines
-        assert net2.buses == net.buses
-
-    @pytest.mark.parametrize("table, column, value, want", [
-        (0, "q_min", "abc", "column 'q_min' must be a number or empty, not 'abc'"),
-        (0, "q_max", "1e", "column 'q_max' must be a number or empty, not '1e'"),
-        (0, "p_c", "x", "column 'p_c' must be a number or empty, not 'x'"),
-        (0, "id", "two", "column 'id' must be an integer, not 'two'"),
-        (1, "r", "", "column 'r' must be a number, not ''"),
-        (1, "to", "2.5", "column 'to' must be an integer, not '2.5'"),
-    ], ids=["q_min", "q_max", "p_c", "id", "r", "to"])
-    def test_bad_cell_names_file_line_and_column(self, tmp_path, table, column, value, want):
-        texts = list(save_network_csv(sample_net()))
-        rows = [row.split(",") for row in texts[table].split("\r\n")]
-        rows[2][rows[0].index(column)] = value          # the row on line 3
-        texts[table] = "\r\n".join(",".join(row) for row in rows)
-        paths = [tmp_path / "buses.csv", tmp_path / "lines.csv"]
-        for path, text in zip(paths, texts):
-            path.write_text(text)
-        with pytest.raises(ParseError) as info:
-            load_network_csv(*paths)
-        assert str(info.value) == f"{paths[table]}:3: {want}"
-
-
 class TestMatrixDump:
-    def test_header_and_roundtrip(self):
+    def test_header_and_roundtrip(self, tmp_path):
         S = build_sensitivity(sample_net())
-        text = dump_matrix_csv(S.X, "X")
-        assert text.splitlines()[0] == "# n=2 kind=X"
-        M, kind = load_matrix_csv(text)
-        assert kind == "X"
+        path = tmp_path / "X.csv"
+        with open(path, "w") as fh:
+            write_matrix_csv(fh, S.X, "X")
+        assert path.read_text().splitlines()[0] == "# n=2 kind=X"
+        M = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         np.testing.assert_allclose(M, S.X, rtol=1e-15)
 
 
