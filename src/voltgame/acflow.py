@@ -76,8 +76,8 @@ class BranchFlowState:
 
 
 def _squares(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """P^2 + Q^2 with libm pow squares, as the scalar ``P ** 2`` computes them."""
-    return np.float_power(P, 2) + np.float_power(Q, 2)
+    """P^2 + Q^2, each square a product: P * P + Q * Q."""
+    return P * P + Q * Q
 
 
 def _residual(f, p, q, P, Q, ell, v, PQ2) -> float:

@@ -24,7 +24,6 @@ from .controls import ControlSpec
 from .netio import SCHEMA_COMMENT, ParseError, topology_hash
 from .sensitivity import SensitivitySet, build_sensitivity
 from .topology import (
-    BusData,
     DegreeDistribution,
     RadialNetwork,
     _uniform_half_open,
@@ -106,25 +105,25 @@ def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
         except (KeyError, ValueError) as exc:
             raise ParseError(f"lines row {k}: {exc}") from exc
 
-    buses = []
-    pv_caps = []
+    p_c, p_g, q_c, q_lim = [], [], [], []  # bus columns, entry i for table bus i+2
     for bus in range(2, 43):
         mva = peak.get(bus, 0.0) * loading_factor / s_base_mva
-        p_c = mva * POWER_FACTOR
-        q_c = mva * math.sin(pf_angle)
+        p_c.append(mva * POWER_FACTOR)
+        q_c.append(mva * math.sin(pf_angle))
+        gen, lim = 0.0, math.inf
         if bus in pv:
             cap = pv[bus] / s_base_mva
-            p_g = cap * pv_output_factor
-            q_lim = math.sqrt(max(cap * cap - p_g * p_g, 0.0)) if capacity_constraint else math.inf
-            buses.append(BusData(p_c=p_c, p_g=p_g, q_c=q_c, q_min=-q_lim, q_max=q_lim,
-                                 is_actuator=True))
-            pv_caps.append(cap)
-        else:
-            buses.append(BusData(p_c=p_c, q_c=q_c, is_actuator=False))
+            gen = cap * pv_output_factor
+            if capacity_constraint:
+                lim = math.sqrt(max(cap * cap - gen * gen, 0.0))
+        p_g.append(gen)
+        q_lim.append(lim)
 
     from_node, to_node, r, x = zip(*lines)
-    net = RadialNetwork(n=n, buses=tuple(buses), v0=V0, from_node=from_node, to_node=to_node,
-                        r=r, x=x)
+    q_lim = np.array(q_lim)
+    net = RadialNetwork(n=n, v0=V0, from_node=from_node, to_node=to_node, r=r, x=x,
+                        p_c=p_c, p_g=p_g, q_c=q_c, q_min=-q_lim, q_max=q_lim,
+                        is_actuator=[bus in pv for bus in range(2, 43)])
     validate_tree(net)
 
     bus = net.bus_arrays

@@ -8,11 +8,12 @@ passes of the AC branch-flow sweep, and the leaf-first elimination of the
 sparse X^{-1}, which gives the Woodbury solves and inertia counts that the
 equilibrium solvers and the PoSA report share.
 
-A feeder keeps its lines as arrays in line order, and its validation and
-traversal are array passes: O(log depth) passes of ancestor doubling,
-with no Python loop over the lines, so generating and validating a
-feeder of a million buses takes a fraction of a second.  Both parts of
-the tree factor are built from the traversal arrays too.
+A feeder keeps its lines as arrays in line order and its bus data as
+columns in bus order, and its validation and traversal are array passes:
+O(log depth) passes of ancestor doubling, with no Python loop over the
+lines or the buses, so generating and validating a feeder of a million
+buses takes a fraction of a second.  Both parts of the tree factor are
+built from the traversal arrays too.
 
 Node 0 is the substation (fixed voltage) and must have exactly one direct
 child; every other node has exactly one parent line.  All matrix-facing
@@ -21,7 +22,6 @@ code indexes node k at row/column k-1.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -89,6 +89,9 @@ class BusData:
     is_actuator: bool = True
 
 
+_BUS_FIELDS = ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max", "is_actuator")
+
+
 @dataclass(frozen=True)
 class Traversal:
     """Root-outward structure of a validated feeder, built once per network.
@@ -138,25 +141,33 @@ def _node_ids(values) -> np.ndarray:
 class RadialNetwork:
     """A rooted radial feeder with n non-root buses.
 
-    The lines must form a spanning tree over nodes {0..n} rooted at 0;
-    ``buses[i]`` describes node i+1.  The lines are kept as read-only
-    arrays in line order, ``from_node``, ``to_node``, ``r`` and ``x``; pass
-    them as those keywords, or as a tuple of :class:`Line` records in
-    ``lines``.  :attr:`lines` builds that tuple on demand.  Instances are
-    immutable; parents, line arrays by child and root paths come from
-    :attr:`traversal`, which :func:`validate_tree` builds and caches, and
-    the bus data from :attr:`bus_arrays`, built on first use.
+    The lines must form a spanning tree over nodes {0..n} rooted at 0.  The
+    lines are kept as read-only arrays in line order, ``from_node``,
+    ``to_node``, ``r`` and ``x``; pass them as those keywords, or as a tuple
+    of :class:`Line` records in ``lines``.  The bus data is kept as
+    read-only columns in bus order, entry i for node i+1: ``p_c``, ``p_g``,
+    ``q_c``, ``v_nom``, ``q_min`` and ``q_max`` (float) and ``is_actuator``
+    (bool); pass them as those keywords, each column left out taking the
+    :class:`BusData` default at every bus, or as :class:`BusData` records
+    in ``buses``.  A default column is one value seen n times, so it holds
+    no memory per bus.  :attr:`lines` and :attr:`buses` build the records
+    on demand.  Instances are immutable; parents, line arrays by child and
+    root paths come from :attr:`traversal`, which :func:`validate_tree`
+    builds and caches, and the bus data from :attr:`bus_arrays`, built on
+    first use.
     """
 
     n: int
-    # A field, so dataclasses.replace passes it on; the property below
-    # reads it off the line arrays.
+    # Fields, so dataclasses.replace passes them on; the properties below
+    # read them off the line arrays and the bus columns.
     lines: tuple[Line, ...]
     buses: tuple[BusData, ...]
     v0: float = 1.0
 
-    def __init__(self, n: int, lines=None, buses=(), v0: float = 1.0, *,
-                 from_node=None, to_node=None, r=None, x=None):
+    def __init__(self, n: int, lines=None, buses=None, v0: float = 1.0, *,
+                 from_node=None, to_node=None, r=None, x=None,
+                 p_c=None, p_g=None, q_c=None, v_nom=None, q_min=None, q_max=None,
+                 is_actuator=None):
         columns = (from_node, to_node, r, x)
         if lines is not None:
             if any(c is not None for c in columns):
@@ -170,8 +181,24 @@ class RadialNetwork:
             raise ValueError("from_node, to_node, r and x must be 1-d and of one length")
         for name, value in zip(_LINE_FIELDS, arrays):
             object.__setattr__(self, name, value)
+
+        columns = (p_c, p_g, q_c, v_nom, q_min, q_max, is_actuator)
+        if buses is not None:
+            if any(c is not None for c in columns):
+                raise TypeError("give the buses as BusData records or as columns, not both")
+            buses = tuple(buses)
+            columns = [list(map(operator.attrgetter(name), buses)) for name in _BUS_FIELDS]
+        dtypes = (float,) * 6 + (bool,)
+        arrays = [c if c is None else _read_only(c, dtype) for c, dtype in zip(columns, dtypes)]
+        size = next((a.shape for a in arrays if a is not None), (n,))
+        for k, name in enumerate(_BUS_FIELDS):
+            if arrays[k] is None:  # read-only, and no memory per bus
+                arrays[k] = np.broadcast_to(np.array(getattr(BusData, name), dtypes[k]), size)
+        if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
+            raise ValueError("the bus columns must be 1-d and of one length")
+        for name, value in zip(_BUS_FIELDS, arrays):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "buses", tuple(buses))
         object.__setattr__(self, "v0", v0)
         object.__setattr__(self, "_traversal", None)  # set by validate_tree
 
@@ -181,12 +208,17 @@ class RadialNetwork:
         return tuple(map(Line, self.from_node.tolist(), self.to_node.tolist(),
                          self.r.tolist(), self.x.tolist()))
 
+    @property
+    def buses(self) -> tuple[BusData, ...]:
+        """The buses as :class:`BusData` records, in bus order; built on each call."""
+        return tuple(map(BusData, *(getattr(self, name).tolist() for name in _BUS_FIELDS)))
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n == other.n and self.v0 == other.v0 and self.buses == other.buses
+        return (self.n == other.n and self.v0 == other.v0
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
-                        for name in _LINE_FIELDS))
+                        for name in _LINE_FIELDS + _BUS_FIELDS))
 
     @property
     def traversal(self) -> Traversal:
@@ -202,16 +234,14 @@ class RadialNetwork:
 
     @cached_property
     def bus_arrays(self) -> SimpleNamespace:
-        """The bus records as read-only arrays, entry i for node i+1: net active
+        """The bus data as read-only arrays, entry i for node i+1: net active
         injection ``p`` = p_g - p_c, ``q_c``, ``v_nom``, ``q_min`` and ``q_max``;
         and ``actuators``, the matrix indices of the actuator buses."""
-        cols = np.array([(b.p_g - b.p_c, b.q_c, b.v_nom, b.q_min, b.q_max) for b in self.buses],
-                        dtype=float).reshape(-1, 5).T.copy()
-        cols.flags.writeable = False
-        p, q_c, v_nom, q_min, q_max = cols
+        p = self.p_g - self.p_c
+        p.flags.writeable = False
         return SimpleNamespace(
-            p=p, q_c=q_c, v_nom=v_nom, q_min=q_min, q_max=q_max,
-            actuators=_read_only(np.flatnonzero([b.is_actuator for b in self.buses]), int),
+            p=p, q_c=self.q_c, v_nom=self.v_nom, q_min=self.q_min, q_max=self.q_max,
+            actuators=_read_only(np.flatnonzero(self.is_actuator), int),
         )
 
     def actuator_indices(self) -> np.ndarray:
@@ -222,13 +252,11 @@ class RadialNetwork:
 def chain_network(xs, rs=None, buses=None, v0: float = 1.0) -> RadialNetwork:
     """Build the linear feeder 0-1-2-...-n with the given line reactances.
 
-    Without ``buses`` every bus is the one frozen default ``BusData()``
-    record, shared by all of them.
+    Without ``buses`` every bus takes the ``BusData()`` defaults, as
+    columns that hold no memory per bus.
     """
     x = np.array(xs, dtype=float)
     n = x.size
-    if buses is None:
-        buses = (BusData(),) * n
     net = RadialNetwork(n=n, buses=buses, v0=v0, from_node=np.arange(n),
                         to_node=np.arange(1, n + 1), r=np.zeros(n) if rs is None else rs, x=x)
     validate_tree(net)
@@ -244,10 +272,10 @@ def validate_tree(net: RadialNetwork) -> None:
     and a TopologyError for a non-finite root voltage v0, naming the bus and
     field for a non-finite load, generation or nominal voltage or a NaN box
     limit, or naming the bus of an actuator box that excludes 0.  Where
-    several lines are at fault, the first in line order is named.  The line
-    checks are array checks, and
-    :func:`_breadth_first` orders the :class:`Traversal` and checks that
-    every node reaches the root.  Success is recorded on the network as its
+    several lines are at fault, the first in line order is named, and where
+    several buses are, the first in bus order.  The line and bus checks are
+    array checks, and :func:`_breadth_first` orders the :class:`Traversal`
+    and checks that every node reaches the root.  Success is recorded on the network as its
     traversal, so a repeat call returns at once; a failure is not, so an
     invalid network raises on every call.
     """
@@ -255,8 +283,8 @@ def validate_tree(net: RadialNetwork) -> None:
         return
     n = net.n
     frm, to, r, x = net.from_node, net.to_node, net.r, net.x
-    if len(net.buses) != n:
-        raise DisconnectedError(f"expected {n} bus records, got {len(net.buses)}")
+    if net.p_c.size != n:
+        raise DisconnectedError(f"expected {n} bus records, got {net.p_c.size}")
     if to.size != n:
         raise DisconnectedError(f"expected {n} lines for {n} non-root nodes, got {to.size}")
 
@@ -297,27 +325,7 @@ def validate_tree(net: RadialNetwork) -> None:
 
     if not math.isfinite(net.v0):
         raise TopologyError(f"the root voltage v0={net.v0} is not finite")
-    buses = net.buses
-    # generated feeders share one record among all their buses: check it once
-    if buses and all(map(operator.is_, buses, itertools.repeat(buses[0]))):
-        buses = buses[:1]
-    for k, b in enumerate(buses, start=1):
-        # a non-finite field makes the sum non-finite; one test per bus is a
-        # third of the cost of four
-        if not math.isfinite(b.p_c + b.p_g + b.q_c + b.v_nom):
-            for name in ("p_c", "p_g", "q_c", "v_nom"):
-                value = getattr(b, name)
-                if not math.isfinite(value):
-                    raise TopologyError(f"bus {k} has non-finite {name}={value}")
-        # a NaN limit fails the comparison, as does an empty box
-        if not b.q_min <= b.q_max:
-            for name in ("q_min", "q_max"):
-                value = getattr(b, name)
-                if math.isnan(value):
-                    raise TopologyError(f"bus {k} has NaN {name}={value}")
-        if b.is_actuator and not (b.q_min <= 0.0 <= b.q_max):
-            raise TopologyError(f"bus {k}: actuator box [{b.q_min},{b.q_max}] must contain 0 "
-                                "(zero injection always feasible)")
+    _check_buses(net)
 
     r_by_child = np.empty(n)
     r_by_child[to - 1] = r
@@ -329,6 +337,36 @@ def validate_tree(net: RadialNetwork) -> None:
         x=_read_only(x_by_child, float),
         d=_read_only(d, float),
     ))
+
+
+def _check_buses(net: RadialNetwork) -> None:
+    """Raise the TopologyError of the first bus whose data is at fault.
+
+    A bus is checked for a non-finite p_c, p_g, q_c or v_nom, in that order,
+    then for a NaN q_min or q_max, then, if it is an actuator, for a box
+    that excludes 0.  The checks are array passes over the columns; where
+    every column is one value seen at every bus, as the defaults are, one
+    row is checked.
+    """
+    cols = [getattr(net, name) for name in _BUS_FIELDS]
+    if all(c.strides == (0,) for c in cols):
+        cols = [c[:1] for c in cols]
+    p_c, p_g, q_c, v_nom, q_min, q_max, act = cols
+    bad = ~(np.isfinite(p_c) & np.isfinite(p_g) & np.isfinite(q_c) & np.isfinite(v_nom))
+    bad |= np.isnan(q_min) | np.isnan(q_max)
+    bad |= act & ~((q_min <= 0.0) & (0.0 <= q_max))
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    b = {name: c[i].item() for name, c in zip(_BUS_FIELDS, cols)}
+    for name in ("p_c", "p_g", "q_c", "v_nom"):
+        if not math.isfinite(b[name]):
+            raise TopologyError(f"bus {i + 1} has non-finite {name}={b[name]}")
+    for name in ("q_min", "q_max"):
+        if math.isnan(b[name]):
+            raise TopologyError(f"bus {i + 1} has NaN {name}={b[name]}")
+    raise TopologyError(f"bus {i + 1}: actuator box [{b['q_min']},{b['q_max']}] must contain 0 "
+                        "(zero injection always feasible)")
 
 
 def _breadth_first(parent: np.ndarray, frm: np.ndarray, to: np.ndarray, x: np.ndarray):
@@ -457,8 +495,8 @@ def random_tree(dist: DegreeDistribution, seed: int) -> RadialNetwork:
     one depth level draws all its child counts at once: one rng.random()
     per node through the cumulative distribution, which is the draw
     ``rng.choice(counts, p=probs)`` makes, so the trees do not depend on how
-    the draws are batched.  Every bus is the one frozen default
-    ``BusData()`` record, shared by all of them.
+    the draws are batched.  Every bus takes the ``BusData()`` defaults, as
+    columns that hold no memory per bus.
     """
     rng = np.random.default_rng(seed)
     keys = sorted(dist.probabilities)
@@ -478,7 +516,7 @@ def random_tree(dist: DegreeDistribution, seed: int) -> RadialNetwork:
 
     parent = np.concatenate(parents)
     n = parent.size
-    net = RadialNetwork(n=n, buses=(BusData(),) * n, from_node=parent,
+    net = RadialNetwork(n=n, from_node=parent,
                         to_node=np.arange(1, n + 1), r=np.zeros(n),
                         x=_uniform_half_open(rng, *dist.x_range, size=n))
     validate_tree(net)

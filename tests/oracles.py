@@ -288,7 +288,7 @@ def equation_residuals_by_bus(net, p_inj, q_inj, state):
         res = max(res, abs(Q[e] - (-q_inj[e] + sum_Q + x[e] * ell[e])))
         res = max(res, abs(v_sq[j] - (v_sq[i] - 2.0 * (r[e] * P[e] + x[e] * Q[e])
                                       + (r[e] ** 2 + x[e] ** 2) * ell[e])))
-        res = max(res, abs(ell[e] * v_sq[i] - (P[e] ** 2 + Q[e] ** 2)))
+        res = max(res, abs(ell[e] * v_sq[i] - (P[e] * P[e] + Q[e] * Q[e])))
     return res
 
 
@@ -321,7 +321,7 @@ def sweep_solve_by_bus(net, p_inj, q_inj, tol=1e-8, max_iter=200):
             v_sq[j] = v_sq[i] - 2.0 * (r[e] * P[e] + x[e] * Q[e]) + (r[e] ** 2 + x[e] ** 2) * ell[e]
             if v_sq[j] <= 0:
                 raise VoltageCollapseError(f"squared voltage {v_sq[j]:.3e} at bus {j}")
-            ell[e] = (P[e] ** 2 + Q[e] ** 2) / v_sq[i]
+            ell[e] = (P[e] * P[e] + Q[e] * Q[e]) / v_sq[i]
 
         state = BranchFlowState(P, Q, ell, v_sq, residual=np.inf, iterations=it)
         state.residual = equation_residuals_by_bus(net, p_inj, q_inj, state)
@@ -406,6 +406,29 @@ def random_tree_by_node(dist, seed):
         lines=tuple(Line(f, t, 0.0, float(xs[t - 1])) for f, t in lines),
         buses=tuple(BusData() for _ in range(n)),
     )
+
+
+def bus_error_by_record(net):
+    """The message of the TopologyError that validate_tree raises for the
+    bus data of net, by the per-record loop its array checks replaced;
+    None when no bus is at fault."""
+    for k, b in enumerate(net.buses, start=1):
+        # a non-finite field makes the sum non-finite
+        if not math.isfinite(b.p_c + b.p_g + b.q_c + b.v_nom):
+            for name in ("p_c", "p_g", "q_c", "v_nom"):
+                value = getattr(b, name)
+                if not math.isfinite(value):
+                    return f"bus {k} has non-finite {name}={value}"
+        # a NaN limit fails the comparison, as does an empty box
+        if not b.q_min <= b.q_max:
+            for name in ("q_min", "q_max"):
+                value = getattr(b, name)
+                if math.isnan(value):
+                    return f"bus {k} has NaN {name}={value}"
+        if b.is_actuator and not (b.q_min <= 0.0 <= b.q_max):
+            return (f"bus {k}: actuator box [{b.q_min},{b.q_max}] must contain 0 "
+                    "(zero injection always feasible)")
+    return None
 
 
 def topology_hash_by_parts(net):

@@ -62,9 +62,36 @@ _LINE = {"from": 0, "to": 1, "r": 0.01, "x": 0.02}
      "buses[1]: 'actuator' must be true or false, not null"),
     ({"buses": [{"id": 0}, {"id": 1, "q_max": -1}], "lines": [_LINE]},
      "bus 1: actuator box [-inf,-1.0] must contain 0 (zero injection always feasible)"),
+    # numbers are JSON numbers only: not strings, not bools
+    ({"buses": [{"id": 0}, {"id": 1, "p_c": "0.5"}], "lines": [_LINE]},
+     "buses[1]: 'p_c' must be a number, not \"0.5\""),
+    ({"buses": [{"id": 0}, {"id": 1, "q_max": ""}], "lines": [_LINE]},
+     "buses[1]: 'q_max' must be a number, not \"\""),
+    ({"buses": _BUSES, "lines": [_LINE, {"from": 1, "to": 2, "r": 0.01, "x": "0.1"}]},
+     "lines[1]: 'x' must be a number, not \"0.1\""),
+    ({"buses": [{"id": 0}, {"id": 1, "p_c": True}], "lines": [_LINE]},
+     "buses[1]: 'p_c' must be a number, not true"),
+    ({"v0": True, "buses": [{"id": 0}, {"id": 1}], "lines": [_LINE]},
+     "the network: 'v0' must be a number, not true"),
+    ({"buses": _BUSES, "lines": [_LINE, {"from": 1, "to": 2, "r": 0.01, "x": True}]},
+     "lines[1]: 'x' must be a number, not true"),
+    ({"control": {"alpha": True}, "buses": [{"id": 0}, {"id": 1}], "lines": [_LINE]},
+     "the control of buses[1]: 'alpha' must be a number, not true"),
+    ({"buses": [{"id": 0}, {"id": 1, "control": {"delta": "0.02"}}], "lines": [_LINE]},
+     "the control of buses[1]: 'delta' must be a number, not \"0.02\""),
+    ({"buses": [{"id": 0}, {"id": 1}],
+      "lines": [{"from": False, "to": True, "r": 0.01, "x": 0.02}]},
+     "lines[0]: 'from' must be a number or a string, not false"),
+    ({"buses": [{"id": 0}, {"id": True}], "lines": [_LINE]},
+     "buses[1]: 'id' must be a number or a string, not true"),
+    ({"buses": [{"id": 0}, {"id": 1, "p_g": 10**400}], "lines": [_LINE]},
+     f"buses[1]: 'p_g' must be a number, not {10**400}"),
 ], ids=["x-null", "x-missing", "x-list", "bus-row-not-object", "buses-not-list",
         "duplicate-id", "id-missing", "p_c-list", "unknown-bus", "actuator-string-false",
-        "actuator-string-no", "actuator-float", "actuator-null", "box-excludes-0"])
+        "actuator-string-no", "actuator-float", "actuator-null", "box-excludes-0",
+        "p_c-string", "q_max-empty-string", "x-string", "p_c-bool", "v0-bool", "x-bool",
+        "control-alpha-bool", "control-delta-string", "line-labels-bool", "id-bool",
+        "p_g-beyond-float"])
 def test_validate_names_the_malformed_row(tmp_path, capsys, doc, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))

@@ -89,6 +89,23 @@ class TestNetworkJson:
         assert net.n == 2
         assert [(l.from_node, l.to_node) for l in net.lines] == [(0, 1), (1, 2)]
 
+    def test_save_of_load_keeps_the_bytes(self):
+        sce = load_sce42()
+        # distinct bus rows: signed zeros, a subnormal, infinite and finite
+        # limits, a non-actuator, and a control block
+        inf = math.inf
+        net = RadialNetwork(n=4, from_node=[0, 1, 1, 3], to_node=[1, 2, 3, 4],
+                            r=[0.01, 0.0, 0.02, 1e-3], x=[0.02, 0.05, 0.01, 0.3],
+                            p_c=[0.1, -0.0, 0.25, 5e-324], p_g=[0.0, 0.3, -0.0, 1.5],
+                            q_c=[0.05, 0.0, -0.125, 1e300], v_nom=[1.0, 1.02, 0.98, 1.0],
+                            q_min=[-0.5, -inf, -0.0, -1.0], q_max=[0.5, inf, 0.2, inf],
+                            is_actuator=[True, False, True, True], v0=1.02)
+        ctrl = ControlSpec(alpha=[2.0, 3.5, 9.0], delta=[0.02, 0.0, 0.01],
+                           q_min=[-0.25, -0.0, -1.0], q_max=[0.5, 0.1, inf])
+        for text in (save_network_json(sce.net, sce.ctrl), save_network_json(net, ctrl)):
+            assert save_network_json(*load_network_json(text)) == text
+        assert load_network_json(save_network_json(net, ctrl))[0] == net
+
     def test_missing_key_raises(self):
         with pytest.raises(ParseError):
             load_network_json('{"buses": []}')
@@ -211,6 +228,7 @@ class TestTraceCsvMatchesCsvWriter:
         assert dump_trace_csv(trace) == dump_trace_csv_by_writer(trace) == "t,residual\r\n0,\r\n1,0\r\n"
 
 
+BUS_FIELDS = ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max", "is_actuator")
 FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                    st.sampled_from([0.0, -0.0, 1e-320, math.inf, -math.inf, math.nan]),
                    st.integers(-10, 10))
@@ -228,15 +246,39 @@ class TestHashMatchesAsdict:
         net = RadialNetwork(n=len(buses), lines=lines, buses=tuple(buses), v0=v0)
         assert topology_hash(net) == topology_hash_by_parts(net)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        *[st.lists(FLOATS, min_size=n, max_size=n)] * 6,
+        st.lists(st.booleans(), min_size=n, max_size=n))), st.floats(0.5, 1.5))
+    def test_columns(self, columns, v0):
+        # the same fields as columns, one row per bus
+        n = len(columns[0])
+        net = RadialNetwork(n=n, from_node=range(n), to_node=range(1, n + 1), r=[0.0] * n,
+                            x=[0.1] * n, v0=v0, **dict(zip(BUS_FIELDS, columns)))
+        assert topology_hash(net) == topology_hash_by_parts(net)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(*[FLOATS] * 6, st.booleans()), st.integers(1, 6), st.data())
+    def test_constant_columns(self, row, n, data):
+        # one row at every bus, each column given or left at its default
+        given = data.draw(st.lists(st.sampled_from(BUS_FIELDS), unique=True))
+        net = RadialNetwork(n=n, from_node=range(n), to_node=range(1, n + 1), r=[0.0] * n,
+                            x=[0.1] * n, **{name: [row[BUS_FIELDS.index(name)]] * n
+                                            for name in given})
+        assert topology_hash(net) == topology_hash_by_parts(net)
+
     def test_tree(self):
         net = random_tree(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=10), seed=5)
         assert topology_hash(net) == topology_hash_by_parts(net)
 
-    def test_signed_zero_and_int_fields_change_the_hash(self):
+    def test_signed_zero_changes_the_hash_and_int_fields_do_not(self):
+        # bus fields are stored as floats: an int field hashes as its float
         plain = chain_network([0.1], buses=[BusData(p_c=0.0, q_c=1.0)])
-        for bus in (BusData(p_c=-0.0, q_c=1.0), BusData(p_c=0.0, q_c=1)):
-            other = chain_network([0.1], buses=[bus])
-            assert topology_hash(other) == topology_hash_by_parts(other) != topology_hash(plain)
+        signed = chain_network([0.1], buses=[BusData(p_c=-0.0, q_c=1.0)])
+        assert topology_hash(signed) == topology_hash_by_parts(signed) != topology_hash(plain)
+        ints = chain_network([0.1], buses=[BusData(p_c=0, q_c=1)])
+        assert ints == plain
+        assert topology_hash(ints) == topology_hash_by_parts(ints) == topology_hash(plain)
 
 
 class TestHashBytes:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bus_error_by_record,
     child_lines,
     depth,
     inverse_tree_laplacian,
@@ -39,6 +41,8 @@ from voltgame.topology import (
     random_tree,
     validate_tree,
 )
+
+BUS_FIELDS = ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max", "is_actuator")
 
 
 def fig_tree(a=2.0, b=3.0, c=5.0, d=7.0):
@@ -135,6 +139,30 @@ class TestValidate:
         # the fields' sum overflows, but each field is finite
         net = chain_network([1.0], buses=[BusData(p_c=-1e308, p_g=1e308, q_c=1e308)])
         assert net.traversal.d.tolist() == [1.0]
+
+
+BUS_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e308, -1e308, math.inf, -math.inf, math.nan])
+
+
+class TestBusChecksMatchRecords:
+    # the bus checks are array passes; the per-record loop they replaced is
+    # the oracle, message for message
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        *[st.lists(BUS_VALUES, min_size=n, max_size=n)] * 6,
+        st.lists(st.booleans(), min_size=n, max_size=n))))
+    def test_columns(self, columns):
+        n = len(columns[0])
+        net = RadialNetwork(n=n, from_node=range(n), to_node=range(1, n + 1), r=[0.0] * n,
+                            x=[1.0] * n, **dict(zip(BUS_FIELDS, columns)))
+        want = bus_error_by_record(net)
+        if want is None:
+            validate_tree(net)
+        else:
+            with pytest.raises(TopologyError) as got:
+                validate_tree(net)
+            assert type(got.value) is TopologyError and str(got.value) == want
+            assert net._traversal is None
 
 
 class TestValidateOnce:
@@ -332,6 +360,54 @@ class TestNoObjectPerLine:
         assert peak < self.PEAK_BYTES_PER_LINE * net.n
 
 
+def traced(build):
+    """build() and the bytes it held when it returned and at its peak."""
+    tracemalloc.start()
+    try:
+        out = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+class TestNoObjectPerBus:
+    # A tuple of BusData records holds about 290 bytes per bus, and a tuple
+    # of one shared record 8 (numpy 2.4, Python 3.11).
+    N = 2**17 - 1
+
+    def test_generated_feeder(self):
+        # The line arrays and the traversal hold 80 bytes per bus, and the
+        # default bus columns none (measured 80.07).
+        random_tree(DegreeDistribution({2: 1.0}, max_depth=3), 0)  # first-use allocations
+        net, held, _ = traced(lambda: random_tree(DegreeDistribution({2: 1.0}, max_depth=17), 0))
+        assert net.n == self.N
+        assert held < 84 * self.N
+
+    def test_columns_built_and_validated(self):
+        # Given as columns, the bus data adds its seven copies, 49 bytes per
+        # bus, to the peak of building and validating the feeder (measured
+        # 49.0; records built per bus peaked at 430 bytes per bus); its
+        # checks are array passes that stay below that peak.
+        n = self.N
+        rng = np.random.default_rng(0)
+        lines = dict(from_node=np.arange(1, n + 1) // 2, to_node=np.arange(1, n + 1),
+                     r=rng.random(n), x=0.1 + rng.random(n))
+        buses = dict(p_c=rng.random(n), p_g=rng.random(n), q_c=rng.random(n),
+                     v_nom=1.0 + 0.01 * rng.random(n), q_min=-rng.random(n),
+                     q_max=rng.random(n), is_actuator=rng.random(n) < 0.5)
+
+        def build(**columns):
+            net = RadialNetwork(n=n, **lines, **columns)
+            validate_tree(net)
+            return net
+
+        _, _, lines_peak = traced(build)
+        net, _, peak = traced(lambda: build(**buses))
+        assert net.buses[7] == BusData(*(buses[name][7] for name in BUS_FIELDS))
+        assert peak - lines_peak < 56 * n
+
+
 class TestBusArrays:
     BUSES = (
         BusData(p_c=0.0, p_g=-0.0, q_c=-0.0, v_nom=1.02, q_min=-0.0, q_max=0.5),
@@ -477,13 +553,12 @@ class TestRandomTree:
         net2, y2 = random_instance(dist, seed=9)
         assert np.array_equal(y, y2) and net2.lines == net.lines
 
-    def test_generated_buses_share_one_default_record(self):
+    def test_generated_buses_equal_the_default_record(self):
         dist = DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=8)
         for net in (random_tree(dist, seed=42), chain_network([0.1, 0.2, 0.3])):
-            assert len({id(b) for b in net.buses}) == 1
-            assert net.buses[0] == BusData()
+            assert all(b == BusData() for b in net.buses)
         own = [BusData(), BusData(p_c=0.1), BusData()]
-        assert all(a is b for a, b in zip(chain_network([0.1, 0.2, 0.3], buses=own).buses, own))
+        assert chain_network([0.1, 0.2, 0.3], buses=own).buses == tuple(own)
 
     def test_bad_distribution(self):
         with pytest.raises(InvalidDistributionError):
