@@ -41,6 +41,7 @@ from .sensitivity import SensitivitySet
 from .topology import RadialNetwork
 
 SWEEP_TOL = 1e-10  # AC solve tolerance at every step of closed_loop_ac
+SWEEP_MAX_ITER = 200  # sweeps of one AC solve before NoConvergenceError
 
 
 class NoConvergenceError(RuntimeError):
@@ -130,8 +131,8 @@ def _start_currents(start: BranchFlowState, n: int) -> np.ndarray:
     return start.ell
 
 
-def sweep_solve(net: RadialNetwork, p_inj, q_inj, tol: float = 1e-8,
-                max_iter: int = 200, *, start: BranchFlowState | None = None) -> BranchFlowState:
+def sweep_solve(net: RadialNetwork, p_inj, q_inj, tol: float = 1e-8, *,
+                start: BranchFlowState | None = None) -> BranchFlowState:
     """Backward/forward sweep from a flat start (v_sq = v0^2, ell = 0), or from
     the currents of ``start``, a state of the same feeder.
 
@@ -139,8 +140,8 @@ def sweep_solve(net: RadialNetwork, p_inj, q_inj, tol: float = 1e-8,
     Raises ValueError for injections of the wrong shape or with a non-finite
     entry, and for a ``start`` of another feeder size or with a non-finite or
     nonpositive squared voltage (or a non-finite or negative squared
-    current); NoConvergenceError with the last residual if max_iter sweeps
-    do not reach tol; and VoltageCollapseError if a squared voltage is
+    current); NoConvergenceError with the last residual if SWEEP_MAX_ITER
+    sweeps do not reach tol; and VoltageCollapseError if a squared voltage is
     driven nonpositive.
     """
     n = net.n
@@ -159,7 +160,7 @@ def sweep_solve(net: RadialNetwork, p_inj, q_inj, tol: float = 1e-8,
     v = np.full(n + 1, net.v0 ** 2)  # v[k] belongs to order[k]; v[n] is the root's
 
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, SWEEP_MAX_ITER + 1):
         # backward: flows are subtree sums, with frozen currents
         P = f.subtree_sums(r * ell - p)
         Q = f.subtree_sums(x * ell - q)
@@ -175,7 +176,7 @@ def sweep_solve(net: RadialNetwork, p_inj, q_inj, tol: float = 1e-8,
         residual = _residual(f, p, q, P, Q, ell, v, PQ2)
         if residual < tol:
             return _to_state(f.pos, P, Q, ell, v, residual, it)
-    raise NoConvergenceError(residual, max_iter)
+    raise NoConvergenceError(residual, SWEEP_MAX_ITER)
 
 
 def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
@@ -196,13 +197,13 @@ def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
     """
     if stepper not in ("taking", "anticipating"):
         raise ValueError("stepper must be 'taking' or 'anticipating'")
-    bus = net.bus_arrays
-    act = bus.actuators
+    act = net.actuator_indices()
     if S.net is not net or not np.array_equal(S.idx, act) or ctrl.n != act.size:
         raise ValueError("S and ctrl must be restricted to the actuator buses of net")
 
-    q_fixed = -bus.q_c
-    v_nom = bus.v_nom[act]
+    p = net.p_g - net.p_c
+    q_fixed = -net.q_c
+    v_nom = net.v_nom[act]
     v_hist = []
     state = None
 
@@ -210,7 +211,7 @@ def closed_loop_ac(net: RadialNetwork, S: SensitivitySet, ctrl: ControlSpec,
         nonlocal state
         q_inj = q_fixed.copy()
         q_inj[act] += q
-        state = sweep_solve(net, bus.p, q_inj, tol=SWEEP_TOL, start=state)
+        state = sweep_solve(net, p, q_inj, tol=SWEEP_TOL, start=state)
         v = state.v
         v_hist.append(v)
         return law_update(stepper, ctrl, S.d, v[act] - v_nom, q)

@@ -8,6 +8,7 @@ written row by row, so their text is never held whole.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,10 +43,9 @@ def _load(path: str):
 
 def _ctrl_from_args(net, ctrl, args) -> ControlSpec:
     if getattr(args, "alpha", None) is not None:
-        bus = net.bus_arrays
-        act = bus.actuators
+        act = net.actuator_indices()
         return ControlSpec.uniform(act.size, args.alpha, getattr(args, "delta", 0.0) or 0.0,
-                                   bus.q_min[act], bus.q_max[act])
+                                   net.q_min[act], net.q_max[act])
     if ctrl is None:
         raise SystemExit("no control block in the network file; pass --alpha")
     return ctrl
@@ -157,6 +157,7 @@ def cmd_sce42(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parsing leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="voltgame",
                                 description="Volt/Var control games on radial feeders")

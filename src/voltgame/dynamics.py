@@ -63,9 +63,8 @@ class OperatingConstants:
 
 def operating_constants(net: RadialNetwork, S: SensitivitySet) -> OperatingConstants:
     """v_tilde = v0 + R(p_g - p_c) - X q_c over all non-root buses; S covers them all."""
-    b = net.bus_arrays
-    vt = net.v0 + S.r_matvec(b.p) - S.matvec(b.q_c)
-    return OperatingConstants(v_tilde=vt, delta_v_tilde=vt - b.v_nom)
+    vt = net.v0 + S.r_matvec(net.p_g - net.p_c) - S.matvec(net.q_c)
+    return OperatingConstants(v_tilde=vt, delta_v_tilde=vt - net.v_nom)
 
 
 def voltage_from_q(S: SensitivitySet, q: np.ndarray, vt: OperatingConstants) -> np.ndarray:

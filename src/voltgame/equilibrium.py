@@ -278,6 +278,9 @@ def solve_iterative(objective: str, S: SensitivitySet, ctrl: ControlSpec,
     )
 
 
+ORDERING_RTOL = 1e-9  # PosaReport.ordering_ok's slack, relative to max(1, |upper|)
+
+
 @dataclass(frozen=True)
 class PosaReport:
     """Worst-case PoSA with its spectral bounds, all in the same 1/2-units.
@@ -299,8 +302,8 @@ class PosaReport:
     posa: float | None = None
     worst_direction: np.ndarray | None = None
 
-    def ordering_ok(self, rtol: float = 1e-9) -> bool:
-        slack = rtol * max(1.0, abs(self.upper))
+    def ordering_ok(self) -> bool:
+        slack = ORDERING_RTOL * max(1.0, abs(self.upper))
         return (
             self.lower <= self.posa_max + slack
             and self.posa_max <= self.refined_upper + slack
@@ -441,11 +444,10 @@ def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
                           direction=direction)
 
 
-def posa_constrained(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants,
-                     tol: float = 1e-10) -> float:
+def posa_constrained(S: SensitivitySet, ctrl: ControlSpec, vt: OperatingConstants) -> float:
     """Realized PoSA under deadbands/boxes, via the iterative solvers."""
-    eq = solve_iterative("F", S, ctrl, vt, tol=tol)
-    na = solve_iterative("W", S, ctrl, vt, tol=tol)
+    eq = solve_iterative("F", S, ctrl, vt)
+    na = solve_iterative("W", S, ctrl, vt)
     return na.F_at_qa - eq.F_value
 
 

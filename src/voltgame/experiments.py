@@ -21,7 +21,7 @@ import numpy as np
 
 from . import acflow, dynamics, equilibrium
 from .controls import ControlSpec
-from .netio import SCHEMA_COMMENT, ParseError, topology_hash
+from .netio import SCHEMA_COMMENT, ParseError, _is_number, topology_hash
 from .sensitivity import SensitivitySet, build_sensitivity
 from .topology import (
     DegreeDistribution,
@@ -32,7 +32,6 @@ from .topology import (
     validate_tree,
 )
 
-V_BASE_KV = 12.35
 MIN_X_OHM = 0.001    # floor of every SCE 42 line reactance (the table lists one zero-X line)
 S_BASE_KVA = 1000.0
 Z_BASE_OHM = 152.52
@@ -126,9 +125,8 @@ def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
                         is_actuator=[bus in pv for bus in range(2, 43)])
     validate_tree(net)
 
-    bus = net.bus_arrays
-    act = bus.actuators
-    ctrl = ControlSpec.uniform(act.size, ALPHA, DELTA, bus.q_min[act], bus.q_max[act])
+    act = net.actuator_indices()
+    ctrl = ControlSpec.uniform(act.size, ALPHA, DELTA, net.q_min[act], net.q_max[act])
     pv_tuple = tuple(sorted(pv))
     return Sce42Dataset(net=net, ctrl=ctrl, pv_buses=pv_tuple,
                         pv_capacity_pu=tuple(pv[b] / s_base_mva for b in pv_tuple))
@@ -146,10 +144,6 @@ def restricted_model(net: RadialNetwork, S: SensitivitySet | None = None):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_numbers(value) -> bool:

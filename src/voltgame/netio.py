@@ -22,9 +22,10 @@ is true or false, and true when missing.  A malformed file raises a
 ParseError that names the first row at fault (``buses[j]``, ``lines[k]`` or
 the control of ``buses[j]``) and its field.
 
-Each field is read as one type-checked column into the network's line
-arrays and bus columns, with no object per bus or line; the file is
-written, and hashed by `topology_hash`, from those columns.
+Each field is read as one type-checked column into the network's columns,
+with no object per bus or line; a bus field has its column's name and
+default ("actuator" is is_actuator).  The file is written, and hashed by
+`topology_hash`, from the columns.
 
 Traces and matrix dumps grow with n times their rows, so each has one
 streaming writer, `write_trace_csv(fh, ...)` and `write_matrix_csv(fh, ...)`,
@@ -47,7 +48,7 @@ import numpy as np
 
 from .controls import ControlSpec
 from .dynamics import SimulationTrace
-from .topology import _BUS_FIELDS, RadialNetwork, validate_tree
+from .topology import _BUS_DEFAULTS, _BUS_FIELDS, RadialNetwork, validate_tree
 
 SCHEMA_COMMENT = "# voltgame-schema=1"
 
@@ -161,18 +162,16 @@ def _remap_ids(bus_rows, line_rows):
     return dict(zip(order, range(len(order)))), ids[root], ends
 
 
-_BUS_NUMBERS = ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max")
-_BUS_DEFAULTS = (0.0, 0.0, 0.0, 1.0, -math.inf, math.inf)
 _CONTROL_NUMBERS = ("alpha", "delta", "q_min", "q_max")
 
 
-def _bus_row_error(row, where):
-    """The ParseError for a bus row that failed to read, or None."""
+def _bus_row_error(row, where, numbers):
+    """The ParseError for a bus row, with these number fields, that failed to read, or None."""
     actuator = row.get("actuator", True)
     if actuator is not True and actuator is not False:
         return ParseError(f"{where}: 'actuator' must be true or false, "
                           f"not {json.dumps(actuator)}")
-    error = _row_error(row, where, optional=_BUS_NUMBERS)
+    error = _row_error(row, where, optional=numbers)
     over = row.get("control")
     if error is None and over is not None and not isinstance(over, dict):
         error = _not_object(over, f"{where}['control']")
@@ -208,12 +207,12 @@ def _build(v0, bus_rows, line_rows, default_ctrl) -> tuple[RadialNetwork, Contro
         return f"buses[{i + (i >= root)}]"
 
     buses = {key: _floats(_get(rows, key), default)
-             for key, default in zip(_BUS_NUMBERS, _BUS_DEFAULTS)}
-    actuator = _get(rows, "actuator", True)
+             for key, default in _BUS_DEFAULTS.items() if key != "is_actuator"}
+    actuator = _get(rows, "actuator", _BUS_DEFAULTS["is_actuator"])
     overs = _get(rows, "control")
     if (any(col is None for col in buses.values()) or not set(map(type, actuator)) <= {bool}
             or not set(map(type, overs)) <= {type(None), dict}):
-        _first_error(_bus_row_error(row, where(i)) for i, row in enumerate(rows))
+        _first_error(_bus_row_error(row, where(i), tuple(buses)) for i, row in enumerate(rows))
     actuator = np.array(actuator, dtype=bool)
 
     try:
@@ -368,15 +367,18 @@ def topology_hash(net: RadialNetwork) -> str:
 
     The hash is the first 16 hex digits of the sha256 of three parts,
     concatenated: ``v0=<v0:.12g>;n=<n>``, then ``L<from>,<to>,<r:.12g>,<x:.12g>``
-    for each line in order, then each bus's fields in sorted-key JSON, the
-    bytes of json.dumps(asdict(bus), sort_keys=True) for the record
-    ``net.buses`` builds.  These bytes are a sweep column, so they never
-    change.
+    for each line in order, then one JSON object for each bus in bus order,
+    made of its entries in the seven bus columns:
+    ``{"is_actuator": <b>, "p_c": <f>, "p_g": <f>, "q_c": <f>, "q_max": <f>,
+    "q_min": <f>, "v_nom": <f>}``, the names sorted, with ``<b>`` true or
+    false and each ``<f>`` the repr of the float, or Infinity, -Infinity or
+    NaN.  These are the bytes of json.dumps(row, sort_keys=True) for the
+    row as a dict, and they are a sweep column, so they never change.
 
-    The bus fields are floats and ``is_actuator`` a bool, whatever types
+    The bus columns are floats and ``is_actuator`` a bool, whatever types
     the network was built from: a field given as the int 1 is the float
     1.0 and hashes as "1.0", so it hashes as the float does.  -0.0 hashes
-    apart from 0.0, as its JSON differs.  When every bus column holds one
+    apart from 0.0, as its repr differs.  When every bus column holds one
     value, as a generated feeder's do, the one row is written once and
     repeated.
     """
@@ -392,7 +394,7 @@ def topology_hash(net: RadialNetwork) -> str:
     return h.hexdigest()[:16]
 
 
-def report_json(report, net: RadialNetwork | None = None) -> str:
+def report_json(report, net: RadialNetwork) -> str:
     """PoSA report plus instance metadata as JSON."""
     doc = {
         "posa_max": report.posa_max,
@@ -407,7 +409,6 @@ def report_json(report, net: RadialNetwork | None = None) -> str:
     }
     if report.worst_direction is not None:
         doc["worst_direction"] = [float(v) for v in report.worst_direction]
-    if net is not None:
-        doc["n"] = net.n
-        doc["topology_hash"] = topology_hash(net)
+    doc["n"] = net.n
+    doc["topology_hash"] = topology_hash(net)
     return json.dumps(doc, indent=1)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -89,7 +89,9 @@ class BusData:
     is_actuator: bool = True
 
 
-_BUS_FIELDS = ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max", "is_actuator")
+# each bus column, six float and then is_actuator, with its value at a bus that does not set it
+_BUS_DEFAULTS = asdict(BusData())
+_BUS_FIELDS = tuple(_BUS_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,13 @@ class Traversal:
 
 
 def _read_only(values, dtype) -> np.ndarray:
+    """values as a read-only array; an array of this dtype that nothing can
+    write, as a column of a network is, is kept as it is."""
+    base = values
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base  # None once no array it views is writeable
+    if base is None and values.dtype == dtype:
+        return values
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
@@ -142,26 +151,30 @@ class RadialNetwork:
     """A rooted radial feeder with n non-root buses.
 
     The lines must form a spanning tree over nodes {0..n} rooted at 0.  The
-    lines are kept as read-only arrays in line order, ``from_node``,
-    ``to_node``, ``r`` and ``x``; pass them as those keywords, or as a tuple
-    of :class:`Line` records in ``lines``.  The bus data is kept as
-    read-only columns in bus order, entry i for node i+1: ``p_c``, ``p_g``,
-    ``q_c``, ``v_nom``, ``q_min`` and ``q_max`` (float) and ``is_actuator``
-    (bool); pass them as those keywords, each column left out taking the
-    :class:`BusData` default at every bus, or as :class:`BusData` records
-    in ``buses``.  A default column is one value seen n times, so it holds
-    no memory per bus.  :attr:`lines` and :attr:`buses` build the records
-    on demand.  Instances are immutable; parents, line arrays by child and
-    root paths come from :attr:`traversal`, which :func:`validate_tree`
-    builds and caches, and the bus data from :attr:`bus_arrays`, built on
-    first use.
+    fields are the feeder's read-only columns: the lines in line order,
+    ``from_node``, ``to_node``, ``r`` and ``x``, and the buses in bus order,
+    entry i for node i+1, ``p_c``, ``p_g``, ``q_c``, ``v_nom``, ``q_min`` and
+    ``q_max`` (float) and ``is_actuator`` (bool); a bus column left out is
+    its default seen n times, which holds no memory per bus.  :class:`Line`
+    and :class:`BusData` records are an adapter at the edge, taken in
+    ``lines`` and ``buses`` and built by :attr:`lines` and :attr:`buses`.
+    ``dataclasses.replace(net, q_c=...)`` replaces that column and shares
+    the others; like every new network it is validated on first use, when
+    :attr:`traversal` is built and cached.
     """
 
     n: int
-    # Fields, so dataclasses.replace passes them on; the properties below
-    # read them off the line arrays and the bus columns.
-    lines: tuple[Line, ...]
-    buses: tuple[BusData, ...]
+    from_node: np.ndarray
+    to_node: np.ndarray
+    r: np.ndarray
+    x: np.ndarray
+    p_c: np.ndarray
+    p_g: np.ndarray
+    q_c: np.ndarray
+    v_nom: np.ndarray
+    q_min: np.ndarray
+    q_max: np.ndarray
+    is_actuator: np.ndarray
     v0: float = 1.0
 
     def __init__(self, n: int, lines=None, buses=None, v0: float = 1.0, *,
@@ -188,12 +201,12 @@ class RadialNetwork:
                 raise TypeError("give the buses as BusData records or as columns, not both")
             buses = tuple(buses)
             columns = [list(map(operator.attrgetter(name), buses)) for name in _BUS_FIELDS]
-        dtypes = (float,) * 6 + (bool,)
-        arrays = [c if c is None else _read_only(c, dtype) for c, dtype in zip(columns, dtypes)]
+        defaults = _BUS_DEFAULTS.values()
+        arrays = [c if c is None else _read_only(c, type(d)) for c, d in zip(columns, defaults)]
         size = next((a.shape for a in arrays if a is not None), (n,))
-        for k, name in enumerate(_BUS_FIELDS):
-            if arrays[k] is None:  # read-only, and no memory per bus
-                arrays[k] = np.broadcast_to(np.array(getattr(BusData, name), dtypes[k]), size)
+        # a default column is read-only, and holds no memory per bus
+        arrays = [np.broadcast_to(_read_only(d, type(d)), size) if a is None else a
+                  for a, d in zip(arrays, defaults)]
         if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
             raise ValueError("the bus columns must be 1-d and of one length")
         for name, value in zip(_BUS_FIELDS, arrays):
@@ -216,9 +229,8 @@ class RadialNetwork:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n == other.n and self.v0 == other.v0
-                and all(np.array_equal(getattr(self, name), getattr(other, name))
-                        for name in _LINE_FIELDS + _BUS_FIELDS))
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def traversal(self) -> Traversal:
@@ -233,20 +245,13 @@ class RadialNetwork:
         return self.traversal.parent
 
     @cached_property
-    def bus_arrays(self) -> SimpleNamespace:
-        """The bus data as read-only arrays, entry i for node i+1: net active
-        injection ``p`` = p_g - p_c, ``q_c``, ``v_nom``, ``q_min`` and ``q_max``;
-        and ``actuators``, the matrix indices of the actuator buses."""
-        p = self.p_g - self.p_c
-        p.flags.writeable = False
-        return SimpleNamespace(
-            p=p, q_c=self.q_c, v_nom=self.v_nom, q_min=self.q_min, q_max=self.q_max,
-            actuators=_read_only(np.flatnonzero(self.is_actuator), int),
-        )
+    def _actuators(self) -> np.ndarray:
+        return _read_only(np.flatnonzero(self.is_actuator), int)
 
     def actuator_indices(self) -> np.ndarray:
-        """Matrix indices (0-based, node k -> k-1) of the actuator buses."""
-        return self.bus_arrays.actuators
+        """Matrix indices (0-based, node k -> k-1) of the actuator buses, as a
+        read-only array built once per network."""
+        return self._actuators
 
 
 def chain_network(xs, rs=None, buses=None, v0: float = 1.0) -> RadialNetwork:
@@ -344,13 +349,9 @@ def _check_buses(net: RadialNetwork) -> None:
 
     A bus is checked for a non-finite p_c, p_g, q_c or v_nom, in that order,
     then for a NaN q_min or q_max, then, if it is an actuator, for a box
-    that excludes 0.  The checks are array passes over the columns; where
-    every column is one value seen at every bus, as the defaults are, one
-    row is checked.
+    that excludes 0.  The checks are array passes over the columns.
     """
     cols = [getattr(net, name) for name in _BUS_FIELDS]
-    if all(c.strides == (0,) for c in cols):
-        cols = [c[:1] for c in cols]
     p_c, p_g, q_c, v_nom, q_min, q_max, act = cols
     bad = ~(np.isfinite(p_c) & np.isfinite(p_g) & np.isfinite(q_c) & np.isfinite(v_nom))
     bad |= np.isnan(q_min) | np.isnan(q_max)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from voltgame import netio
-from voltgame.cli import main
+from voltgame.cli import build_parser, main
 from voltgame.netio import load_network_json, save_network_json, write_matrix_csv
 from voltgame.topology import chain_network, BusData
 
@@ -298,8 +298,9 @@ _CHAIN = {"kind": "chain-size", "sizes": [4]}
     ({"kind": "random-tree-depth", "depths": [3], "dist_probs": {"1": "0.5"}},
      "the sweep spec's 'dist_probs' must be an object of integer child counts to numbers, "
      "not {\"1\": \"0.5\"}"),
+    ({**_CHAIN, "x": 10 ** 400}, f"the sweep spec's 'x' must be a number, not {10 ** 400}"),
 ], ids=["unknown-key", "kind-missing", "not-object", "range-int", "range-three", "reps-string",
-        "x-bool", "sizes-null", "ac-int", "probs-key", "probs-string"])
+        "x-bool", "sizes-null", "ac-int", "probs-key", "probs-string", "x-beyond-float"])
 def test_sweep_names_the_malformed_spec(tmp_path, capsys, spec, message):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(spec))
@@ -319,6 +320,24 @@ def test_sce42_keyword_network(capsys):
 def test_unknown_file_errors(capsys):
     assert main(["validate", "/does/not/exist.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_parser_built_once_per_process(capsys):
+    argvs = (["validate", "sce42"], ["equilibrium", "sce42", "--law", "anticipating"])
+
+    def outputs(fresh_parser):
+        got = []
+        for argv in argvs:
+            if fresh_parser:
+                build_parser.cache_clear()
+            assert main(argv) == 0
+            got.append(capsys.readouterr())
+        return got
+
+    separate = outputs(fresh_parser=True)
+    build_parser.cache_clear()
+    assert outputs(fresh_parser=False) == separate
+    assert build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("control, message", [

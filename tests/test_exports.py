@@ -1,13 +1,17 @@
-"""Every name a public module exports in __all__ exists, and importing the
-package or validating a feeder stays cheap: scipy is imported only where a
-solver first needs it."""
+"""Every name a public module exports in __all__ exists, importing the
+package or validating a feeder stays cheap (scipy is imported only where a
+solver first needs it), and the library reads feeders as columns."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "voltgame"
 
 
 @pytest.mark.parametrize("module", ["voltgame", "voltgame.equilibrium"])
@@ -48,3 +52,32 @@ def test_import_loads_no_scipy(statement):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _names(node):
+    """The names an ast node reads, defines or imports."""
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    return []
+
+
+def test_records_stay_at_the_edge():
+    # No module reads bus_arrays, and outside topology and the re-exports of
+    # __init__ no module names BusData or Line or reads .buses or .lines.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        edge = path.stem in ("topology", "__init__")
+        for node in ast.walk(ast.parse(path.read_text())):
+            for name in _names(node):
+                if (name == "bus_arrays"
+                        or not edge and name in ("BusData", "Line")
+                        or not edge and isinstance(node, ast.Attribute)
+                        and name in ("buses", "lines")):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []

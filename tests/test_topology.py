@@ -21,9 +21,11 @@ from oracles import (
     traversal_levels,
 )
 from strategies import feeders
+from voltgame import topology
 from voltgame.acflow import sweep_solve
 from voltgame.sensitivity import build_sensitivity
 from voltgame.experiments import load_sce42
+from voltgame.netio import topology_hash
 from voltgame.topology import (
     BusData,
     CycleError,
@@ -43,6 +45,7 @@ from voltgame.topology import (
 )
 
 BUS_FIELDS = ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max", "is_actuator")
+COLUMNS = ("from_node", "to_node", "r", "x") + BUS_FIELDS
 
 
 def fig_tree(a=2.0, b=3.0, c=5.0, d=7.0):
@@ -192,7 +195,9 @@ class TestValidateOnce:
         net = fig_tree()
         validate_tree(net)
         assert dataclasses.replace(net)._traversal is None
-        bad = dataclasses.replace(net, lines=net.lines[:3] + (Line(0, 4, 0.0, 7.0),))
+        # the last line, (1, 4), moved to the root: (0, 4)
+        bad = dataclasses.replace(net, from_node=[0, 1, 2, 0], to_node=[1, 2, 3, 4],
+                                  r=[0.0] * 4, x=[2.0, 3.0, 5.0, 7.0])
         with pytest.raises(MultiRootChildError):
             validate_tree(bad)
         assert dataclasses.replace(net) == net
@@ -414,46 +419,87 @@ class TestBusArrays:
         BusData(p_c=0.25, p_g=0.1, q_c=0.05, is_actuator=False),
         BusData(p_c=-0.0, p_g=0.0, q_c=0.0, q_min=-np.inf, q_max=np.inf),
     )
-    FIELDS = ("p", "q_c", "v_nom", "q_min", "q_max")
+    FLOATS = BUS_FIELDS[:-1]
 
     def net(self, buses=BUSES):
         return chain_network([1.0, 2.0, 3.0], buses=buses)
 
     def test_equal_the_records_signs_and_infinities_included(self):
-        b = self.net().bus_arrays
-        want = {
-            "p": [bus.p_g - bus.p_c for bus in self.BUSES],
-            "q_c": [bus.q_c for bus in self.BUSES],
-            "v_nom": [bus.v_nom for bus in self.BUSES],
-            "q_min": [bus.q_min for bus in self.BUSES],
-            "q_max": [bus.q_max for bus in self.BUSES],
-        }
-        for name in self.FIELDS:
-            got = getattr(b, name)
-            assert got.dtype == float and got.tolist() == want[name], name
-            assert np.signbit(got).tolist() == np.signbit(want[name]).tolist(), name
-        assert np.signbit(b.p).tolist() == [True, True, False]  # -0.0 - 0.0 is -0.0
-        assert b.actuators.tolist() == [0, 2]
+        net = self.net()
+        for name in self.FLOATS:
+            got, want = getattr(net, name), [getattr(bus, name) for bus in self.BUSES]
+            assert got.dtype == float and got.tolist() == want, name
+            assert np.signbit(got).tolist() == np.signbit(want).tolist(), name
+        assert net.is_actuator.dtype == bool
+        assert net.actuator_indices().tolist() == [0, 2]
 
     def test_read_only(self):
-        b = self.net().bus_arrays
-        for name in self.FIELDS + ("actuators",):
+        net = self.net()
+        for column in [getattr(net, name) for name in BUS_FIELDS] + [net.actuator_indices()]:
             with pytest.raises(ValueError):
-                getattr(b, name)[0] = 1
+                column[0] = 1
 
     def test_built_once_and_fresh_after_replace(self):
         net = self.net()
-        assert net.bus_arrays is net.bus_arrays
-        assert net.actuator_indices() is net.bus_arrays.actuators
-        loaded = dataclasses.replace(net, buses=(BusData(p_c=0.5, is_actuator=False),) * 3)
-        assert loaded.bus_arrays is not net.bus_arrays
-        assert loaded.bus_arrays.p.tolist() == [-0.5] * 3
+        assert net.actuator_indices() is net.actuator_indices()
+        loaded = dataclasses.replace(net, p_c=[0.5] * 3, p_g=[0.0] * 3, is_actuator=[False] * 3)
+        assert loaded.actuator_indices() is not net.actuator_indices()
+        assert (loaded.p_g - loaded.p_c).tolist() == [-0.5] * 3
         assert loaded.actuator_indices().size == 0
-        assert net.bus_arrays.p.tolist() == [0.0, -0.15, 0.0]
+        assert (net.p_g - net.p_c).tolist() == [0.0, -0.15, 0.0]
+        assert net.actuator_indices().tolist() == [0, 2]
 
     def test_sce42_actuators(self):
         net = load_sce42().net
         assert net.actuator_indices().tolist() == [0, 10, 24, 27, 29]
+
+
+class TestColumnsAreTheFields:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(RadialNetwork)] == [
+            "n", "from_node", "to_node", "r", "x", *BUS_FIELDS, "v0"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: load_sce42().net,
+        # every bus differs from every other in every float column
+        lambda: chain_network(
+            [0.1, 0.2, 0.3, 0.4], rs=[0.01, 0.0, 0.03, 0.02], v0=1.01,
+            buses=[BusData(p_c=0.1 * k, p_g=-0.05 * k, q_c=0.02 * k - 0.03, v_nom=1.0 + 0.01 * k,
+                           q_min=-k - 0.5, q_max=k + 0.25, is_actuator=k % 2 == 0)
+                   for k in range(4)]),
+    ], ids=["sce42", "distinct-buses"])
+    def test_records_round_trip(self, make):
+        net = make()
+        again = RadialNetwork(net.n, lines=net.lines, buses=net.buses, v0=net.v0)
+        assert again == net
+        assert topology_hash(again) == topology_hash(net)
+
+    def test_replace_and_repr_build_no_records(self, monkeypatch):
+        net = chain_network(np.full(10**5, 0.01))
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(topology, "BusData", no_records)
+        monkeypatch.setattr(topology, "Line", no_records)
+        copy = dataclasses.replace(net)
+        assert copy == net and copy._traversal is None
+        # the columns are shared, not copied
+        assert all(getattr(copy, name) is getattr(net, name) for name in COLUMNS)
+        assert len(repr(net)) < 2000
+
+    def test_replace_one_column(self):
+        net = chain_network([1.0, 2.0, 3.0], buses=TestBusArrays.BUSES)
+        q_c = np.array([0.5, -0.25, np.nan])  # NaN fails validation, when it comes
+        loaded = dataclasses.replace(net, q_c=q_c)
+        assert loaded._traversal is None
+        assert loaded.q_c.tolist()[:2] == [0.5, -0.25] and np.isnan(loaded.q_c[2])
+        assert not loaded.q_c.flags.writeable and loaded.q_c is not q_c
+        assert all(getattr(loaded, name) is getattr(net, name)
+                   for name in COLUMNS if name != "q_c")
+        assert (loaded.n, loaded.v0) == (net.n, net.v0)
+        with pytest.raises(TopologyError, match="bus 3 has non-finite q_c=nan"):
+            validate_tree(loaded)
 
 
 class TestPaths:
