@@ -210,7 +210,8 @@ class SweepSpec:
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
         """Parse a spec; a ParseError names the first unknown key, or the key
-        and value of the first field of the wrong JSON type."""
+        and value of the first field of the wrong JSON type, or of the first
+        size or depth that is not an integer >= 1."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -227,6 +228,11 @@ class SweepSpec:
             if not valid(value):
                 raise ParseError(f"the sweep spec's {key!r} must be {what}, "
                                  f"not {json.dumps(value)}")
+        for key in ("sizes", "depths"):
+            for value in doc.get(key, ()):
+                if not (_is_int(value) and value >= 1):
+                    raise ParseError(f"the sweep spec's {key!r} must hold integers >= 1, "
+                                     f"not {json.dumps(value)}")
         if "dist_probs" in doc:
             doc["dist_probs"] = {int(k): float(v) for k, v in doc["dist_probs"].items()}
         for key in ("x_range", "y_range"):
@@ -337,12 +343,12 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             raise ValueError("chain-size sweep needs sizes")
         reps = spec.repetitions if spec.x_range is not None else 1
         for idx, (n, rep) in enumerate(itertools.product(spec.sizes, range(reps))):
-            rows.append(_chain_size_job(spec, int(n), rep, spec.seed + 7919 * idx))
+            rows.append(_chain_size_job(spec, n, rep, spec.seed + 7919 * idx))
     elif spec.kind == "random-tree-depth":
         if not spec.depths:
             raise ValueError("random-tree-depth sweep needs depths")
         for idx, (depth, rep) in enumerate(itertools.product(spec.depths, range(spec.repetitions))):
-            rows.append(_tree_depth_job(spec, int(depth), rep, spec.seed + 7919 * idx))
+            rows.append(_tree_depth_job(spec, depth, rep, spec.seed + 7919 * idx))
     elif spec.kind == "cost-coefficient":
         if not spec.y_values:
             raise ValueError("cost-coefficient sweep needs y_values")

@@ -29,10 +29,14 @@ default ("actuator" is is_actuator).  The file is written, and hashed by
 
 Traces and matrix dumps grow with n times their rows, so each has one
 streaming writer, `write_trace_csv(fh, ...)` and `write_matrix_csv(fh, ...)`,
-that writes its header and then one row at a time to a text file; that is
-the format's only formatting path.  `dump_trace_csv` alone also returns its
-bytes as one string.  The bytes are a contract: every float is printed with
-%.17g, trace rows end with "\r\n" and matrix rows with "\n".
+that writes its header and then a block of values at a time to a text file:
+as many whole rows as fit in the block, or a wider row in pieces.  So no more
+than a block is held as text.  Both writers print their floats through one
+vectorised formatter, `_format_g17`, which gives the bytes of "%.17g" % v for
+each value; that is the formats' only formatting path.  `dump_trace_csv`
+alone also returns its bytes as one string.  The bytes are a contract: every
+float is printed with %.17g, trace rows end with "\r\n" and matrix rows with
+"\n".
 """
 
 from __future__ import annotations
@@ -296,40 +300,256 @@ def _line_columns(net: RadialNetwork):
     return zip(net.from_node.tolist(), net.to_node.tolist(), net.r.tolist(), net.x.tolist())
 
 
-def write_matrix_csv(fh, M: np.ndarray, kind: str) -> None:
-    """Write a dense matrix dump to the text file fh, one row at a time.
+# -- %.17g, a block of values at a time ---------------------------------------------
+#
+# A finite x with 1e-6 <= |x| < 1e17 has a decimal exponent X = floor(log10|x|)
+# in -6..16, and 10**k for k = 16 - X <= 22 is an exact double.  Dekker's exact
+# product splits |x| * 10**k into p + e, p = fl(|x| * 10**k).  When p + e lies
+# in [1e16, 1e17), X is right, and the 17 significant digits %.17g prints are
+# the integer D = p + rint(e), rounded half to even as "%" rounds: p >= 1e16 >
+# 2**53 is an even integer, so rint's ties to even are those of p + e.  Every
+# other value is printed by "%" itself: NaN, an infinity, |x| outside the
+# range, or one whose log10 rounded across a power of ten (p + e is then out
+# of range).  Zeros are printed here.
+#
+# Each value is written into a fixed slot of _SLOT_WIDTH bytes: a sign, "0.000",
+# the 17 digits each followed by a place for ".", "e-0N" and the separator.
+# _SLOTS holds a slot for each (k, trailing zeros of D, sign): the text, with 0
+# at each byte that text does not use and 0xFF at each digit it does.  The
+# digits are ANDed in, eight bytes at a time, and the 0 bytes deleted.
 
-    The header is `# n=<n> kind=<X|R|Xinv>`; then np.savetxt writes each row
-    as %.17g values joined by "," and ended by "\n" (golden files).
+_P10 = np.array([float(10 ** k) for k in range(23)] + [0.0])  # k = 23: below 1e-6
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting factor
+_P10_HI = _P10 * _SPLIT - (_P10 * _SPLIT - _P10)
+_P10_LO = _P10 - _P10_HI
+_SLOT_WIDTH = 48  # bytes 44 and 45 hold the separator; 39, 46 and 47 are never used
+_SLOT_TEXT = np.frombuffer(b"-0.000" + b"0." * 16 + b"0\0e-00,\0\0\0", np.uint8)
+_DIGIT_BYTES = slice(6, 40, 2)
+_ZERO_K = 24  # the table rows of 0.0 and -0.0
+
+
+def _digit_words(width: int) -> np.ndarray:
+    """For each group of `width` decimal digits, the uint64 word that ANDs its
+    ASCII digits into the even bytes of a slot's eight-byte word that ends
+    with it, and keeps every other byte."""
+    group = np.arange(10 ** width, dtype=np.int16)
+    out = np.full((group.size, 8), 0xFF, np.uint8)
+    for j in range(width):
+        out[:, 8 - 2 * width + 2 * j] = 48 + group // 10 ** (width - 1 - j) % 10
+    return out.view(np.uint64).ravel()
+
+
+_LEAD_WORDS = _digit_words(1)  # digit 0, in the slot's first word
+_GROUP_WORDS = _digit_words(4)  # digits 1-4, 5-8, 9-12 and 13-16, in words 1-4
+_TZ2 = np.zeros(10000, np.int8)  # twice the trailing zeros of a 4-digit group; 8 for 0000
+_TZ2[::10] = 2
+_TZ2[::100] = 4
+_TZ2[::1000] = 6
+_TZ2[0] = 8
+
+
+def _slot_table() -> np.ndarray:
+    """The slots by (k, twice the trailing zeros of D, sign): row 34k + 2z + sign."""
+    keep = np.zeros((25, 17, 2, _SLOT_WIDTH), bool)
+    nd = 17 - np.arange(17)[:, None, None]  # digits up to the last nonzero one
+    j = np.arange(17)
+    for k in range(23):
+        X, row = 16 - k, keep[k]
+        if X >= 0:  # fixed: the integer part, and "." and the rest if not all zero
+            row[..., _DIGIT_BYTES] = j < np.maximum(nd, X + 1)
+            row[..., 7 + 2 * X] = nd[..., 0] > X + 1
+        else:
+            row[..., _DIGIT_BYTES] = j < nd
+        if X >= -4 and X < 0:  # "0.", "0.0", "0.00" or "0.000" before the digits
+            row[..., 1:2 - X] = True
+        elif X < -4:  # d.ddde-05 or d.ddde-06
+            row[..., 7] = nd[..., 0] > 1
+            row[..., 40:44] = True
+    keep[_ZERO_K, ..., 6] = True
+    keep[:, :, 1, 0] = True
+    keep[..., 44] = True
+    text = np.broadcast_to(_SLOT_TEXT, keep.shape).copy()
+    text[..., _DIGIT_BYTES] = 0xFF
+    text[21:23, ..., 43] += np.array([5, 6], np.uint8)[:, None, None]
+    text[~keep] = 0
+    return text.reshape(-1, _SLOT_WIDTH)
+
+
+_SLOTS = _slot_table()
+
+
+def _decimal17(a: np.ndarray):
+    """For the float64 values a >= 0: k = 16 - floor(log10 a) as intp, the 17
+    significant digits D = round(a * 10**k) as int64, and the indices of the
+    nonzero values whose exact a * 10**k is not in [1e16, 1e17).  A zero has
+    k = _ZERO_K; D is 1 at zeros and at those indices."""
+    zero = a == 0
+    with np.errstate(all="ignore"):
+        k = np.log10(a)
+        np.fmax(k, -7.0, out=k)  # log10(0) = -inf and NaN too
+        np.fmin(k, 16.0, out=k)
+        np.floor(k, out=k)
+        k = np.subtract(16.0, k, out=k).astype(np.intp)
+        p = _P10.take(k)
+        p *= a
+        # Dekker's exact error e = a * 10**k - p, from halves of 26 bits
+        ten_hi = _P10_HI.take(k)
+        ten_lo = _P10_LO.take(k)
+        hi = a * _SPLIT
+        lo = hi - a
+        hi -= lo
+        np.subtract(a, hi, out=lo)
+        e = hi * ten_hi
+        e -= p
+        hi *= ten_lo
+        e += hi
+        np.multiply(lo, ten_hi, out=hi)
+        e += hi
+        lo *= ten_lo
+        e += lo
+        del hi, lo, ten_hi, ten_lo
+        D = p.astype(np.int64)
+        D += np.rint(e).astype(np.int64)
+        # in range: 0 <= r < 9e16 for r = fl(p - 1e16 + e).  p - 1e16 is exact,
+        # and doubles near 9e16 are 16 apart, so then 1e16 <= p + e <= 1e17 - 8.
+        p -= 1e16
+        p += e
+        bad = p < 0
+        bad |= ~(p < 9e16)  # NaN too
+    np.copyto(D, 1, where=bad)  # digits with no trailing zeros, so none to count
+    np.copyto(k, _ZERO_K, where=zero)
+    bad &= ~zero
+    return k, D, bad.nonzero()[0]
+
+
+def _digit_groups(D: np.ndarray):
+    """The digits of the 17-digit integers D as int32: the first, then four
+    groups of four.  Overwrites D."""
+    hi = D // 10 ** 8
+    D -= hi * 10 ** 8
+    hi, lo = hi.astype(np.int32), D.astype(np.int32)
+    lead = hi // 10 ** 8
+    hi -= lead * 10 ** 8
+    g1 = hi // 10 ** 4
+    hi -= g1 * 10 ** 4
+    g3 = lo // 10 ** 4
+    lo -= g3 * 10 ** 4
+    return lead, g1, hi, g3, lo
+
+
+def _twice_trailing_zeros(groups) -> np.ndarray:
+    """Twice the trailing zeros of the 17-digit integers with these digit groups."""
+    tz2 = _TZ2.take(groups[4])
+    low0 = (groups[4] == 0).nonzero()[0]  # ending in 0000: count on in the groups above
+    if low0.size:
+        t = _TZ2.take(groups[1][low0])
+        for g in (groups[2][low0], groups[3][low0]):
+            t = np.where(g == 0, t + 8, _TZ2.take(g))
+        tz2[low0] += t
+    return tz2
+
+
+def _format_g17(block: np.ndarray, end: str) -> str:
+    """The rows of a 2-D float64 array as text: each value printed with %.17g
+    and followed by ",", or by `end` if it ends its row.  Overwrites block."""
+    rows = block.shape[0]
+    a = block.reshape(-1)
+    neg = np.signbit(a)
+    np.abs(a, out=a)
+    k, D, fall_back = _decimal17(a)
+    groups = _digit_groups(D)
+    del D
+    k *= 34
+    k += _twice_trailing_zeros(groups)
+    k += neg
+    slots = _SLOTS.take(k, axis=0)
+    del k
+    words = slots.view(np.uint64)
+    for w, g in enumerate(groups):
+        words[:, w] &= (_GROUP_WORDS if w else _LEAD_WORDS).take(g)
+    del words, groups
+    for i in fall_back.tolist():
+        text = ("%.17g" % (-a[i] if neg[i] else a[i])).encode()
+        slots[i, :44] = 0
+        slots[i, :len(text)] = np.frombuffer(text, np.uint8)
+    ends = slots.reshape(rows, -1, _SLOT_WIDTH)[:, -1]
+    ends[:, 44] = ord(end[0])
+    if len(end) == 2:
+        ends[:, 45] = ord(end[1])
+    del ends
+    # delete the 0 bytes an eighth of a block at a time, to hold less
+    step = _BLOCK // 8
+    parts = [slots[i:i + step].tobytes().translate(None, b"\0")
+             for i in range(0, len(slots), step)]
+    del slots
+    return b"".join(parts).decode("ascii")
+
+
+_BLOCK = 1280  # the most values one _format_g17 call formats
+
+
+def _rows_text(parts, end: str):
+    """The text of the rows of the 2-D arrays `parts`, side by side: each value
+    with %.17g, joined by "," and each row ended by `end`, in pieces.  Each
+    _format_g17 call takes as many whole rows as fit in _BLOCK values, or one
+    row in even pieces of at most _BLOCK values."""
+    offsets = list(itertools.accumulate([part.shape[1] for part in parts], initial=0))
+    width, n_rows = offsets[-1], parts[0].shape[0]
+    if width == 0:
+        yield end * n_rows
+        return
+    step = max(1, _BLOCK // width)
+    pieces = -(-width // _BLOCK)
+    cuts = [width * i // pieces for i in range(pieces + 1)]
+    for r in range(0, n_rows, step):
+        for j0, j1 in zip(cuts, cuts[1:]):
+            block = np.concatenate([part[r:r + step, max(j0 - o, 0):j1 - o]
+                                    for part, o, o_end in zip(parts, offsets, offsets[1:])
+                                    if o < j1 and j0 < o_end], axis=1, dtype=np.float64)
+            yield _format_g17(block, end if j1 == width else ",")
+
+
+def write_matrix_csv(fh, M: np.ndarray, kind: str) -> None:
+    """Write a dense matrix dump to the text file fh, a block of values at a time.
+
+    The header is `# n=<n> kind=<X|R|Xinv>`; then each row is its %.17g values
+    joined by "," and ended by "\n", the bytes np.savetxt(fmt="%.17g",
+    delimiter=",") writes (golden files).
     """
     fh.write(f"# n={M.shape[0]} kind={kind}\n")
-    np.savetxt(fh, M, delimiter=",", fmt="%.17g")
+    fh.writelines(_rows_text([M], "\n"))
 
 
 def write_trace_csv(fh, trace: SimulationTrace, with_voltages: bool = False) -> None:
     """Write a trace as CSV rows (t, residual, q_1..q_n[, v_1..v_n]) to the text
-    file fh, one row at a time, so no more than a row is held as text.
+    file fh, a block of values at a time, so no more than a block is held as text.
 
     Each float is printed with %.17g and each row ends with "\r\n", as
-    csv.writer would write them; no field ever needs quoting.
+    csv.writer would write them; no field ever needs quoting.  Row 0 has an
+    empty residual, and a row past the end of v_hist has no voltages.
     """
     q_hist = trace.q_hist
-    k = q_hist.shape[1]
+    steps, k = q_hist.shape
     v_hist = trace.v_hist if with_voltages else None
-    header = ["t", "residual"] + [f"q_{i}" for i in range(1, k + 1)]
-    if v_hist is not None:
-        header += [f"v_{i}" for i in range(1, v_hist.shape[1] + 1)]
-    fh.write(",".join(header) + "\r\n")
-    q_fmt = ",%.17g" * k
-    v_fmt = "" if v_hist is None else ",%.17g" * v_hist.shape[1]
-    v_steps = 0 if v_hist is None else v_hist.shape[0]
-    residuals = trace.residuals
-    for t in range(q_hist.shape[0]):
-        fh.write(f"{t}," if t == 0 else f"{t},{residuals[t - 1]:.17g}")
-        fh.write(q_fmt % tuple(q_hist[t].tolist()))
-        if t < v_steps:
-            fh.write(v_fmt % tuple(v_hist[t].tolist()))
-        fh.write("\r\n")
+    fh.write("t,residual")
+    for name, count in (("q", k), ("v", 0 if v_hist is None else v_hist.shape[1])):
+        for start in range(1, count + 1, _BLOCK):
+            fh.write("".join([f",{name}_{i}" for i in range(start, min(start + _BLOCK, count + 1))]))
+    fh.write("\r\n")
+    v_steps = 0 if v_hist is None else min(v_hist.shape[0], steps)
+    residuals = np.concatenate([[0.0], trace.residuals[:steps - 1]])  # row 0's is empty
+
+    def rows(start, stop, voltages):
+        parts = [np.arange(start, stop, dtype=np.float64)[:, None],
+                 residuals[start:stop, None], q_hist[start:stop]]
+        return _rows_text(parts + [v_hist[start:stop]] if voltages else parts, "\r\n")
+
+    texts = itertools.chain(rows(0, v_steps, True) if v_steps else (),
+                            rows(v_steps, steps, False))
+    first = next(texts, None)
+    if first is not None:
+        fh.write("0," + first[3:])  # row 0 starts "0,0": the empty residual, printed as 0
+        fh.writelines(texts)
 
 
 def dump_trace_csv(trace: SimulationTrace, with_voltages: bool = False) -> str:

@@ -8,7 +8,6 @@ under test.  Scalar and dense APIs that only the tests need live here too.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -196,8 +195,19 @@ def objective_W_direct(X, y, delta, dv, q):
     )
 
 
+def objective_F_batch(X, y, delta, dv, Q):
+    """objective_F_direct at each row of Q, one numpy call per term."""
+    Q = np.asarray(Q, dtype=float)
+    return (0.5 * (Q * Q) @ y + 0.5 * np.abs(Q) @ delta
+            + 0.5 * np.einsum("pi,ij,pj->p", Q, X, Q) + Q @ dv)
+
+
 def grid_minimize(fn, lo, hi, rounds=8, points=13):
-    """Product-grid minimization with interval refinement, n <= 4."""
+    """Product-grid minimization with interval refinement, n <= 4.
+
+    fn maps the grid, an (m, n) array of points in itertools.product order,
+    to their m values; the best point so far is the first of the smallest.
+    """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     n = lo.size
@@ -205,11 +215,12 @@ def grid_minimize(fn, lo, hi, rounds=8, points=13):
     best_val = math.inf
     for _ in range(rounds):
         axes = [np.linspace(lo[i], hi[i], points) for i in range(n)]
-        for q in itertools.product(*axes):
-            val = fn(np.array(q))
-            if val < best_val:
-                best_val = val
-                best = np.array(q)
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        vals = fn(grid)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val = float(vals[j])
+            best = grid[j]
         span = (hi - lo) * (2.0 / (points - 1))
         lo = np.maximum(lo, best - span)
         hi = np.minimum(hi, best + span)
@@ -444,6 +455,13 @@ def topology_hash_by_parts(net):
     for b in net.buses:
         h.update(json.dumps(asdict(b), sort_keys=True).encode())
     return h.hexdigest()[:16]
+
+
+def format_rows_by_value(rows, end):
+    """Rows of floats as text, each value printed by "%.17g" % v on its own,
+    joined by "," and each row ended by end."""
+    return "".join(",".join("%.17g" % v for v in row) + end
+                   for row in np.asarray(rows, dtype=float).tolist())
 
 
 def dump_trace_csv_by_writer(trace, with_voltages=False):

@@ -31,6 +31,7 @@ from oracles import (
     droop_scalar,
     grid_best_response_nash,
     grid_minimize,
+    objective_F_batch,
     objective_F_direct,
     pi_matrix,
     search_alpha_window,
@@ -240,7 +241,7 @@ def test_criterion_07_brute_force_desk_oracle():
         na = solve_iterative("W", S, spec, vt, tol=1e-12)
         gap_solver = na.F_at_qa - eq.F_value
 
-        fF = lambda q: objective_F_direct(S.X, y, delta, dv, np.clip(q, qmin, qmax))
+        fF = lambda Q: objective_F_batch(S.X, y, delta, dv, np.clip(Q, qmin, qmax))
         _, F_grid = grid_minimize(fF, qmin, qmax, rounds=10, points=13)
         q_nash = grid_best_response_nash(S.X, y, delta, dv, qmin, qmax)
         gap_grid = objective_F_direct(S.X, y, delta, dv, q_nash) - F_grid

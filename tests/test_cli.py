@@ -299,8 +299,19 @@ _CHAIN = {"kind": "chain-size", "sizes": [4]}
      "the sweep spec's 'dist_probs' must be an object of integer child counts to numbers, "
      "not {\"1\": \"0.5\"}"),
     ({**_CHAIN, "x": 10 ** 400}, f"the sweep spec's 'x' must be a number, not {10 ** 400}"),
+    ({**_CHAIN, "sizes": [4, 1e400]},
+     "the sweep spec's 'sizes' must hold integers >= 1, not Infinity"),
+    ({**_CHAIN, "sizes": [2.5]}, "the sweep spec's 'sizes' must hold integers >= 1, not 2.5"),
+    ({**_CHAIN, "sizes": [True]}, "the sweep spec's 'sizes' must be a list of numbers, not [true]"),
+    ({**_CHAIN, "sizes": [0]}, "the sweep spec's 'sizes' must hold integers >= 1, not 0"),
+    ({"kind": "random-tree-depth", "depths": [3, 2.0]},
+     "the sweep spec's 'depths' must hold integers >= 1, not 2.0"),
+    ({"kind": "random-tree-depth", "depths": [-1]},
+     "the sweep spec's 'depths' must hold integers >= 1, not -1"),
 ], ids=["unknown-key", "kind-missing", "not-object", "range-int", "range-three", "reps-string",
-        "x-bool", "sizes-null", "ac-int", "probs-key", "probs-string", "x-beyond-float"])
+        "x-bool", "sizes-null", "ac-int", "probs-key", "probs-string", "x-beyond-float",
+        "sizes-inf", "sizes-fraction", "sizes-bool", "sizes-zero", "depths-float",
+        "depths-negative"])
 def test_sweep_names_the_malformed_spec(tmp_path, capsys, spec, message):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(spec))

@@ -28,6 +28,7 @@ import oracles
 from oracles import (
     grid_best_response_nash,
     grid_minimize,
+    objective_F_batch,
     objective_F_direct,
     objective_W_direct,
     pi_matrix,
@@ -339,6 +340,18 @@ class TestChainBounds:
 
 
 class TestBruteForceOracle:
+    def test_batch_objective_matches_direct(self):
+        # one numpy call per term sums in another order than the scalar loop
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 4):
+            S = build_sensitivity(chain_network(rng.uniform(0.3, 1.0, n)))
+            y, delta = rng.uniform(0.8, 1.5, n), rng.uniform(0.0, 0.02, n)
+            dv = rng.uniform(-0.3, 0.3, n)
+            Q = rng.uniform(-0.25, 0.25, (50, n))
+            np.testing.assert_allclose(
+                objective_F_batch(S.X, y, delta, dv, Q),
+                [objective_F_direct(S.X, y, delta, dv, q) for q in Q], rtol=1e-12, atol=1e-15)
+
     def test_constrained_gap_matches_grid(self):
         rng = np.random.default_rng(0)
         for seed in range(3):
@@ -355,7 +368,7 @@ class TestBruteForceOracle:
             eq = solve_iterative("F", S, spec, vt, tol=1e-12)
             na = solve_iterative("W", S, spec, vt, tol=1e-12)
 
-            fF = lambda q: objective_F_direct(S.X, y, delta, dv, np.clip(q, qmin, qmax))
+            fF = lambda Q: objective_F_batch(S.X, y, delta, dv, np.clip(Q, qmin, qmax))
             _, F_grid = grid_minimize(fF, qmin, qmax, rounds=10, points=15)
             q_nash = grid_best_response_nash(S.X, y, delta, dv, qmin, qmax)
             F_at_nash = objective_F_direct(S.X, y, delta, dv, q_nash)

@@ -1,14 +1,16 @@
 import dataclasses
+import io
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dump_trace_csv_by_writer, topology_hash_by_parts
+from oracles import dump_trace_csv_by_writer, format_rows_by_value, topology_hash_by_parts
 from voltgame.acflow import closed_loop_ac
 from voltgame.controls import ControlSpec
 from voltgame.dynamics import (
@@ -21,6 +23,7 @@ from voltgame.dynamics import (
 )
 from voltgame.experiments import load_sce42, restricted_model
 from voltgame.equilibrium import posa_report
+from voltgame import netio
 from voltgame.netio import (
     ParseError,
     dump_trace_csv,
@@ -117,6 +120,16 @@ class TestNetworkJson:
             load_network_json(json.dumps(doc))
 
 
+def rough_values(rows, width, seed):
+    """Floats of every magnitude, with zeros and NaNs, some of which the
+    vectorised %.17g leaves to "%"."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-9, 18, (rows, width))
+    a.flat[::7] = 0.0
+    a.flat[3::11] = np.nan
+    return a
+
+
 class TestMatrixDump:
     def test_header_and_roundtrip(self, tmp_path):
         S = build_sensitivity(sample_net())
@@ -126,6 +139,17 @@ class TestMatrixDump:
         assert path.read_text().splitlines()[0] == "# n=2 kind=X"
         M = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         np.testing.assert_allclose(M, S.X, rtol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1), (7, netio._BLOCK // 3),
+                                       (2, netio._BLOCK), (2, 2 * netio._BLOCK + 5)])
+    def test_bytes_of_savetxt(self, shape):
+        # rows narrower than, as wide as and wider than a block
+        M = rough_values(*shape, seed=sum(shape))
+        buf, want = io.StringIO(), io.StringIO()
+        write_matrix_csv(buf, M, "X")
+        want.write(f"# n={shape[0]} kind=X\n")
+        np.savetxt(want, M, delimiter=",", fmt="%.17g")
+        assert buf.getvalue() == want.getvalue()
 
 
 class TestTraceCsv:
@@ -226,6 +250,87 @@ class TestTraceCsvMatchesCsvWriter:
         trace = SimulationTrace(q_hist=np.zeros((2, 0)), residuals=np.array([0.0]),
                                 status="converged", iterations=1)
         assert dump_trace_csv(trace) == dump_trace_csv_by_writer(trace) == "t,residual\r\n0,\r\n1,0\r\n"
+
+    @pytest.mark.parametrize("width", [netio._BLOCK // 2 - 1, netio._BLOCK - 2, netio._BLOCK - 1,
+                                       netio._BLOCK, 2 * netio._BLOCK + 1])
+    def test_block_widths(self, width):
+        # a row of t, the residual and width values: narrower than, as wide
+        # as and wider than a block
+        q = rough_values(5, width, width)
+        trace = SimulationTrace(q_hist=q, residuals=np.abs(q[1:, 0]), status="max_iter",
+                                iterations=4)
+        assert dump_trace_csv(trace) == dump_trace_csv_by_writer(trace)
+
+    @pytest.mark.parametrize("width", [3, netio._BLOCK // 2 - 1, netio._BLOCK - 1])
+    def test_fewer_voltage_rows(self, width):
+        q = rough_values(6, width, width)
+        for v_rows in (0, 1, 2, 6):
+            trace = SimulationTrace(q_hist=q, residuals=np.abs(q[1:, 0]), status="max_iter",
+                                    iterations=5, v_hist=1.0 + q[:v_rows, ::-1])
+            assert (dump_trace_csv(trace, with_voltages=True)
+                    == dump_trace_csv_by_writer(trace, with_voltages=True))
+
+
+def g17(values, end="\r\n", width=None):
+    """netio._format_g17 of the values as rows of `width` (one row by default),
+    checked against "%.17g" % v value by value."""
+    rows = np.array(values, dtype=float).reshape(-1, width or max(len(values), 1))
+    text = netio._format_g17(rows.copy(), end)
+    assert text == format_rows_by_value(rows, end)
+    return text
+
+
+class TestFormatG17:
+    """The vectorised %.17g against "%.17g" % v; its exact range is 1e-6 <= |x| < 1e17."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60))
+    def test_bit_patterns(self, bits):
+        g17(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=60), st.sampled_from([",", "\n", "\r\n"]))
+    def test_floats(self, values, end):
+        g17(values, end)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(1e-6, 1e17) | st.floats(-1e17, -1e-6), min_size=1, max_size=60))
+    def test_fast_range(self, values):
+        g17(values)
+
+    @pytest.mark.parametrize("X", range(-6, 16))
+    def test_ties(self, X):
+        # m / 2**(17 - X) with m odd has 18 significant digits, the last a 5, at
+        # decimal exponent X: %.17g rounds it half to even
+        lo = math.ceil(10 ** X * 2 ** (17 - X)) | 1
+        hi = min(math.ceil(10 ** (X + 1) * 2 ** (17 - X)), 2 ** 53)
+        m = np.random.default_rng(X + 6).integers(lo // 2, hi // 2, 300) * 2 + 1
+        m = np.concatenate([[lo, lo + 2, hi - 1 - hi % 2], m])
+        values = m.astype(float) / 2.0 ** (17 - X)
+        assert values.min() >= 10.0 ** X and values.max() < 10.0 ** (X + 1)
+        for v in values:
+            digits = Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, v
+        g17(np.concatenate([values, -values]))
+
+    def test_powers_of_ten(self):
+        # each power of ten from 1e-10 to 1e17 and the three floats on either side
+        values = []
+        for j in range(-10, 18):
+            below = above = float(f"1e{j}")
+            values.append(below)
+            for _ in range(3):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+                values += [below, above]
+        g17(values)
+        g17(-np.array(values))
+
+    def test_signed_zero_and_specials(self):
+        specials = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+        assert g17(specials) == "0,-0,1,-1,inf,-inf,nan\r\n"
+        assert (g17([[0.5, -0.0], [1e-7, 1e17]], "\n", width=2)
+                == "0.5,-0\n9.9999999999999995e-08,1e+17\n")
 
 
 BUS_FIELDS = ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max", "is_actuator")
