@@ -2,7 +2,7 @@
 
 All data output (CSV/JSON) goes to stdout or --out; diagnostics go to
 stderr.  Exit code 0 only on full success.  Traces and matrix dumps are
-written row by row, so their text is never held whole.
+written a block of values at a time, so their text is never held whole.
 """
 
 from __future__ import annotations

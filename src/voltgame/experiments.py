@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -49,19 +50,16 @@ class Sce42Dataset:
     pv_capacity_pu: tuple[float, ...]
 
 
-def _read_data_csv(name: str, path=None):
-    if path is not None:
-        with open(path, newline="") as fh:
-            return list(csv.DictReader(fh))
+def _read_data_csv(name: str):
     text = resources.files("voltgame.data").joinpath(name).read_text()
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
-               loading_factor: float = 1.0, pv_output_factor: float = 0.5,
+def load_sce42(*, loading_factor: float = 1.0, pv_output_factor: float = 0.5,
                capacity_constraint: bool = True) -> Sce42Dataset:
-    """Build the SCE 42-bus feeder in per-unit, with droop slope ALPHA and
-    deadband DELTA at every actuator and the substation at V0.
+    """Build the SCE 42-bus feeder from its bundled tables, in per-unit, with
+    droop slope ALPHA and deadband DELTA at every actuator and the
+    substation at V0.
 
     Table bus 1 (the substation) maps to internal id 0, so table bus k is
     node k-1 everywhere downstream.  Loads are peak MVA split by
@@ -70,40 +68,15 @@ def load_sce42(lines_path=None, loads_path=None, pv_path=None, *,
     |q| <= sqrt(cap^2 - p_g^2) when ``capacity_constraint`` is set.
     Reactances are floored at MIN_X_OHM.
     """
-    line_rows = _read_data_csv("sce42_lines.csv", lines_path)
-    load_rows = _read_data_csv("sce42_loads.csv", loads_path)
-    pv_rows = _read_data_csv("sce42_pv.csv", pv_path)
-
-    if len(line_rows) != 41:
-        raise ParseError(f"expected 41 lines, found {len(line_rows)}")
-    if len(pv_rows) != 5:
-        raise ParseError(f"expected 5 PV generators, found {len(pv_rows)}")
-
-    peak = {}
-    for k, row in enumerate(load_rows, start=2):
-        try:
-            peak[int(row["bus"])] = float(row["peak_mva"])
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"loads row {k}: {exc}") from exc
-    pv = {}
-    for k, row in enumerate(pv_rows, start=2):
-        try:
-            pv[int(row["bus"])] = float(row["capacity_mw"])
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"pv row {k}: {exc}") from exc
+    peak = {int(row["bus"]): float(row["peak_mva"]) for row in _read_data_csv("sce42_loads.csv")}
+    pv = {int(row["bus"]): float(row["capacity_mw"]) for row in _read_data_csv("sce42_pv.csv")}
+    lines = [(int(row["from"]) - 1, int(row["to"]) - 1, float(row["r_ohm"]) / Z_BASE_OHM,
+              max(float(row["x_ohm"]), MIN_X_OHM) / Z_BASE_OHM)
+             for row in _read_data_csv("sce42_lines.csv")]  # (from, to, r, x) of each line
 
     s_base_mva = S_BASE_KVA / 1000.0
     pf_angle = math.acos(POWER_FACTOR)
     n = 41
-    lines = []  # (from, to, r, x) of each line
-    for k, row in enumerate(line_rows, start=2):
-        try:
-            lines.append((int(row["from"]) - 1, int(row["to"]) - 1,
-                          float(row["r_ohm"]) / Z_BASE_OHM,
-                          max(float(row["x_ohm"]), MIN_X_OHM) / Z_BASE_OHM))
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"lines row {k}: {exc}") from exc
-
     p_c, p_g, q_c, q_lim = [], [], [], []  # bus columns, entry i for table bus i+2
     for bus in range(2, 43):
         mva = peak.get(bus, 0.0) * loading_factor / s_base_mva
@@ -160,6 +133,18 @@ def _is_child_probs(value) -> bool:
     return True
 
 
+def _json_text(value) -> str:
+    """value as JSON writes it, or its repr where JSON has no such value."""
+    try:
+        return json.dumps(value)
+    except TypeError:
+        return repr(value)
+
+
+# each sweep kind -> the SweepSpec field of the values it sweeps
+_SWEPT = {"chain-size": "sizes", "random-tree-depth": "depths",
+          "cost-coefficient": "y_values", "alpha": "alphas"}
+
 # SweepSpec field annotation -> (test of a JSON value, what the value must be)
 _SPEC_JSON_TYPES = {
     "str": (lambda value: isinstance(value, str), "a string"),
@@ -204,14 +189,28 @@ class SweepSpec:
     capacity_constraint: bool = True
 
     def __post_init__(self):
+        """Check what the spec means: each size and depth an integer >= 1 (a
+        numpy integer too, but not a bool), repetitions >= 1, a known kind
+        and a non-empty list of the values it sweeps.  A ValueError names
+        the first fault, in that order."""
+        for key in ("sizes", "depths"):
+            for value in getattr(self, key):
+                if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                        and value >= 1):
+                    raise ValueError(f"the sweep spec's {key!r} must hold integers >= 1, "
+                                     f"not {_json_text(value)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.kind not in _SWEPT:
+            raise ValueError(f"unknown sweep kind {self.kind!r}")
+        if not getattr(self, _SWEPT[self.kind]):
+            raise ValueError(f"{self.kind} sweep needs {_SWEPT[self.kind]}")
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
         """Parse a spec; a ParseError names the first unknown key, or the key
-        and value of the first field of the wrong JSON type, or of the first
-        size or depth that is not an integer >= 1."""
+        and value of the first field of the wrong JSON type, or else the
+        first fault that constructing the spec finds."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -228,17 +227,15 @@ class SweepSpec:
             if not valid(value):
                 raise ParseError(f"the sweep spec's {key!r} must be {what}, "
                                  f"not {json.dumps(value)}")
-        for key in ("sizes", "depths"):
-            for value in doc.get(key, ()):
-                if not (_is_int(value) and value >= 1):
-                    raise ParseError(f"the sweep spec's {key!r} must hold integers >= 1, "
-                                     f"not {json.dumps(value)}")
         if "dist_probs" in doc:
             doc["dist_probs"] = {int(k): float(v) for k, v in doc["dist_probs"].items()}
         for key in ("x_range", "y_range"):
             if doc.get(key) is not None:
                 doc[key] = tuple(doc[key])
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
 
 
 def _posa_row(rep: equilibrium.PosaReport) -> dict:
@@ -339,34 +336,22 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Execute a sweep; one output row per instance x repetition (x law)."""
     rows = []
     if spec.kind == "chain-size":
-        if not spec.sizes:
-            raise ValueError("chain-size sweep needs sizes")
         reps = spec.repetitions if spec.x_range is not None else 1
         for idx, (n, rep) in enumerate(itertools.product(spec.sizes, range(reps))):
             rows.append(_chain_size_job(spec, n, rep, spec.seed + 7919 * idx))
     elif spec.kind == "random-tree-depth":
-        if not spec.depths:
-            raise ValueError("random-tree-depth sweep needs depths")
         for idx, (depth, rep) in enumerate(itertools.product(spec.depths, range(spec.repetitions))):
             rows.append(_tree_depth_job(spec, depth, rep, spec.seed + 7919 * idx))
-    elif spec.kind == "cost-coefficient":
-        if not spec.y_values:
-            raise ValueError("cost-coefficient sweep needs y_values")
-        data = load_sce42(loading_factor=spec.loading_factor,
-                          pv_output_factor=spec.pv_output_factor,
-                          capacity_constraint=spec.capacity_constraint)
-        for y in spec.y_values:
-            rows.append(_cost_sweep_job(data, float(y), spec.delta))
-    elif spec.kind == "alpha":
-        if not spec.alphas:
-            raise ValueError("alpha sweep needs alphas")
-        data = load_sce42(loading_factor=spec.loading_factor,
-                          pv_output_factor=spec.pv_output_factor,
-                          capacity_constraint=spec.capacity_constraint)
-        for a in spec.alphas:
-            rows.extend(_alpha_sweep_job(data, float(a), spec.delta, spec.ac))
     else:
-        raise ValueError(f"unknown sweep kind {spec.kind!r}")
+        data = load_sce42(loading_factor=spec.loading_factor,
+                          pv_output_factor=spec.pv_output_factor,
+                          capacity_constraint=spec.capacity_constraint)
+        if spec.kind == "cost-coefficient":
+            for y in spec.y_values:
+                rows.append(_cost_sweep_job(data, float(y), spec.delta))
+        else:
+            for a in spec.alphas:
+                rows.extend(_alpha_sweep_job(data, float(a), spec.delta, spec.ac))
     return rows
 
 

@@ -10,11 +10,13 @@ Network JSON schema:
                ...],
      "lines": [{"from": 0, "to": 1, "r": 0.01, "x": 0.02}, ...]}
 
-Bus ids and line ends are labels, numbers or strings; they are remapped to
-dense 0..n on load (the root is the bus labelled 0 if present, otherwise
-the unique bus that is never a line's child end).  Every numeric field
-takes a JSON number only, an int or a float: a bool, a string or any other
-value is an error.  A missing or null optional field takes its default
+`load_network_json(path)` reads the network file at path, and only that;
+`parse_network_json(text)` parses a file's text, the inverse of
+`save_network_json`.  Bus ids and line ends are labels, numbers or strings;
+they are remapped to dense 0..n on load (the root is the bus labelled 0 if
+present, otherwise the unique bus that is never a line's child end).  Every
+numeric field takes a JSON number only, an int or a float: a bool, a string
+or any other value is an error.  A missing or null optional field takes its default
 (p_c, p_g, q_c and the control's alpha and delta 0, v_nom and v0 1, a box
 limit none, and a control limit the bus's), and r and x are required.  An
 infinite box limit serializes as null; a NaN limit is an error.  "actuator"
@@ -250,12 +252,15 @@ def _build(v0, bus_rows, line_rows, default_ctrl) -> tuple[RadialNetwork, Contro
     return net, ControlSpec(*ctrl)
 
 
-def load_network_json(path_or_text) -> tuple[RadialNetwork, ControlSpec | None]:
-    """Load a network (and optional control block) from JSON text or a path."""
-    text = path_or_text
-    if "\n" not in str(path_or_text) and not str(path_or_text).lstrip().startswith("{"):
-        with open(path_or_text) as fh:
-            text = fh.read()
+def load_network_json(path) -> tuple[RadialNetwork, ControlSpec | None]:
+    """The network (and control block, or None) of the network file at path."""
+    with open(path) as fh:
+        return parse_network_json(fh.read())
+
+
+def parse_network_json(text: str) -> tuple[RadialNetwork, ControlSpec | None]:
+    """The network (and control block, or None) of a network file's text; the
+    inverse of save_network_json."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

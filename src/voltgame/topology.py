@@ -254,16 +254,15 @@ class RadialNetwork:
         return self._actuators
 
 
-def chain_network(xs, rs=None, buses=None, v0: float = 1.0) -> RadialNetwork:
-    """Build the linear feeder 0-1-2-...-n with the given line reactances.
-
-    Without ``buses`` every bus takes the ``BusData()`` defaults, as
-    columns that hold no memory per bus.
+def chain_network(xs) -> RadialNetwork:
+    """Build the linear feeder 0-1-2-...-n with the given line reactances and
+    no resistance; every bus takes the ``BusData()`` defaults, as columns
+    that hold no memory per bus.
     """
     x = np.array(xs, dtype=float)
     n = x.size
-    net = RadialNetwork(n=n, buses=buses, v0=v0, from_node=np.arange(n),
-                        to_node=np.arange(1, n + 1), r=np.zeros(n) if rs is None else rs, x=x)
+    net = RadialNetwork(n=n, from_node=np.arange(n), to_node=np.arange(1, n + 1),
+                        r=np.zeros(n), x=x)
     validate_tree(net)
     return net
 

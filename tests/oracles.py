@@ -256,10 +256,18 @@ def grid_best_response_nash(X, y, delta, dv, qmin, qmax, sweeps=300, tol=1e-9):
     return q
 
 
-def chain_network_for_tests(xs):
-    from voltgame.topology import chain_network
+def chain_feeder(xs, rs=None, buses=None, v0=1.0):
+    """The validated linear feeder 0-1-...-n with line reactances xs and
+    resistances rs (zero when None), BusData records buses (the defaults
+    when None) and root voltage v0, built from its columns."""
+    from voltgame.topology import RadialNetwork, validate_tree
 
-    return chain_network(xs)
+    x = np.array(xs, dtype=float)
+    n = x.size
+    net = RadialNetwork(n, from_node=np.arange(n), to_node=np.arange(1, n + 1),
+                        r=np.zeros(n) if rs is None else rs, x=x, buses=buses, v0=v0)
+    validate_tree(net)
+    return net
 
 
 def _line_arrays(net):

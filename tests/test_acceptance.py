@@ -27,6 +27,7 @@ from voltgame.topology import (
 )
 
 from oracles import (
+    chain_feeder,
     chain_x_inverse,
     droop_scalar,
     grid_best_response_nash,
@@ -263,7 +264,7 @@ def test_criterion_08_ac_sweep_correctness():
 
     # two-bus closed form
     r, x, pl, ql = 0.03, 0.08, -0.4, -0.25
-    net2 = chain_network([x], rs=[r])
+    net2 = chain_feeder([x], rs=[r])
     state2 = sweep_solve(net2, np.array([pl]), np.array([ql]), tol=1e-13)
     A = r * r + x * x
     B = -(2 * pl * r + 2 * ql * x + 1.0)
@@ -274,7 +275,7 @@ def test_criterion_08_ac_sweep_correctness():
     assert abs(state2.v_sq[1] - v1_sq) < 1e-10
 
     # linearization error scales quadratically with loading
-    net5 = chain_network([0.02] * 5, rs=[0.01] * 5)
+    net5 = chain_feeder([0.02] * 5, rs=[0.01] * 5)
     S5 = build_sensitivity(net5)
     p5 = np.full(5, -0.1)
     q5 = np.full(5, -0.05)

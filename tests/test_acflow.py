@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import equation_residuals_by_bus, sweep_solve_by_bus, sweep_solve_by_level
+from oracles import (
+    chain_feeder,
+    equation_residuals_by_bus,
+    sweep_solve_by_bus,
+    sweep_solve_by_level,
+)
 from strategies import feeders
 from voltgame import acflow
 from voltgame.acflow import (
@@ -46,7 +51,7 @@ def two_bus_closed_form(r, x, p, q, v0=1.0):
 
 class TestSweep:
     def test_zero_injections_exact(self):
-        net = chain_network([0.02, 0.05, 0.01], rs=[0.03, 0.01, 0.02], v0=1.03)
+        net = chain_feeder([0.02, 0.05, 0.01], rs=[0.03, 0.01, 0.02], v0=1.03)
         state = sweep_solve(net, np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(state.v_sq, 1.03**2, atol=1e-15)
         np.testing.assert_allclose(state.P, 0.0, atol=1e-15)
@@ -56,7 +61,7 @@ class TestSweep:
     def test_two_bus_matches_closed_form(self):
         r, x = 0.03, 0.08
         p, q = -0.4, -0.25  # load
-        net = chain_network([x], rs=[r])
+        net = chain_feeder([x], rs=[r])
         state = sweep_solve(net, np.array([p]), np.array([q]), tol=1e-13)
         P, Q, ell, v1_sq = two_bus_closed_form(r, x, p, q)
         assert state.P[0] == pytest.approx(P, abs=1e-10)
@@ -75,7 +80,7 @@ class TestSweep:
 
     def test_linearization_gap_quadratic_in_loading(self):
         # halving injections shrinks the linear-vs-AC voltage gap about 4x
-        net = chain_network([0.02] * 5, rs=[0.01] * 5)
+        net = chain_feeder([0.02] * 5, rs=[0.01] * 5)
         S = build_sensitivity(net)
         p_full = np.full(5, -0.1)
         q_full = np.full(5, -0.05)
@@ -88,7 +93,7 @@ class TestSweep:
         assert 3.0 < ratio < 5.0
 
     def test_monotone_loading_on_chain(self):
-        net = chain_network([0.02] * 4, rs=[0.02] * 4)
+        net = chain_feeder([0.02] * 4, rs=[0.02] * 4)
         p = np.full(4, -0.05)
         q = np.zeros(4)
         base = sweep_solve(net, p, q, tol=1e-12)
@@ -99,7 +104,7 @@ class TestSweep:
         assert np.all(state.v_sq[2:] < base.v_sq[2:])
 
     def test_voltage_collapse_detected(self):
-        net = chain_network([0.5], rs=[0.5])
+        net = chain_feeder([0.5], rs=[0.5])
         with pytest.raises((VoltageCollapseError, NoConvergenceError)):
             sweep_solve(net, np.array([-2.0]), np.array([-2.0]))
 
@@ -107,7 +112,7 @@ class TestSweep:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_injection_rejected(self, bad):
         # max() drops a NaN residual, so a NaN injection once "converged" in one sweep
-        net = chain_network([0.02] * 3, rs=[0.01] * 3)
+        net = chain_feeder([0.02] * 3, rs=[0.01] * 3)
         p = np.array([-0.1, bad, -0.1])
         with pytest.raises(ValueError, match="bus 2"):
             sweep_solve(net, p, np.zeros(3))
@@ -145,7 +150,7 @@ def sce42_case():
 
 def chain_30_case():
     rng = np.random.default_rng(3)
-    net = chain_network(rng.uniform(0.002, 0.01, 30), rs=rng.uniform(0.001, 0.008, 30))
+    net = chain_feeder(rng.uniform(0.002, 0.01, 30), rs=rng.uniform(0.001, 0.008, 30))
     return net, rng.uniform(-0.02, 0.0, 30), rng.uniform(-0.01, 0.0, 30)
 
 
@@ -237,7 +242,7 @@ def sce_like_chain(alpha=9.0, delta=0.0, depth=6):
     buses = []
     for i in range(depth):
         buses.append(BusData(p_c=0.15, q_c=0.07, is_actuator=(i % 2 == 1)))
-    net = chain_network([0.01] * depth, rs=[0.008] * depth, buses=buses)
+    net = chain_feeder([0.01] * depth, rs=[0.008] * depth, buses=buses)
     act = net.actuator_indices()
     ctrl = ControlSpec(np.full(act.size, alpha), np.full(act.size, delta),
                        np.full(act.size, -np.inf), np.full(act.size, np.inf))

@@ -7,13 +7,15 @@ import pytest
 from voltgame import netio
 from voltgame.cli import build_parser, main
 from voltgame.netio import load_network_json, save_network_json, write_matrix_csv
-from voltgame.topology import chain_network, BusData
+from voltgame.topology import BusData
+
+from oracles import chain_feeder
 
 
 @pytest.fixture
 def net_file(tmp_path):
     buses = [BusData(p_c=0.2, q_c=0.1), BusData(p_c=0.1, q_c=0.05)]
-    net = chain_network([0.02, 0.03], rs=[0.01, 0.01], buses=buses)
+    net = chain_feeder([0.02, 0.03], rs=[0.01, 0.01], buses=buses)
     p = tmp_path / "net.json"
     p.write_text(save_network_json(net))
     return str(p)
@@ -308,10 +310,13 @@ _CHAIN = {"kind": "chain-size", "sizes": [4]}
      "the sweep spec's 'depths' must hold integers >= 1, not 2.0"),
     ({"kind": "random-tree-depth", "depths": [-1]},
      "the sweep spec's 'depths' must hold integers >= 1, not -1"),
+    ({**_CHAIN, "repetitions": 0}, "repetitions must be >= 1"),
+    ({"kind": "nope"}, "unknown sweep kind 'nope'"),
+    ({"kind": "alpha", "alphas": []}, "alpha sweep needs alphas"),
 ], ids=["unknown-key", "kind-missing", "not-object", "range-int", "range-three", "reps-string",
         "x-bool", "sizes-null", "ac-int", "probs-key", "probs-string", "x-beyond-float",
         "sizes-inf", "sizes-fraction", "sizes-bool", "sizes-zero", "depths-float",
-        "depths-negative"])
+        "depths-negative", "reps-zero", "kind-unknown", "alphas-empty"])
 def test_sweep_names_the_malformed_spec(tmp_path, capsys, spec, message):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(spec))
@@ -319,6 +324,18 @@ def test_sweep_names_the_malformed_spec(tmp_path, capsys, spec, message):
     assert main(["sweep", str(p), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_network_file_named_like_json(tmp_path, monkeypatch, capsys):
+    # a path is only ever opened, whatever its name looks like
+    monkeypatch.chdir(tmp_path)
+    assert main(["sce42", "--out", "{feeder}.json"]) == 0
+    assert main(["validate", "{feeder}.json"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "{feeder}.json", "--law", "taking"]) == 0
+    from_file = capsys.readouterr()
+    assert main(["simulate", "sce42", "--law", "taking"]) == 0
+    assert capsys.readouterr() == from_file
 
 
 def test_sce42_keyword_network(capsys):
@@ -361,7 +378,7 @@ def test_parser_built_once_per_process(capsys):
                                      ["equilibrium", "--law", "anticipating"], ["posa"]],
                          ids=["simulate", "equilibrium", "posa"])
 def test_non_finite_control_exits_2(tmp_path, capsys, control, message, command):
-    doc = json.loads(save_network_json(chain_network([0.02, 0.03], rs=[0.01, 0.01])))
+    doc = json.loads(save_network_json(chain_feeder([0.02, 0.03], rs=[0.01, 0.01])))
     doc["control"] = control
     p = tmp_path / "net.json"
     p.write_text(json.dumps(doc))  # NaN is written as the bare token NaN

@@ -25,7 +25,7 @@ from voltgame.sensitivity import build_sensitivity
 from voltgame.topology import (BusData, DegreeDistribution, Line, RadialNetwork, chain_network,
                                random_tree)
 
-from oracles import condition_report_dense, cost_scalar, search_alpha_window
+from oracles import chain_feeder, condition_report_dense, cost_scalar, search_alpha_window
 from strategies import feeders
 
 
@@ -76,9 +76,9 @@ class TestVoltageModel:
             voltage_from_q(S, np.zeros(3), vt)
 
     def test_operating_constants_formula(self):
-        net = chain_network([0.5, 0.5], rs=[0.2, 0.1],
-                            buses=[BusData(p_c=0.3, p_g=0.1, q_c=0.05),
-                                   BusData(p_c=0.2, q_c=0.02)])
+        net = chain_feeder([0.5, 0.5], rs=[0.2, 0.1],
+                           buses=[BusData(p_c=0.3, p_g=0.1, q_c=0.05),
+                                  BusData(p_c=0.2, q_c=0.02)])
         S = build_sensitivity(net)
         vt = operating_constants(net, S)
         p = np.array([0.1 - 0.3, -0.2])

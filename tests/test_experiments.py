@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,20 +62,6 @@ class TestSce42:
         assert min(xs) == pytest.approx(MIN_X_OHM / Z_BASE_OHM)
         S = build_sensitivity(data.net)
         assert np.linalg.eigvalsh(S.X)[0] > 0
-
-    def test_bad_row_identified(self, tmp_path):
-        rows = ["from,to,r_ohm,x_ohm", "1,2,abc,0.1"]
-        rows += [f"{k},{k + 1},0.01,0.01" for k in range(2, 42)]
-        p = tmp_path / "lines.csv"
-        p.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ParseError, match="row 2"):
-            load_sce42(lines_path=p)
-
-    def test_wrong_line_count_rejected(self, tmp_path):
-        p = tmp_path / "lines.csv"
-        p.write_text("from,to,r_ohm,x_ohm\n1,2,0.1,0.1\n")
-        with pytest.raises(ParseError, match="41"):
-            load_sce42(lines_path=p)
 
 
 class TestSweeps:
@@ -137,6 +124,33 @@ class TestSweeps:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             run_sweep(SweepSpec(kind="nope"))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "chain-size", "sizes": [2.5]},
+         "the sweep spec's 'sizes' must hold integers >= 1, not 2.5"),
+        ({"kind": "chain-size", "sizes": [True]},
+         "the sweep spec's 'sizes' must hold integers >= 1, not true"),
+        ({"kind": "chain-size", "sizes": [0]},
+         "the sweep spec's 'sizes' must hold integers >= 1, not 0"),
+        ({"kind": "random-tree-depth", "depths": [2.5]},
+         "the sweep spec's 'depths' must hold integers >= 1, not 2.5"),
+        ({"kind": "random-tree-depth", "depths": [0]},
+         "the sweep spec's 'depths' must hold integers >= 1, not 0"),
+        ({"kind": "nope"}, "unknown sweep kind 'nope'"),
+        ({"kind": "alpha"}, "alpha sweep needs alphas"),
+    ], ids=["sizes-fraction", "sizes-bool", "sizes-zero", "depths-fraction", "depths-zero",
+            "kind-unknown", "alphas-missing"])
+    def test_built_spec_checks_itself(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(**kwargs)
+
+    def test_parsed_spec_fault_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^unknown sweep kind 'nope'$"):
+            SweepSpec.from_json('{"kind": "nope"}')
+
+    def test_numpy_integer_sizes_run(self):
+        rows = run_sweep(SweepSpec(kind="chain-size", sizes=[np.int64(5)], x=1.0, y=1.0))
+        assert [r["n"] for r in rows] == [5]
 
     def test_max_nodes_redraw(self):
         spec = SweepSpec(kind="random-tree-depth", depths=[8],

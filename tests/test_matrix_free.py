@@ -28,6 +28,7 @@ from voltgame.topology import (
     random_tree,
 )
 
+from oracles import chain_feeder
 from strategies import feeders
 
 
@@ -170,8 +171,8 @@ def test_chain_of_100k_buses_runs_matrix_free(monkeypatch):
     n = 100_000
     rng = np.random.default_rng(0)
     xs = 1e-7 * rng.uniform(0.5, 1.5, n)
-    net = chain_network(xs, rs=0.5 * xs, buses=tuple(BusData(p_c=1e-4, q_c=5e-5)
-                                                      for _ in range(n)))
+    net = chain_feeder(xs, rs=0.5 * xs, buses=tuple(BusData(p_c=1e-4, q_c=5e-5)
+                                                     for _ in range(n)))
     no_dense_build(monkeypatch)
     S, vt, _ = restricted_model(net)
     # alpha_i = c / (X 1)_i makes every row of diag(alpha) X sum to c, so the

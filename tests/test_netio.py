@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dump_trace_csv_by_writer, format_rows_by_value, topology_hash_by_parts
+from oracles import (
+    chain_feeder,
+    dump_trace_csv_by_writer,
+    format_rows_by_value,
+    topology_hash_by_parts,
+)
 from voltgame.acflow import closed_loop_ac
 from voltgame.controls import ControlSpec
 from voltgame.dynamics import (
@@ -28,6 +33,7 @@ from voltgame.netio import (
     ParseError,
     dump_trace_csv,
     load_network_json,
+    parse_network_json,
     report_json,
     save_network_json,
     topology_hash,
@@ -47,14 +53,14 @@ from voltgame.topology import (
 
 def sample_net():
     buses = [BusData(p_c=0.2, q_c=0.1), BusData(p_c=0.1, p_g=0.3, q_min=-0.5, q_max=0.5)]
-    return chain_network([0.02, 0.03], rs=[0.01, 0.015], buses=buses, v0=1.02)
+    return chain_feeder([0.02, 0.03], rs=[0.01, 0.015], buses=buses, v0=1.02)
 
 
 class TestNetworkJson:
     def test_roundtrip(self):
         net = sample_net()
         text = save_network_json(net)
-        net2, _ = load_network_json(text)
+        net2, _ = parse_network_json(text)
         assert net2.n == net.n
         assert net2.v0 == net.v0
         assert net2.lines == net.lines
@@ -64,7 +70,7 @@ class TestNetworkJson:
         net = sample_net()
         ctrl = ControlSpec(alpha=[2.0, 3.0], delta=[0.02, 0.0],
                            q_min=[-1.0, -0.5], q_max=[1.0, 0.5])
-        net2, ctrl2 = load_network_json(save_network_json(net, ctrl))
+        net2, ctrl2 = parse_network_json(save_network_json(net, ctrl))
         np.testing.assert_allclose(ctrl2.alpha, ctrl.alpha)
         np.testing.assert_allclose(ctrl2.delta, ctrl.delta)
         np.testing.assert_allclose(ctrl2.q_min, ctrl.q_min)
@@ -77,7 +83,7 @@ class TestNetworkJson:
             "lines": [{"from": 0, "to": 1, "r": 0, "x": 0.1},
                       {"from": 1, "to": 2, "r": 0, "x": 0.1}],
         }
-        net, ctrl = load_network_json(json.dumps(doc))
+        net, ctrl = parse_network_json(json.dumps(doc))
         assert net.n == 2
         np.testing.assert_allclose(ctrl.alpha, [5.0, 5.0])
         assert math.isinf(ctrl.q_max[0])
@@ -88,7 +94,7 @@ class TestNetworkJson:
             "lines": [{"from": "root", "to": "a", "r": 0, "x": 0.1},
                       {"from": "a", "to": "b", "r": 0, "x": 0.2}],
         }
-        net, _ = load_network_json(json.dumps(doc))
+        net, _ = parse_network_json(json.dumps(doc))
         assert net.n == 2
         assert [(l.from_node, l.to_node) for l in net.lines] == [(0, 1), (1, 2)]
 
@@ -106,18 +112,32 @@ class TestNetworkJson:
         ctrl = ControlSpec(alpha=[2.0, 3.5, 9.0], delta=[0.02, 0.0, 0.01],
                            q_min=[-0.25, -0.0, -1.0], q_max=[0.5, 0.1, inf])
         for text in (save_network_json(sce.net, sce.ctrl), save_network_json(net, ctrl)):
-            assert save_network_json(*load_network_json(text)) == text
-        assert load_network_json(save_network_json(net, ctrl))[0] == net
+            assert save_network_json(*parse_network_json(text)) == text
+        assert parse_network_json(save_network_json(net, ctrl))[0] == net
+
+    @pytest.mark.parametrize("text, what", [("[]", "list"), ("null", "NoneType")])
+    def test_not_an_object(self, text, what):
+        with pytest.raises(ParseError, match=f"^the network must be an object, not {what}$"):
+            parse_network_json(text)
+
+    @pytest.mark.parametrize("name", ["{feeder}.json", "feeder\n.json"])
+    def test_load_opens_its_argument(self, tmp_path, name):
+        (tmp_path / name).write_text(save_network_json(sample_net()))
+        assert load_network_json(str(tmp_path / name))[0] == sample_net()
+
+    def test_load_takes_no_text(self):
+        with pytest.raises(FileNotFoundError):
+            load_network_json('{"buses": [{"id": 0}], "lines": []}')
 
     def test_missing_key_raises(self):
         with pytest.raises(ParseError):
-            load_network_json('{"buses": []}')
+            parse_network_json('{"buses": []}')
 
     def test_unknown_bus_in_line(self):
         doc = {"buses": [{"id": 0}, {"id": 1}],
                "lines": [{"from": 0, "to": 7, "r": 0, "x": 0.1}]}
         with pytest.raises(ParseError):
-            load_network_json(json.dumps(doc))
+            parse_network_json(json.dumps(doc))
 
 
 def rough_values(rows, width, seed):
@@ -378,10 +398,10 @@ class TestHashMatchesAsdict:
 
     def test_signed_zero_changes_the_hash_and_int_fields_do_not(self):
         # bus fields are stored as floats: an int field hashes as its float
-        plain = chain_network([0.1], buses=[BusData(p_c=0.0, q_c=1.0)])
-        signed = chain_network([0.1], buses=[BusData(p_c=-0.0, q_c=1.0)])
+        plain = chain_feeder([0.1], buses=[BusData(p_c=0.0, q_c=1.0)])
+        signed = chain_feeder([0.1], buses=[BusData(p_c=-0.0, q_c=1.0)])
         assert topology_hash(signed) == topology_hash_by_parts(signed) != topology_hash(plain)
-        ints = chain_network([0.1], buses=[BusData(p_c=0, q_c=1)])
+        ints = chain_feeder([0.1], buses=[BusData(p_c=0, q_c=1)])
         assert ints == plain
         assert topology_hash(ints) == topology_hash_by_parts(ints) == topology_hash(plain)
 
@@ -423,8 +443,8 @@ class TestHashAndReport:
     def test_hash_stable_and_sensitive(self):
         net = sample_net()
         assert topology_hash(net) == topology_hash(sample_net())
-        other = chain_network([0.02, 0.031], rs=[0.01, 0.015],
-                              buses=list(net.buses), v0=1.02)
+        other = chain_feeder([0.02, 0.031], rs=[0.01, 0.015],
+                             buses=list(net.buses), v0=1.02)
         assert topology_hash(other) != topology_hash(net)
 
     def test_report_json_fields(self):

@@ -24,6 +24,7 @@ from voltgame.topology import (
 
 from oracles import (
     EmptyChainError,
+    chain_feeder,
     chain_x_inverse,
     path_to_root,
     self_sensitivities,
@@ -66,7 +67,7 @@ def assert_exact_build(net):
 class TestBuild:
     def test_chain(self):
         a, b = 1.5, 2.5
-        S = assert_exact_build(chain_network([a, b], rs=[0.5, 0.25]))
+        S = assert_exact_build(chain_feeder([a, b], rs=[0.5, 0.25]))
         np.testing.assert_allclose(S.X, [[a, a], [a, a + b]])
         assert S.R.tolist() == [[0.5, 0.5], [0.5, 0.75]]
 
@@ -82,7 +83,7 @@ class TestBuild:
         np.testing.assert_allclose(S.X, expected)
 
     def test_single_bus(self):
-        S = assert_exact_build(chain_network([3.0], rs=[0.25]))
+        S = assert_exact_build(chain_feeder([3.0], rs=[0.25]))
         np.testing.assert_allclose(S.X, [[3.0]])
         assert S.R.tolist() == [[0.25]]
 
@@ -209,7 +210,7 @@ class TestLevelBuild:
     def test_chain_300(self):
         rng = np.random.default_rng(6)
         xs, rs = rng.uniform(0.1, 2.0, 300), rng.uniform(0.0, 1.0, 300)
-        S = build_sensitivity(chain_network(xs, rs=rs))
+        S = build_sensitivity(chain_feeder(xs, rs=rs))
         # on a chain the shared path of i and j is the root path of min(i, j)
         shallower = np.minimum.outer(np.arange(300), np.arange(300))
         assert np.array_equal(S.X, np.cumsum(xs)[shallower])

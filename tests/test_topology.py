@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     bus_error_by_record,
+    chain_feeder,
     child_lines,
     depth,
     inverse_tree_laplacian,
@@ -140,7 +141,7 @@ class TestValidate:
 
     def test_huge_finite_bus_data_passes(self):
         # the fields' sum overflows, but each field is finite
-        net = chain_network([1.0], buses=[BusData(p_c=-1e308, p_g=1e308, q_c=1e308)])
+        net = chain_feeder([1.0], buses=[BusData(p_c=-1e308, p_g=1e308, q_c=1e308)])
         assert net.traversal.d.tolist() == [1.0]
 
 
@@ -422,7 +423,7 @@ class TestBusArrays:
     FLOATS = BUS_FIELDS[:-1]
 
     def net(self, buses=BUSES):
-        return chain_network([1.0, 2.0, 3.0], buses=buses)
+        return chain_feeder([1.0, 2.0, 3.0], buses=buses)
 
     def test_equal_the_records_signs_and_infinities_included(self):
         net = self.net()
@@ -462,7 +463,7 @@ class TestColumnsAreTheFields:
     @pytest.mark.parametrize("make", [
         lambda: load_sce42().net,
         # every bus differs from every other in every float column
-        lambda: chain_network(
+        lambda: chain_feeder(
             [0.1, 0.2, 0.3, 0.4], rs=[0.01, 0.0, 0.03, 0.02], v0=1.01,
             buses=[BusData(p_c=0.1 * k, p_g=-0.05 * k, q_c=0.02 * k - 0.03, v_nom=1.0 + 0.01 * k,
                            q_min=-k - 0.5, q_max=k + 0.25, is_actuator=k % 2 == 0)
@@ -489,7 +490,7 @@ class TestColumnsAreTheFields:
         assert len(repr(net)) < 2000
 
     def test_replace_one_column(self):
-        net = chain_network([1.0, 2.0, 3.0], buses=TestBusArrays.BUSES)
+        net = chain_feeder([1.0, 2.0, 3.0], buses=TestBusArrays.BUSES)
         q_c = np.array([0.5, -0.25, np.nan])  # NaN fails validation, when it comes
         loaded = dataclasses.replace(net, q_c=q_c)
         assert loaded._traversal is None
@@ -604,7 +605,8 @@ class TestRandomTree:
         for net in (random_tree(dist, seed=42), chain_network([0.1, 0.2, 0.3])):
             assert all(b == BusData() for b in net.buses)
         own = [BusData(), BusData(p_c=0.1), BusData()]
-        assert chain_network([0.1, 0.2, 0.3], buses=own).buses == tuple(own)
+        assert RadialNetwork(3, from_node=[0, 1, 2], to_node=[1, 2, 3], r=[0.0] * 3,
+                             x=[0.1, 0.2, 0.3], buses=own).buses == tuple(own)
 
     def test_bad_distribution(self):
         with pytest.raises(InvalidDistributionError):
