@@ -47,7 +47,7 @@ def _ctrl_from_args(net, ctrl, args) -> ControlSpec:
         return ControlSpec.uniform(act.size, args.alpha, getattr(args, "delta", 0.0) or 0.0,
                                    net.q_min[act], net.q_max[act])
     if ctrl is None:
-        raise SystemExit("no control block in the network file; pass --alpha")
+        raise netio.ParseError("no control block in the network file; pass --alpha")
     return ctrl
 
 

@@ -345,20 +345,25 @@ _ESTIMATE_RESTARTS = 4
 _ESTIMATE_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
-def _lambda_min_estimate(inverse, n: int) -> float | None:
-    """1/theta, for theta the top Ritz value of the inverse operator.
+def _lambda_min_estimate(inverse, n: int, v0: np.ndarray | None = None):
+    """(1/theta, its Ritz vector), for theta the top Ritz value of the inverse operator.
 
-    Lanczos gets a budget of _ESTIMATE_RESTARTS restarts at the relative
-    accuracy _ESTIMATE_TOL; it returns None when that is not enough, which
-    happens where the top of the spectrum is clustered (the uniform chain).
+    Lanczos starts from v0 (a warm start on a short basis), or from the
+    seeded random vector, and gets a budget of _ESTIMATE_RESTARTS restarts
+    at the relative accuracy _ESTIMATE_TOL.  It returns (None, None) when
+    that is not enough, which happens where the top of the spectrum is
+    clustered (the uniform chain).  The vector is the eigenvector of the
+    smallest eigenvalue to about half the digits, close to that of related
+    operators; posa_report starts its later runs from it.
     """
     from scipy.sparse.linalg import ArpackNoConvergence
 
     try:
-        theta = _top_eigenpair(inverse, n, maxiter=_ESTIMATE_RESTARTS, tol=_ESTIMATE_TOL)
+        theta, vec = _top_eigenpair(inverse, n, maxiter=_ESTIMATE_RESTARTS, vector=True,
+                                    tol=_ESTIMATE_TOL, v0=v0)
     except ArpackNoConvergence:
-        return None
-    return 1.0 / theta if theta > 0.0 else None
+        return None, None
+    return (1.0 / theta, vec) if theta > 0.0 else (None, None)
 
 
 def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
@@ -380,11 +385,18 @@ def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
     N^{-1} and X^{-1}, and a bracket of a few ulps around each estimate is
     certified before bisection finishes it; where Lanczos does not converge
     in its short budget, bisection starts from the whole bracket, with the
-    same result.  X_AA^{-1} has no sparse form, so its smallest eigenvalue
-    is bisected on [lower Gershgorin bound of lambda_min(X), min d_A], valid
-    by Cauchy interlacing.  With vt, posa is the realized gap
-    F(q_n) - F(q_e) at q_e = -M^{-1} dv and q_n = -N^{-1} dv, where
-    F(q_e) = q_e.dv / 2 and F(q_n) = q_n.dv / 2 - sum_A d q_n^2 / 2.
+    same result.  The runs on X^{-1} and M^{-1} start from the seeded random
+    vector.  The Ritz vector of the M^{-1} run is close to the wanted vectors
+    of the three later runs, on N^{-1}, the kernel and M^{-1} - 2 N^{-1}, and
+    warm-starts each of them (see _top_eigenpair); where that run does not
+    converge, they start from the random vector too.  Warm starts move
+    posa_max, lower and the direction in their last digits only; the fields
+    bisection certifies keep their bits.  X_AA^{-1} has no sparse form, so
+    its smallest eigenvalue is bisected on [lower Gershgorin bound of
+    lambda_min(X), min d_A], valid by Cauchy interlacing.  With vt, posa is
+    the realized gap F(q_n) - F(q_e) at q_e = -M^{-1} dv and
+    q_n = -N^{-1} dv, where F(q_e) = q_e.dv / 2 and
+    F(q_n) = q_n.dv / 2 - sum_A d q_n^2 / 2.
     """
     net, buses, k = S.net, S.idx, S.n
     n = net.n
@@ -407,30 +419,33 @@ def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
     Ninv = tree.inverse(buses, g_N)
     if np.array_equal(buses, np.arange(n)):
         lam_min_X = tree.lambda_min(buses, np.zeros(n), *tree.leaf_first.x_bracket,
-                                    _lambda_min_estimate(tree.leaf_first.L.dot, n))
+                                    _lambda_min_estimate(tree.leaf_first.L.dot, n)[0])
     else:
         lam_min_X = tree.lambda_min(buses, np.zeros(k), tree.leaf_first.x_bracket[0],
                                     float(np.min(d_vec)))
 
-    def lam_min(g, inverse):
+    def lam_min(g, estimate):
         # Weyl brackets lambda_min(X_AA + G) by lambda_min(X_AA) + min/max g,
         # and each diagonal entry d_i + g_i bounds it from above
         return tree.lambda_min(buses, g, lam_min_X + float(np.min(g)),
                                min(float(np.min(d_vec + g)), lam_min_X + float(np.max(g))),
-                               _lambda_min_estimate(inverse, k))
+                               estimate)
 
-    lam_min_M = lam_min(y, Minv)
-    lam_min_N = lam_min(g_N, Ninv)
+    # the Ritz vector of lambda_min(M) starts the later runs, or None: a
+    # seeded random start
+    estimate, start = _lambda_min_estimate(Minv, k)
+    lam_min_M = lam_min(y, estimate)
+    lam_min_N = lam_min(g_N, _lambda_min_estimate(Ninv, k, start)[0])
 
     def pi(v):
         return Ninv(d_vec * Minv(d_vec * Ninv(v)))
 
     direction = None
     if want_direction:
-        lam_pi, direction = _top_eigenpair(pi, k, vector=True)
+        lam_pi, direction = _top_eigenpair(pi, k, vector=True, v0=start)
     else:
-        lam_pi = _top_eigenpair(pi, k)
-    lam_lower = _top_eigenpair(lambda v: Minv(v) - 2.0 * Ninv(v), k)
+        lam_pi = _top_eigenpair(pi, k, v0=start)
+    lam_lower = _top_eigenpair(lambda v: Minv(v) - 2.0 * Ninv(v), k, v0=start)
 
     posa = None
     if dv is not None:

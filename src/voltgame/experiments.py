@@ -151,14 +151,14 @@ _SPEC_JSON_TYPES = {
     "int": (_is_int, "an integer"),
     "float": (_is_number, "a number"),
     "bool": (lambda value: isinstance(value, bool), "true or false"),
-    "list": (_is_numbers, "a list of numbers"),
+    "tuple": (_is_numbers, "a list of numbers"),
     "dict": (_is_child_probs, "an object of integer child counts to numbers"),
     "tuple | None": (lambda value: value is None or (_is_numbers(value) and len(value) == 2),
                      "null or two numbers"),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     """Declarative description of one experiment sweep.
 
@@ -167,20 +167,23 @@ class SweepSpec:
       random-tree-depth random feeders per depth in ``depths``
       cost-coefficient  PoSA on the SCE feeder over ``y_values``
       alpha             closed-loop AC verdicts on the SCE feeder over ``alphas``
+
+    A spec is immutable: construction, which checks it, is the only way to
+    set a field.  The swept lists are stored as tuples.
     """
 
     kind: str
     seed: int = 0
     repetitions: int = 1
-    sizes: list = field(default_factory=list)
-    depths: list = field(default_factory=list)
+    sizes: tuple = ()
+    depths: tuple = ()
     dist_probs: dict = field(default_factory=dict)
     x: float = 1.0
     y: float = 1.0
     x_range: tuple | None = None
     y_range: tuple | None = None
-    y_values: list = field(default_factory=list)
-    alphas: list = field(default_factory=list)
+    y_values: tuple = ()
+    alphas: tuple = ()
     delta: float = 0.02
     ac: bool = True
     max_nodes: int = 4000
@@ -193,6 +196,8 @@ class SweepSpec:
         numpy integer too, but not a bool), repetitions >= 1, a known kind
         and a non-empty list of the values it sweeps.  A ValueError names
         the first fault, in that order."""
+        for key in _SWEPT.values():
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         for key in ("sizes", "depths"):
             for value in getattr(self, key):
                 if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)

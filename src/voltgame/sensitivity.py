@@ -144,28 +144,48 @@ def _dense_block(S: SensitivitySet, w: np.ndarray) -> np.ndarray:
 
 
 _V0_SEED = 0  # seeds ARPACK's start and restart vectors, so a result repeats to the bit
+_WARM_NCV = 12  # Lanczos basis of a run started from a given vector
+# share of the seeded random vector in a warm start.  On a feeder with
+# mirror-image branches each eigenvector is symmetric or antisymmetric between
+# them; a start vector of one kind hides the other kind from Lanczos, which can
+# then settle on the top of its own kind (27 of 1 000 mirrored random trees
+# gave a wrong posa_max or lower with no share).  With the share, an eigenvalue
+# above the result stays hidden only within about eps / (share * |r.u|) of it,
+# for r the random unit vector and u that eigenvalue's eigenvector.
+_WARM_RANDOM = 1e-3
 
 
 def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = False,
-                   tol: float = 0.0):
+                   tol: float = 0.0, v0: np.ndarray | None = None):
     """Largest eigenvalue of the symmetric operator v -> matvec(v), and with
     ``vector`` also its unit eigenvector, signed so that its entry of largest
     magnitude is positive.
 
-    ARPACK's Lanczos with seeded start and restart vectors, so a rerun gives
-    the same bits; it stops at ARPACK's relative accuracy ``tol`` (0, the
-    default, is machine precision), and with maxiter set it raises
-    ArpackNoConvergence after that many restarts.  ARPACK needs n > 1; a
-    1 x 1 operator is its own eigenvalue.
+    ARPACK's implicitly restarted Lanczos (Lehoucq & Sorensen, SIAM J.
+    Matrix Anal. Appl. 17(4), 1996) with seeded restart vectors, so a rerun
+    gives the same bits.  Without v0 it starts from a seeded random vector r
+    on ARPACK's default basis of min(n, 20) vectors.  A given v0 is a warm
+    start, a vector near the wanted one (the Ritz vector of a related
+    operator): the run starts from v0/|v0| + _WARM_RANDOM r/|r| on a basis of
+    min(n, _WARM_NCV) vectors, since few restarts are left to do and a short
+    basis makes each one cheap.  The run stops at ARPACK's relative accuracy
+    ``tol`` (0, the default, is machine precision), and with maxiter set it
+    raises ArpackNoConvergence after that many restarts.  ARPACK needs n > 1;
+    a 1 x 1 operator is its own eigenvalue.
     """
     if n == 1:
         lam = float(matvec(np.ones(1))[0])
         return (lam, np.ones(1)) if vector else lam
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    v0 = np.random.default_rng(_V0_SEED).uniform(-1.0, 1.0, n)
+    rand = np.random.default_rng(_V0_SEED).uniform(-1.0, 1.0, n)
+    if v0 is None:
+        v0, ncv = rand, None
+    else:
+        v0 = v0 / np.linalg.norm(v0) + _WARM_RANDOM * rand / np.linalg.norm(rand)
+        ncv = min(n, _WARM_NCV)
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    out = eigsh(op, k=1, which="LA", tol=tol, v0=v0, maxiter=maxiter,
+    out = eigsh(op, k=1, which="LA", tol=tol, v0=v0, ncv=ncv, maxiter=maxiter,
                 return_eigenvectors=vector, rng=np.random.default_rng(_V0_SEED))
     if not vector:
         return float(out[0])

@@ -818,6 +818,44 @@ def posa_report(S, Y, vt=None, want_direction=True):
                           direction=direction)
 
 
+def posa_report_random_start(S, Y, vt=None, want_direction=True):
+    """posa_report with every Lanczos run started from the seeded random vector.
+
+    The largest eigenvalues of the PoSA kernel and of M^{-1} - 2 N^{-1} come
+    from Lanczos on the same Woodbury solves as posa_report, each run from
+    the seeded random vector on ARPACK's default basis.  The smallest
+    eigenvalues of X_AA, M and N are bisected on inertia counts from their
+    whole brackets, with no estimate, so they carry posa_report's certified
+    bits.
+    """
+    from voltgame.equilibrium import _bounds_report
+    from voltgame.sensitivity import _top_eigenpair
+
+    tree = S.net.traversal.factor
+    act, k, d = S.idx, S.n, S.d
+    y = np.asarray(Y, dtype=float)
+    Minv, Ninv = tree.inverse(act, y), tree.inverse(act, d + y)
+    lam_x = tree.lambda_min(act, np.zeros(k), tree.leaf_first.x_bracket[0], float(np.min(d)))
+    lam_M, lam_N = (tree.lambda_min(act, g, lam_x + np.min(g),
+                                    min(np.min(d + g), lam_x + np.max(g)))
+                    for g in (y, d + y))
+
+    def pi(v):
+        return Ninv(d * Minv(d * Ninv(v)))
+
+    lam_pi, direction = (_top_eigenpair(pi, k, vector=True) if want_direction
+                         else (_top_eigenpair(pi, k), None))
+    lam_lower = _top_eigenpair(lambda v: Minv(v) - 2.0 * Ninv(v), k)
+    posa = None
+    if vt is not None:
+        dv = np.asarray(vt.delta_v_tilde, dtype=float)
+        q_e, q_n = -Minv(dv), -Ninv(dv)
+        posa = (0.5 * float(q_n @ dv) - 0.5 * float(np.sum(d * q_n * q_n))
+                - 0.5 * float(q_e @ dv))
+    return _bounds_report(lam_pi, lam_M, lam_N, lam_x, lam_lower, d=float(np.max(d)),
+                          y=float(np.min(y)), posa=posa, direction=direction)
+
+
 def _sigma_max(M):
     # sqrt of the top eigenvalue of M^T M; M itself is not symmetric.
     w = np.linalg.eigvalsh(M.T @ M)

@@ -137,6 +137,17 @@ def test_non_finite_feeder_data_is_an_error(tmp_path, capsys, argv, field, bad, 
     assert out.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["simulate", "--law", "taking"],
+                                     ["equilibrium", "--law", "anticipating"], ["posa"]],
+                         ids=["simulate", "equilibrium", "posa"])
+def test_missing_control_block_exits_2(net_file, capsys, command):
+    # net_file has no control block, as a random-tree output has none
+    assert main([command[0], net_file] + command[1:]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: no control block in the network file; pass --alpha\n"
+    assert "Traceback" not in out.err and out.out == ""
+
+
 def test_matrices_roundtrip(net_file, tmp_path):
     out = tmp_path / "X.csv"
     assert main(["matrices", net_file, "--kind", "X", "--out", str(out)]) == 0

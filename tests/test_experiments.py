@@ -152,6 +152,21 @@ class TestSweeps:
         rows = run_sweep(SweepSpec(kind="chain-size", sizes=[np.int64(5)], x=1.0, y=1.0))
         assert [r["n"] for r in rows] == [5]
 
+    @pytest.mark.parametrize("key, value", [("sizes", [0]), ("depths", [3]),
+                                            ("y_values", [0.1]), ("alphas", [9.0]),
+                                            ("kind", "alpha"), ("repetitions", 0)])
+    def test_spec_is_frozen(self, key, value):
+        # a field set after construction would skip __post_init__'s checks
+        spec = SweepSpec(kind="chain-size", sizes=[3])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, key, value)
+        assert spec == SweepSpec(kind="chain-size", sizes=[3])
+
+    def test_swept_lists_are_stored_as_tuples(self):
+        spec = SweepSpec(kind="cost-coefficient", y_values=[0.05, 0.1])
+        assert (spec.y_values, spec.sizes, spec.depths, spec.alphas) == ((0.05, 0.1), (), (), ())
+        assert SweepSpec.from_json('{"kind": "chain-size", "sizes": [3, 5]}').sizes == (3, 5)
+
     def test_max_nodes_redraw(self):
         spec = SweepSpec(kind="random-tree-depth", depths=[8],
                          dist_probs={2: 1.0}, repetitions=1, seed=0,

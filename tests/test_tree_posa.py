@@ -21,7 +21,7 @@ from voltgame.equilibrium import (
     solve_iterative,
 )
 from strategies import feeders
-from voltgame.experiments import SweepSpec, load_sce42, run_sweep
+from voltgame.experiments import SweepSpec, load_sce42, restricted_model, run_sweep
 from voltgame.sensitivity import SensitivitySet, build_sensitivity
 from voltgame.topology import (
     BusData,
@@ -129,6 +129,8 @@ class TestMatchesDense:
         reports = [whole_feeder_report(net, y) for _ in range(20)]
         for name in BOUND_FIELDS:
             assert len({getattr(r, name) for r in reports}) == 1, name
+        S = build_sensitivity(net)
+        assert len({posa_report(S, y).worst_direction.tobytes() for _ in range(20)}) == 1
 
 
 class TestActuatorSubsets:
@@ -296,11 +298,12 @@ def full_bracket_bisection(net, y):
 class TestLambdaMinEstimate:
     """The estimate only narrows the bisection bracket; it never moves a bit."""
 
+    # each takes and gives an (estimate, Ritz vector) pair
     ESTIMATES = {
-        "as_is": lambda est: est,
-        "10% low": lambda est: None if est is None else 0.9 * est,
-        "10% high": lambda est: None if est is None else 1.1 * est,
-        "unavailable": lambda est: None,
+        "as_is": lambda est, vec: (est, vec),
+        "10% low": lambda est, vec: (None if est is None else 0.9 * est, vec),
+        "10% high": lambda est, vec: (None if est is None else 1.1 * est, vec),
+        "unavailable": lambda est, vec: (None, None),
     }
 
     def assert_bit_for_bit(self, net, y):
@@ -308,7 +311,7 @@ class TestLambdaMinEstimate:
         estimate = equilibrium._lambda_min_estimate
         for name, skew in self.ESTIMATES.items():
             with mock.patch.object(equilibrium, "_lambda_min_estimate",
-                                   lambda inverse, n: skew(estimate(inverse, n))):
+                                   lambda inverse, n, v0=None: skew(*estimate(inverse, n, v0))):
                 assert smallest_eigenvalues(net, y) == want, name
 
     @settings(max_examples=40, deadline=None)
@@ -336,6 +339,115 @@ class TestLambdaMinEstimate:
                                side_effect=_TreeFactor.count_below) as count:
             whole_feeder_report(net, y)
         assert 6 <= count.call_count <= 40
+
+
+# posa_max and lower against the random-start oracle, relative to max(1, |upper|);
+# the worst seen was 1.3e-13 (lower on the depth-15 tree of seed 9245), and
+# ORDERING_RTOL is 1e-9
+WARM_RTOL = 1e-12
+# fields that come from bisection and solves alone: the start vectors never move a bit
+CERTIFIED_FIELDS = ("upper", "refined_upper", "gap_bound", "d", "y", "posa")
+
+
+def published_depth15_tree(seed):
+    dist = DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=15, x_range=(0.0, 200.0),
+                              y_range=(0.0, 100.0))
+    return random_instance(dist, seed)
+
+
+def assert_matches_random_start(S, y, vt=None):
+    """posa_report against oracles.posa_report_random_start; returns both reports.
+
+    The worst direction is held to WARM_RTOL over the relative top gap of the
+    PoSA kernel, by which an eigenvector's error exceeds its eigenvalue's.
+    """
+    got = posa_report(S, y, vt=vt)
+    want = oracles.posa_report_random_start(S, y, vt=vt)
+    for name in CERTIFIED_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    slack = WARM_RTOL * max(1.0, abs(want.upper))
+    for name in ("posa_max", "lower"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= slack, name
+    assert got.lower_clamped == max(0.0, got.lower)
+    gap = pi_top_gap(S, y)
+    if gap > 0.0:
+        # the sign rule (largest-magnitude entry positive) is decided by
+        # rounding where two entries tie in magnitude, so compare up to sign
+        e, w = got.worst_direction, want.worst_direction
+        err = min(np.max(np.abs(e - w)), np.max(np.abs(e + w)))
+        assert err <= WARM_RTOL / gap, (err, gap)
+    return got, want
+
+
+class TestWarmStart:
+    """Runs started from the Ritz vector of the lambda_min(M) estimate agree with
+    random starts; the certified fields keep their bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_trees(self, data):
+        net = data.draw(trees())
+        assert_matches_random_start(build_sensitivity(net), data.draw(costs(net.n)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_chains(self, data):
+        n = data.draw(st.integers(1, 100))
+        xs = data.draw(st.lists(st.floats(1e-2, 200.0), min_size=n, max_size=n))
+        assert_matches_random_start(build_sensitivity(chain_network(xs)), data.draw(costs(n)))
+
+    @pytest.mark.parametrize("seed, y_min", [(1326, 1.5e-3), (9245, 6.9e-4)])
+    def test_depth15_trees_with_tiny_costs(self, seed, y_min):
+        # the Woodbury solves lose digits when min y << lambda_min(X)
+        net, y = published_depth15_tree(seed)
+        assert np.min(y) == pytest.approx(y_min, rel=0.05)
+        assert_matches_random_start(build_sensitivity(net), y)
+
+    def test_uniform_chain_where_the_estimate_fails(self):
+        # a clustered top spectrum: the estimate does not converge, so every
+        # run starts from the seeded random vector and nothing moves
+        got, want = assert_matches_random_start(build_sensitivity(chain_network([1.0] * 300)),
+                                                np.ones(300))
+        for name in BOUND_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+        assert np.array_equal(got.worst_direction, want.worst_direction)
+
+    @pytest.mark.parametrize("depth, level_costs", [(5, True), (6, False)])
+    def test_mirrored_branches(self, depth, level_costs):
+        # a complete binary tree with every x 0.5: its mirror-image branches
+        # split the eigenvectors into symmetry classes, and a start vector of
+        # one class alone missed the top of another (posa_max 1.8e-5 low at
+        # depth 5) or stalled (no convergence at depth 6)
+        n = 2 ** depth - 1
+        net = RadialNetwork(n=n, from_node=[0] + [k // 2 for k in range(2, n + 1)],
+                            to_node=list(range(1, n + 1)), r=np.zeros(n), x=np.full(n, 0.5))
+        y = 1.0 + net.traversal.d if level_costs else np.full(n, 0.5)
+        S = build_sensitivity(net)
+        got, _ = assert_matches_random_start(S, y)
+        assert_close(got, oracles.posa_report(S, y), BOUND_FIELDS)
+
+    @pytest.mark.parametrize("y", [0.02, 0.1, 0.32])
+    def test_sce42_cost_coefficient_instance(self, y):
+        S, vt, _ = restricted_model(load_sce42().net)
+        assert S.n == 5
+        assert_matches_random_start(S, np.full(5, y), vt)
+
+    def test_depth15_tree_needs_few_lanczos_steps(self):
+        # the seed-42 tree of TestLambdaMinEstimate; from seeded random
+        # vectors its five runs took 175 operator applications
+        net, y = random_instance(DegreeDistribution({1: 0.5, 2: 0.5}, max_depth=15), 42)
+        top = equilibrium._top_eigenpair
+        applied = []
+
+        def counted(matvec, n, *args, **kwargs):
+            def apply(v):
+                applied.append(1)
+                return matvec(v)
+            return top(apply, n, *args, **kwargs)
+
+        with mock.patch.object(equilibrium, "_top_eigenpair", counted):
+            whole_feeder_report(net, y)
+        assert len(applied) <= 160
 
 
 class TestSparseInverse:
