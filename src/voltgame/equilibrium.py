@@ -378,7 +378,9 @@ def posa_report(S: SensitivitySet, Y, vt: OperatingConstants | None = None,
     A, factored once each.  The largest eigenvalues of the PoSA kernel
     N^{-1} D M^{-1} D N^{-1} and of M^{-1} - 2 N^{-1} come from Lanczos; with
     want_direction the kernel's Ritz vector is the worst direction, signed so
-    its largest-magnitude entry is positive.  The smallest eigenvalues of
+    its lowest-index entry within a relative 1e-9 of its largest magnitude
+    is positive (see _top_eigenpair): on mirror-image branches two entries
+    tie, and rounding does not pick the sign.  The smallest eigenvalues of
     X_AA, M and N are bisected to the last bit on Sylvester inertia counts.
     Those of M and N, and of X on a whole feeder, are estimated first as
     1/theta, for theta the top Ritz value of a short Lanczos run on M^{-1},

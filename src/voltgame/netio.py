@@ -12,22 +12,29 @@ Network JSON schema:
 
 `load_network_json(path)` reads the network file at path, and only that;
 `parse_network_json(text)` parses a file's text, the inverse of
-`save_network_json`.  Bus ids and line ends are labels, numbers or strings;
-they are remapped to dense 0..n on load (the root is the bus labelled 0 if
-present, otherwise the unique bus that is never a line's child end).  Every
-numeric field takes a JSON number only, an int or a float: a bool, a string
-or any other value is an error.  A missing or null optional field takes its default
-(p_c, p_g, q_c and the control's alpha and delta 0, v_nom and v0 1, a box
-limit none, and a control limit the bus's), and r and x are required.  An
-infinite box limit serializes as null; a NaN limit is an error.  "actuator"
-is true or false, and true when missing.  A malformed file raises a
-ParseError that names the first row at fault (``buses[j]``, ``lines[k]`` or
-the control of ``buses[j]``) and its field.
+`save_network_json`.  Bus ids and line ends are labels, numbers or strings,
+remapped to dense 0..n on load: the root is the bus labelled 0 if present,
+otherwise the unique bus that is never a line's child end.  An infinite box
+limit is written as null.
 
-Each field is read as one type-checked column into the network's columns,
-with no object per bus or line; a bus field has its column's name and
-default ("actuator" is is_actuator).  The file is written, and hashed by
-`topology_hash`, from the columns.
+Each row kind has one table of its fields, (key, JSON kind, default):
+`_DOCUMENT` (v0), `_BUS_ID`, `_BUS_ROW`, `_LINE_ROW` and `_CONTROL_ROW`.  A
+number is a JSON int or float, not a bool, a string or an int beyond the
+floats; a label is a number or a string; a flag is true or false.  A field
+with a default takes it when missing, and when null unless it is a flag; a
+field without one is required.  Each field is read as one column, with no
+object per bus or line, straight into the network's columns.  The file is
+written, and hashed by `topology_hash`, from the columns.
+
+A malformed file raises a ParseError naming its first fault.  The checks run
+in this order: the JSON text; the document is an object with "buses" and
+"lines"; v0; both tables are lists of objects; the bus ids (missing, not a
+label, or repeated); the line ends are labels; the root; the bus rows other
+than the root's; the line rows (r and x, then an unknown end); validate_tree;
+the control block.  Within a check the error names the first row at fault
+(``buses[j]``, ``lines[k]`` or the control of ``buses[j]``), and in it a
+missing required field, else the first field, in table order, of another
+kind.  Only when a column fails is the table walked row by row to find it.
 
 Traces and matrix dumps grow with n times their rows, so each has one
 streaming writer, `write_trace_csv(fh, ...)` and `write_matrix_csv(fh, ...)`,
@@ -49,6 +56,7 @@ import itertools
 import json
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +71,100 @@ class ParseError(ValueError):
     pass
 
 
-def _not_object(value, where):
-    return ParseError(f"{where} must be an object, not {type(value).__name__}")
+class _Kind(NamedTuple):
+    types: frozenset  # what json.loads gives for a value of the kind
+    null: bool  # whether a null takes the field's default
+    error: str  # for another value: formatted with where (the row), key, value (as JSON), type
+
+
+_NUMBER = _Kind(frozenset({int, float}), True, "{where}: {key!r} must be a number, not {value}")
+_LABEL = _Kind(frozenset({int, float, str}), False,
+               "{where}: {key!r} must be a number or a string, not {value}")
+_FLAG = _Kind(frozenset({bool}), False, "{where}: {key!r} must be true or false, not {value}")
+_OBJECT = _Kind(frozenset({dict}), True, "{where}[{key!r}] must be an object, not {type}")
+
+_REQUIRED = object()  # the default of a field that every row has
+_OF_BUS = object()  # the default of a control limit: the bus's box limit
+
+# The fields of each row kind, (key, kind, default), in the order a row's
+# faults are looked for.
+_DOCUMENT = (("v0", _NUMBER, 1.0),)
+_BUS_ID = (("id", _LABEL, _REQUIRED),)
+_BUS_ROW = (("actuator", _FLAG, _BUS_DEFAULTS["is_actuator"]),
+            *((key, _NUMBER, default) for key, default in _BUS_DEFAULTS.items()
+              if key != "is_actuator"),
+            ("control", _OBJECT, None))
+_LINE_ROW = (("from", _LABEL, _REQUIRED), ("to", _LABEL, _REQUIRED),
+             ("r", _NUMBER, _REQUIRED), ("x", _NUMBER, _REQUIRED))
+_CONTROL_ROW = (("alpha", _NUMBER, 0.0), ("delta", _NUMBER, 0.0),
+                ("q_min", _NUMBER, _OF_BUS), ("q_max", _NUMBER, _OF_BUS))
+
+
+def _column(rows, field, fallback=None):
+    """One field of each row as a column of its kind: a float array for a
+    number, a bool array for a flag, else a list; None when a value is not
+    of the kind, and an integer too large for a float is no number.  A row
+    without the field reads as fallback (a label's or a flag's as its
+    default), and a null as the default (a value, or one per row) where the
+    field has one and its kind lets a null take it."""
+    key, kind, default = field
+    missing = fallback if kind.null else default
+    values = list(map(dict.get, rows, itertools.repeat(key), itertools.repeat(missing)))
+    types = set(map(type, values))
+    if not types <= (kind.types | {type(None)} if kind.null and default is not _REQUIRED
+                     else kind.types):
+        return None
+    if kind is _FLAG:
+        return np.array(values, dtype=bool)
+    if kind is not _NUMBER:
+        return values
+    try:
+        out = np.array(values, dtype=float)  # a null is NaN here
+    except OverflowError:
+        return None
+    if type(None) in types:
+        null = np.fromiter(map(operator.is_, values, itertools.repeat(None)), bool, len(values))
+        out = np.where(null, default, out)
+    return out
+
+
+def _is_number(value) -> bool:
+    """Whether value is a JSON number, as a network file's fields take them."""
+    return _column([{"": value}], ("", _NUMBER, _REQUIRED)) is not None
+
+
+def _fault(rows, names, fields, check=None) -> ParseError:
+    """The error for the first row at fault of rows, named by names: the
+    first required field it lacks, else its first field that does not read
+    as a one-row column, else check(name, row)'s message."""
+    for where, row in zip(names, rows):
+        for key, _, default in fields:
+            if default is _REQUIRED and key not in row:
+                return ParseError(f"{where} has no {key!r}")
+        for key, kind, default in fields:
+            if _column([row], (key, kind, default)) is None:
+                value = row.get(key)  # a missing field that is not required reads as valid
+                return ParseError(kind.error.format(where=where, key=key, value=json.dumps(value),
+                                                    type=type(value).__name__))
+        message = check and check(where, row)
+        if message:
+            return ParseError(message)
+    raise AssertionError("no row at fault")
+
+
+def _read(rows, names, fields, base=None):
+    """The columns of fields in rows, a field a row lacks read from base;
+    the first fault (see _fault) is raised when a column fails."""
+    base = base or {}
+    cols = [_column(rows, field, base.get(field[0])) for field in fields]
+    if any(col is None for col in cols):
+        raise _fault([{**base, **row} for row in rows], names, fields)
+    return cols
+
+
+def _names(table, rows, skip=-1):
+    """The name of each row of a table but row skip: table[k]."""
+    return (f"{table}[{k}]" for k in range(len(rows)) if k != skip)
 
 
 def _table(rows, name):
@@ -72,64 +172,8 @@ def _table(rows, name):
         raise ParseError(f"{name!r} must be a list of objects, not {type(rows).__name__}")
     if not set(map(type, rows)) <= {dict}:
         k = next(k for k, row in enumerate(rows) if not isinstance(row, dict))
-        raise _not_object(rows[k], f"{name}[{k}]")
+        raise ParseError(f"{name}[{k}] must be an object, not {type(rows[k]).__name__}")
     return rows
-
-
-def _is_number(value) -> bool:
-    """Whether value is a JSON number: an int or a float, not a bool, that
-    float() takes."""
-    if type(value) is int:
-        try:
-            float(value)
-        except OverflowError:
-            return False
-        return True
-    return type(value) is float
-
-
-def _row_error(row, where, labels=(), required=(), optional=()):
-    """The ParseError for a row that failed to read: its first missing label or
-    required number, label that is not a number or a string, or number field
-    that is not a number (an optional one may be missing or null); else
-    None.  A bool is neither a number nor a label."""
-    for key in labels + required:
-        if key not in row:
-            return ParseError(f"{where} has no {key!r}")
-    for key in labels:
-        if type(row[key]) not in _LABEL_SET:
-            return ParseError(f"{where}: {key!r} must be a number or a string, "
-                              f"not {json.dumps(row[key])}")
-    for key in required + optional:
-        value = row.get(key)
-        if not (_is_number(value) or value is None and key in optional):
-            return ParseError(f"{where}: {key!r} must be a number, not {json.dumps(value)}")
-    return None
-
-
-_LABEL_SET = {int, float, str}
-
-
-def _floats(values: list, default=None):
-    """The list ``values`` as a float array, each null read as ``default``
-    (a number, or an array with an entry for each value); None when some
-    value is not a number, or is null and there is no default."""
-    types = set(map(type, values))
-    if not types <= ({int, float} if default is None else {int, float, type(None)}):
-        return None
-    try:
-        out = np.array(values, dtype=float)  # a null is NaN here
-    except OverflowError:
-        return None
-    if type(None) in types:
-        null = np.fromiter(map(operator.is_, values, itertools.repeat(None)), bool, len(values))
-        out[null] = default[null] if np.ndim(default) else default
-    return out
-
-
-def _get(rows: list, key, default=None) -> list:
-    """The value of each row at key, default where the row has none."""
-    return list(map(dict.get, rows, itertools.repeat(key), itertools.repeat(default)))
 
 
 def _remap_ids(bus_rows, line_rows):
@@ -137,22 +181,17 @@ def _remap_ids(bus_rows, line_rows):
 
     Returns the map, the index of the substation's row, and the labels of
     the lines' from and to ends."""
-    labels = _get(bus_rows, "id")
-    ids = {}  # label -> index of its row
-    if set(map(type, labels)) <= _LABEL_SET:
-        ids = dict(zip(labels, range(len(labels))))
-    if len(ids) != len(labels):  # a label that is not a number or a string, or a repeat
-        ids = {}
-        for k, (label, row) in enumerate(zip(labels, bus_rows)):
-            if type(label) not in _LABEL_SET:
-                raise _row_error(row, f"buses[{k}]", labels=("id",))
-            first = ids.setdefault(label, k)
-            if first != k:
-                raise ParseError(f"buses[{k}] repeats bus id {label!r} of buses[{first}]")
-    ends = [_get(line_rows, key) for key in ("from", "to")]
-    if not set(map(type, ends[0] + ends[1])) <= _LABEL_SET:
-        _first_error(_row_error(row, f"lines[{k}]", labels=("from", "to"))
-                     for k, row in enumerate(line_rows))
+    first = {}  # label -> the name of its first row
+
+    def repeat(where, row):
+        if first.setdefault(row["id"], where) != where:
+            return f"{where} repeats bus id {row['id']!r} of {first[row['id']]}"
+
+    labels = _column(bus_rows, _BUS_ID[0])
+    ids = {} if labels is None else dict(zip(labels, range(len(labels))))  # label -> its row
+    if len(ids) != len(bus_rows):  # a label missing, not a number or a string, or repeated
+        raise _fault(bus_rows, _names("buses", bus_rows), _BUS_ID, check=repeat)
+    ends = _read(line_rows, _names("lines", line_rows), _LINE_ROW[:2])
     child_labels = set(ends[1])
     if 0 in ids:
         root = 0
@@ -168,67 +207,26 @@ def _remap_ids(bus_rows, line_rows):
     return dict(zip(order, range(len(order)))), ids[root], ends
 
 
-_CONTROL_NUMBERS = ("alpha", "delta", "q_min", "q_max")
-
-
-def _bus_row_error(row, where, numbers):
-    """The ParseError for a bus row, with these number fields, that failed to read, or None."""
-    actuator = row.get("actuator", True)
-    if actuator is not True and actuator is not False:
-        return ParseError(f"{where}: 'actuator' must be true or false, "
-                          f"not {json.dumps(actuator)}")
-    error = _row_error(row, where, optional=numbers)
-    over = row.get("control")
-    if error is None and over is not None and not isinstance(over, dict):
-        error = _not_object(over, f"{where}['control']")
-    return error
-
-
-def _line_row_error(row, where, mapping):
-    """The ParseError for a line row that failed to read, or None."""
-    error = _row_error(row, where, labels=("from", "to"), required=("r", "x"))
-    for key in ("from", "to"):
-        if error is None and row[key] not in mapping:
-            error = ParseError(f"line {row!r} references unknown bus {row[key]!r}")
-    return error
-
-
-def _first_error(errors):
-    """Raise the first error that is not None; the caller knows there is one."""
-    raise next(e for e in errors if e is not None)
-
-
 def _build(v0, bus_rows, line_rows, default_ctrl) -> tuple[RadialNetwork, ControlSpec | None]:
-    """The network and control block of a parsed network file.
-
-    Each field is read as one column and type-checked as a whole; when a
-    column fails, the rows are checked one by one, so the error names the
-    first row at fault, the first field in it and the reason.
-    """
+    """The network and control block of a parsed network file."""
     bus_rows, line_rows = _table(bus_rows, "buses"), _table(line_rows, "lines")
     mapping, root, ends = _remap_ids(bus_rows, line_rows)
     rows = bus_rows[:root] + bus_rows[root + 1:]  # rows[i]: bus i+1
+    buses = dict(zip((key for key, _, _ in _BUS_ROW),
+                     _read(rows, _names("buses", bus_rows, root), _BUS_ROW)))
+    actuator, overs = buses.pop("actuator"), buses.pop("control")
 
-    def where(i):
-        return f"buses[{i + (i >= root)}]"
+    def unknown_bus(where, row):
+        for key in ("from", "to"):
+            if row[key] not in mapping:
+                return f"line {row!r} references unknown bus {row[key]!r}"
 
-    buses = {key: _floats(_get(rows, key), default)
-             for key, default in _BUS_DEFAULTS.items() if key != "is_actuator"}
-    actuator = _get(rows, "actuator", _BUS_DEFAULTS["is_actuator"])
-    overs = _get(rows, "control")
-    if (any(col is None for col in buses.values()) or not set(map(type, actuator)) <= {bool}
-            or not set(map(type, overs)) <= {type(None), dict}):
-        _first_error(_bus_row_error(row, where(i), tuple(buses)) for i, row in enumerate(rows))
-    actuator = np.array(actuator, dtype=bool)
-
+    names = _names("lines", line_rows)  # for the one row walk, if any
     try:
         from_node, to_node = (list(map(mapping.__getitem__, labels)) for labels in ends)
-    except KeyError:
-        from_node = None
-    r, x = (_floats(_get(line_rows, key)) for key in ("r", "x"))
-    if from_node is None or r is None or x is None:
-        _first_error(_line_row_error(row, f"lines[{k}]", mapping)
-                     for k, row in enumerate(line_rows))
+    except KeyError:  # an unknown end, or a fault in r or x of an earlier row
+        raise _fault(line_rows, names, _LINE_ROW, check=unknown_bus) from None
+    r, x = _read(line_rows, names, _LINE_ROW[2:])
 
     net = RadialNetwork(n=len(rows), v0=v0, from_node=from_node, to_node=to_node, r=r, x=x,
                         is_actuator=actuator, **buses)
@@ -238,17 +236,15 @@ def _build(v0, bus_rows, line_rows, default_ctrl) -> tuple[RadialNetwork, Contro
         return net, None
     base = {} if default_ctrl is None else default_ctrl
     if not isinstance(base, dict):
-        raise _not_object(base, "'control'")
+        raise ParseError(f"'control' must be an object, not {type(base).__name__}")
     act = np.flatnonzero(actuator)
     if not act.size:
         return net, None
-    over_act = [overs[i] or {} for i in act.tolist()]
-    ctrl = [_floats(_get(over_act, key, base.get(key)), default)
-            for key, default in zip(_CONTROL_NUMBERS, (0.0, 0.0, net.q_min[act], net.q_max[act]))]
-    if any(col is None for col in ctrl):
-        _first_error(_row_error({**base, **over}, f"the control of {where(i)}",
-                                optional=_CONTROL_NUMBERS)
-                     for i, over in zip(act.tolist(), over_act))
+    fields = [(key, kind, getattr(net, key)[act] if default is _OF_BUS else default)
+              for key, kind, default in _CONTROL_ROW]
+    act = act.tolist()
+    ctrl = _read([overs[i] or {} for i in act],
+                 (f"the control of buses[{i + (i >= root)}]" for i in act), fields, base)
     return net, ControlSpec(*ctrl)
 
 
@@ -266,16 +262,12 @@ def parse_network_json(text: str) -> tuple[RadialNetwork, ControlSpec | None]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise _not_object(doc, "the network")
+        raise ParseError(f"the network must be an object, not {type(doc).__name__}")
     for key in ("buses", "lines"):
         if key not in doc:
             raise ParseError(f"missing top-level key {key!r}")
-    error = _row_error(doc, "the network", optional=("v0",))
-    if error:
-        raise error
-    v0 = doc.get("v0")
-    return _build(1.0 if v0 is None else float(v0), doc["buses"], doc["lines"],
-                  doc.get("control"))
+    v0, = _read([doc], ["the network"], _DOCUMENT)
+    return _build(float(v0[0]), doc["buses"], doc["lines"], doc.get("control"))
 
 
 def save_network_json(net: RadialNetwork, ctrl: ControlSpec | None = None) -> str:

@@ -153,13 +153,18 @@ _WARM_NCV = 12  # Lanczos basis of a run started from a given vector
 # above the result stays hidden only within about eps / (share * |r.u|) of it,
 # for r the random unit vector and u that eigenvalue's eigenvector.
 _WARM_RANDOM = 1e-3
+# entries of an eigenvector within this relative distance of its largest
+# magnitude tie for its sign: on mirror-image branches two entries are equal
+# in magnitude, and rounding alone would pick between them
+_SIGN_TIE_RTOL = 1e-9
 
 
 def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = False,
                    tol: float = 0.0, v0: np.ndarray | None = None):
     """Largest eigenvalue of the symmetric operator v -> matvec(v), and with
-    ``vector`` also its unit eigenvector, signed so that its entry of largest
-    magnitude is positive.
+    ``vector`` also its unit eigenvector, signed so that the lowest-index
+    entry within a relative _SIGN_TIE_RTOL of its largest magnitude is
+    positive; so the sign does not depend on rounding where two entries tie.
 
     ARPACK's implicitly restarted Lanczos (Lehoucq & Sorensen, SIAM J.
     Matrix Anal. Appl. 17(4), 1996) with seeded restart vectors, so a rerun
@@ -190,7 +195,9 @@ def _top_eigenpair(matvec, n: int, maxiter: int | None = None, vector: bool = Fa
     if not vector:
         return float(out[0])
     e = out[1][:, 0]
-    return float(out[0][0]), (e if e[np.argmax(np.abs(e))] > 0.0 else -e)
+    size = np.abs(e)
+    lead = np.argmax(size >= (1.0 - _SIGN_TIE_RTOL) * size.max())
+    return float(out[0][0]), (e if e[lead] > 0.0 else -e)
 
 
 def build_sensitivity(net: RadialNetwork) -> SensitivitySet:

@@ -465,6 +465,121 @@ def topology_hash_by_parts(net):
     return h.hexdigest()[:16]
 
 
+def network_error_by_rows(doc):
+    """The message of the ParseError that parse_network_json raises for the
+    parsed network document doc, found by walking the document row by row
+    and field by field; None when the reader names no fault.
+
+    The order of checks: the document is an object; it has 'buses' and
+    'lines'; 'v0'; both tables are lists of objects; each bus id (missing,
+    not a label, or a repeat); each line's ends are labels; the root; each
+    non-root bus row ('actuator', then the six number fields, then
+    'control'); each line row (a missing 'from', 'to', 'r' or 'x', then 'r'
+    and 'x' are numbers, then each end names a bus); the control block.
+    Within a check, the first row at fault is named, and its first field at
+    fault.  validate_tree, which runs between the line rows and the control
+    block, is not walked: a valid feeder never reaches it here.
+    """
+    import json
+
+    def number(v):
+        if type(v) is int:  # a JSON integer too large for a float is no number
+            try:
+                float(v)
+            except OverflowError:
+                return False
+            return True
+        return type(v) is float
+
+    def label(v):
+        return type(v) in (int, float, str)
+
+    def kind(v):
+        return type(v).__name__
+
+    if not isinstance(doc, dict):
+        return f"the network must be an object, not {kind(doc)}"
+    for key in ("buses", "lines"):
+        if key not in doc:
+            return f"missing top-level key {key!r}"
+    if doc.get("v0") is not None and not number(doc["v0"]):
+        return f"the network: 'v0' must be a number, not {json.dumps(doc['v0'])}"
+    for name in ("buses", "lines"):
+        if not isinstance(doc[name], list):
+            return f"{name!r} must be a list of objects, not {kind(doc[name])}"
+        for k, row in enumerate(doc[name]):
+            if not isinstance(row, dict):
+                return f"{name}[{k}] must be an object, not {kind(row)}"
+    buses, lines = doc["buses"], doc["lines"]
+
+    row_of = {}  # bus id -> the index of its row
+    for k, row in enumerate(buses):
+        if "id" not in row:
+            return f"buses[{k}] has no 'id'"
+        if not label(row["id"]):
+            return f"buses[{k}]: 'id' must be a number or a string, not {json.dumps(row['id'])}"
+        if row["id"] in row_of:
+            return f"buses[{k}] repeats bus id {row['id']!r} of buses[{row_of[row['id']]}]"
+        row_of[row["id"]] = k
+    for k, row in enumerate(lines):
+        for key in ("from", "to"):
+            if key not in row:
+                return f"lines[{k}] has no {key!r}"
+        for key in ("from", "to"):
+            if not label(row[key]):
+                return (f"lines[{k}]: {key!r} must be a number or a string, "
+                        f"not {json.dumps(row[key])}")
+
+    children = {row["to"] for row in lines}
+    if 0 in row_of or "0" in row_of:
+        root = row_of[0] if 0 in row_of else row_of["0"]
+    else:
+        candidates = [b for b in row_of if b not in children]
+        if len(candidates) != 1:
+            return f"cannot identify a unique root bus (candidates: {candidates})"
+        root = row_of[candidates[0]]
+
+    for k, row in enumerate(buses):
+        if k == root:
+            continue
+        if type(row.get("actuator", True)) is not bool:
+            return (f"buses[{k}]: 'actuator' must be true or false, "
+                    f"not {json.dumps(row.get('actuator'))}")
+        for key in ("p_c", "p_g", "q_c", "v_nom", "q_min", "q_max"):
+            if row.get(key) is not None and not number(row[key]):
+                return f"buses[{k}]: {key!r} must be a number, not {json.dumps(row[key])}"
+        if row.get("control") is not None and not isinstance(row["control"], dict):
+            return f"buses[{k}]['control'] must be an object, not {kind(row['control'])}"
+
+    for k, row in enumerate(lines):
+        for key in ("from", "to", "r", "x"):
+            if key not in row:
+                return f"lines[{k}] has no {key!r}"
+        for key in ("r", "x"):
+            if not number(row[key]):
+                return f"lines[{k}]: {key!r} must be a number, not {json.dumps(row[key])}"
+        for key in ("from", "to"):
+            if row[key] not in row_of:
+                return f"line {row!r} references unknown bus {row[key]!r}"
+
+    base = doc.get("control")
+    if base is None and all(row.get("control") is None
+                            for k, row in enumerate(buses) if k != root):
+        return None
+    if base is not None and not isinstance(base, dict):
+        return f"'control' must be an object, not {kind(base)}"
+    for k, row in enumerate(buses):
+        if k == root or not row.get("actuator", True):
+            continue
+        over = row.get("control") or {}
+        for key in ("alpha", "delta", "q_min", "q_max"):
+            value = over[key] if key in over else (base or {}).get(key)
+            if value is not None and not number(value):
+                return (f"the control of buses[{k}]: {key!r} must be a number, "
+                        f"not {json.dumps(value)}")
+    return None
+
+
 def format_rows_by_value(rows, end):
     """Rows of floats as text, each value printed by "%.17g" % v on its own,
     joined by "," and each row ended by end."""

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import io
 import json
@@ -14,6 +15,7 @@ from oracles import (
     chain_feeder,
     dump_trace_csv_by_writer,
     format_rows_by_value,
+    network_error_by_rows,
     topology_hash_by_parts,
 )
 from voltgame.acflow import closed_loop_ac
@@ -138,6 +140,108 @@ class TestNetworkJson:
                "lines": [{"from": 0, "to": 7, "r": 0, "x": 0.1}]}
         with pytest.raises(ParseError):
             parse_network_json(json.dumps(doc))
+
+
+# values that no field takes, or that only some do (null, a string label)
+_BAD_VALUES = [None, True, False, "s", "0", "", [], [1.0], {}, {"a": 1}, 10**400, -10**400]
+_KEYS = {"bus": ("id", "p_c", "p_g", "q_c", "v_nom", "q_min", "q_max", "actuator", "control"),
+         "line": ("from", "to", "r", "x"),
+         "control": ("alpha", "delta", "q_min", "q_max"),
+         "doc": ("v0", "buses", "lines", "control")}
+
+
+def _fresh(values):
+    """One of values, copied, so no two places in a document share a list or dict."""
+    return st.sampled_from(values).map(copy.deepcopy)
+
+
+def _fault_targets(doc):
+    """(row kind, row) for each object in the document a fault can hit."""
+    out = [("doc", doc)]
+    if isinstance(doc.get("control"), dict):
+        out.append(("control", doc["control"]))
+    for name, kind in (("buses", "bus"), ("lines", "line")):
+        rows = doc.get(name)
+        for row in rows if isinstance(rows, list) else ():
+            if isinstance(row, dict):
+                out.append((kind, row))
+                if kind == "bus" and isinstance(row.get("control"), dict):
+                    out.append(("control", row["control"]))
+    return out
+
+
+@st.composite
+def faulty_network_docs(draw):
+    """A valid network document of 2-5 buses, with shuffled rows, labels of
+    one style and optional fields present or not, and then 2-3 faults:
+    missing keys, values of another kind in any field, repeated ids, unknown
+    line ends, non-object rows or tables, and bad control blocks."""
+    n = draw(st.integers(1, 4))  # buses besides the root
+    parent = [0, 0] + [draw(st.integers(1, i - 1)) for i in range(2, n + 1)]
+    labels = draw(st.sampled_from([list(range(n + 1)), [float(k) for k in range(n + 1)],
+                                   [str(k) for k in range(n + 1)],
+                                   ["src"] + [f"b{k}" for k in range(1, n + 1)]]))
+    maybe = st.sampled_from(["absent", "null", "set"])
+
+    def bus(k):
+        row = {"id": labels[k]}
+        for key, value in (("p_c", 0.1), ("p_g", 0.02), ("q_c", 0.05), ("v_nom", 1.0),
+                           ("q_min", -0.5), ("q_max", 0.5), ("actuator", draw(st.booleans())),
+                           ("control", {"alpha": 2.0, "delta": 0.01})):
+            how = draw(maybe)
+            if how != "absent":
+                row[key] = value if how == "set" or key == "actuator" else None
+        return row
+
+    buses = [bus(k) for k in draw(st.permutations(range(n + 1)))]
+    lines = [{"from": labels[parent[k]], "to": labels[k], "r": 0.01 * k, "x": 0.02 * k}
+             for k in draw(st.permutations(range(1, n + 1)))]
+    doc = {"buses": buses, "lines": lines}
+    for key, value in (("v0", 1.02), ("control", {"alpha": 5.0, "q_max": 1})):
+        how = draw(maybe)
+        if how != "absent":
+            doc[key] = value if how == "set" else None
+
+    for _ in range(draw(st.integers(2, 3))):
+        targets = _fault_targets(doc)
+        # a row of the document at least as often as the document itself
+        kind = draw(st.sampled_from([k for k in ("bus", "line", "control", "bus", "line",
+                                                 "control", "bus", "doc")
+                                     if any(t == k for t, _ in targets)]))
+        row = draw(st.sampled_from([r for t, r in targets if t == kind]))
+        fault = draw(st.sampled_from(["value", "missing", "repeat", "unknown", "row"]))
+        if fault == "value":
+            row[draw(st.sampled_from(_KEYS[kind]))] = draw(_fresh(_BAD_VALUES))
+        elif fault == "missing" and row:
+            del row[draw(st.sampled_from(sorted(row)))]
+        elif fault == "repeat" and kind == "bus":
+            other = draw(st.sampled_from([r for t, r in targets if t == "bus"]))
+            if "id" in other:
+                row["id"] = other["id"]
+        elif fault == "unknown" and kind == "line":
+            row[draw(st.sampled_from(["from", "to"]))] = draw(st.sampled_from([99, "zz", 0.5]))
+        elif fault == "row" and kind in ("bus", "line"):
+            rows = doc["buses" if kind == "bus" else "lines"]
+            rows[next(k for k, r in enumerate(rows) if r is row)] = draw(
+                _fresh([5, "s", None, True, [], {}]))
+    return doc
+
+
+class TestFirstFault:
+    """The reader names the same first fault as a row-by-row walk of the
+    document, on files with several faults."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(faulty_network_docs())
+    def test_matches_row_walk(self, doc):
+        try:
+            parse_network_json(json.dumps(doc))
+            got = None
+        except ParseError as exc:
+            got = str(exc)
+        except ValueError:  # a control block that parses but is no ControlSpec
+            got = None
+        assert got == network_error_by_rows(doc)
 
 
 def rough_values(rows, width, seed):
